@@ -17,7 +17,7 @@ from .core import (
     fractional_cost,
     tour_length,
 )
-from .exact import ExactResult, brute_force, held_karp, integrality_ratio
+from .exact import ExactResult, brute_force, held_karp, heuristic_tour, integrality_ratio
 from .lp import (
     Cut,
     LinearProgram,

@@ -17,9 +17,9 @@ import sys
 import time
 from typing import Sequence
 
-from ..core import Instance, Tour, tour_length
+from ..core import Instance
 from ..ellipse import DEFAULT_EPS, EllipseConstructionError, ellipse_construct
-from ..exact import HELD_KARP_MAX, held_karp
+from ..exact import HELD_KARP_MAX, held_karp, heuristic_tour
 from ..families import (
     GAP_TAGS,
     IJK,
@@ -166,39 +166,6 @@ def _closed_forms(kind: str, p: IJK) -> dict | None:
     return None
 
 
-# --- heuristic upper bound for instances past the exact-solver cap -----------
-
-
-def _tour_upper_bound(inst: Instance) -> tuple[Tour, float]:
-    """Nearest-neighbor start plus 2-opt to local optimality.  Deterministic."""
-    dmat = inst.distance_matrix()
-    n = inst.n
-    unvisited = set(range(1, n))
-    order = [0]
-    while unvisited:
-        here = order[-1]
-        nxt = min(unvisited, key=lambda v: (dmat[here, v], v))
-        unvisited.remove(nxt)
-        order.append(nxt)
-    improved = True
-    while improved:
-        improved = False
-        for a in range(n - 1):
-            for c in range(a + 2, n):
-                if a == 0 and c == n - 1:
-                    continue
-                b, d = a + 1, (c + 1) % n
-                delta = (
-                    dmat[order[a], order[c]] + dmat[order[b], order[d]]
-                    - dmat[order[a], order[b]] - dmat[order[c], order[d]]
-                )
-                if delta < -1e-12:
-                    order[b : c + 1] = reversed(order[b : c + 1])
-                    improved = True
-    tour = Tour(order)
-    return tour, tour_length(inst, tour)
-
-
 # --- subcommands -------------------------------------------------------------
 
 
@@ -287,7 +254,7 @@ def cmd_ratio(args: argparse.Namespace) -> dict:
         exact = held_karp(inst)
         opt_length, method, tour = exact.length, exact.method, exact.tour
     else:
-        tour, opt_length = _tour_upper_bound(inst)
+        tour, opt_length = heuristic_tour(inst)
         method = "nearest_neighbor_2opt"
     recognized = _recognize_ijk(inst)
     closed = _closed_forms(*recognized) if recognized else None

@@ -27,6 +27,8 @@ from .lp import LinearProgram, solve_lp, solve_subtour_lp
 POOL_ENUM_MAX = 10
 
 _GROUP_TOL = 1e-9
+# An LP optimum with every value this close to 1 is integral.
+_INTEGRAL_TOL = 1e-9
 
 
 class LocalSearchError(RuntimeError):
@@ -333,8 +335,13 @@ def perturb_instance(inst: Instance, magnitude: float, rng: np.random.Generator)
 
 
 def _ratio_state(inst: Instance) -> tuple[float, float, EdgeWeightVector]:
-    exact = held_karp(inst)
     lp = solve_subtour_lp(inst)
+    if all(abs(w - 1.0) <= _INTEGRAL_TOL for _, w in lp.x.items()):
+        # A 0/1 optimum that passed separation is a Hamiltonian cycle, so
+        # OPT = LP and Held-Karp is not needed.  Such states have ratio 1
+        # and are never accepted.
+        return 1.0, lp.cost, lp.x
+    exact = held_karp(inst)
     return exact.length / lp.cost, exact.length, lp.x
 
 

@@ -1,19 +1,27 @@
 """Exact solvers: Held-Karp against brute force, caps, ratio plumbing."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tspgap.core import Instance, NormSpec, Tour, tour_length
+from tspgap import exact
 from tspgap.exact import (
     BRUTE_FORCE_MAX,
     HELD_KARP_MAX,
+    ExactResult,
     brute_force,
     held_karp,
+    heuristic_tour,
     integrality_ratio,
 )
 from tspgap.families import IJK, gen_I2
+from tspgap.lp import LpError
 
 
 def test_unit_square_optimum():
@@ -31,16 +39,90 @@ def test_brute_force_square():
     assert res.method == "brute_force"
 
 
+def _grid_points(rng, n, side=4):
+    """n distinct points of the side x side integer grid: many equal-length
+    paths, so the DP's tie-breaking decides the tour."""
+    cells = rng.choice(side * side, size=n, replace=False)
+    return np.stack([cells % side, cells // side], axis=1)
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**31 - 1), st.integers(4, 8))
-def test_held_karp_agrees_with_brute_force(seed, n):
+@given(st.integers(0, 2**31 - 1), st.integers(4, 8), st.booleans())
+def test_held_karp_agrees_with_brute_force(seed, n, grid):
     rng = np.random.default_rng(seed)
     p = (1.0, 2.0, 3.0)[seed % 3]
-    inst = Instance(rng.uniform(size=(n, 2)), NormSpec(p))
+    pts = _grid_points(rng, n) if grid else rng.uniform(size=(n, 2))
+    inst = Instance(pts, NormSpec(p))
     hk = held_karp(inst)
     bf = brute_force(inst)
     assert hk.length == pytest.approx(bf.length, abs=1e-9)
     assert tour_length(inst, hk.tour) == pytest.approx(hk.length, rel=1e-12)
+
+
+# held_karp's length (as float.hex) and canonical tour, frozen bit for bit.
+# Cases are (kind, n, p, seed): "uniform" points in the unit square, or
+# "grid" points of the 4 x 4 integer grid under L1, where every case has
+# 2-16 optimal tours and the tie-break picks the one returned.
+_GOLDEN = [
+    (("uniform", 13, 1.0, 113), "0x1.1624b9959b404p+2", (0, 1, 4, 7, 9, 2, 5, 8, 11, 10, 3, 6, 12)),
+    (("uniform", 13, 2.0, 113), "0x1.d2244a292010ep+1", (0, 1, 4, 7, 9, 2, 5, 8, 11, 10, 3, 6, 12)),
+    (("uniform", 14, 1.0, 114), "0x1.0740106bd921cp+2", (0, 6, 11, 13, 5, 12, 3, 1, 7, 10, 2, 9, 4, 8)),
+    (("uniform", 14, 2.0, 114), "0x1.9fd409f6e0b79p+1", (0, 6, 13, 11, 5, 12, 3, 1, 7, 10, 2, 9, 4, 8)),
+    (("uniform", 15, 1.0, 115), "0x1.3937940bf5016p+2", (0, 3, 8, 1, 7, 14, 13, 4, 10, 5, 2, 6, 12, 11, 9)),
+    (("uniform", 15, 2.0, 115), "0x1.f3ac7643e13f9p+1", (0, 3, 11, 12, 6, 5, 2, 10, 4, 13, 14, 7, 1, 8, 9)),
+    (("uniform", 16, 1.0, 116), "0x1.245b85a00c215p+2", (0, 11, 3, 4, 7, 12, 5, 9, 14, 2, 10, 8, 15, 1, 6, 13)),
+    (("uniform", 16, 2.0, 116), "0x1.dc663f72c21c3p+1", (0, 11, 3, 4, 7, 12, 5, 9, 14, 2, 10, 8, 15, 6, 1, 13)),
+    (("grid", 8, 1.0, 8), "0x1.c000000000000p+3", (0, 1, 2, 6, 7, 5, 3, 4)),
+    (("grid", 9, 1.0, 9), "0x1.c000000000000p+3", (0, 1, 4, 2, 3, 5, 8, 6, 7)),
+    (("grid", 10, 1.0, 10), "0x1.8000000000000p+3", (0, 2, 6, 7, 3, 4, 5, 9, 1, 8)),
+    (("grid", 10, 1.0, 13), "0x1.c000000000000p+3", (0, 1, 3, 2, 5, 7, 6, 4, 8, 9)),
+]
+
+
+@pytest.mark.parametrize("case, length_hex, order", _GOLDEN)
+def test_held_karp_golden_bit_exact(case, length_hex, order):
+    kind, n, p, seed = case
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(size=(n, 2)) if kind == "uniform" else _grid_points(rng, n)
+    res = held_karp(Instance(pts, NormSpec(p)))
+    assert res.length.hex() == length_hex
+    assert res.tour.order == order
+
+
+def _held_karp_per_mask(inst):
+    """Reference: the same DP one mask at a time, with a parent table."""
+    D = inst.distance_matrix()
+    r = inst.n - 1
+    Dr, d0, full = D[1:, 1:], D[0, 1:], (1 << r) - 1
+    dp = np.full((full + 1, r), np.inf)
+    parent = np.full((full + 1, r), -1)
+    for v in range(r):
+        dp[1 << v, v] = d0[v]
+    for s in range(1, full + 1):
+        if s & (s - 1):
+            vs = np.nonzero([s >> v & 1 for v in range(r)])[0]
+            cand = dp[s ^ (1 << vs)] + Dr[:, vs].T
+            dp[s, vs] = cand.min(axis=1)
+            parent[s, vs] = cand.argmin(axis=1)
+    closing = dp[full] + d0
+    v, s, path = int(closing.argmin()), full, []
+    length = float(closing[v])
+    while v >= 0:
+        path.append(v + 1)
+        v, s = int(parent[s, v]), s ^ (1 << v)
+    return length, Tour([0] + path[::-1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(3, 10), st.booleans())
+def test_held_karp_matches_per_mask_reference_bit_exact(seed, n, grid):
+    rng = np.random.default_rng(seed)
+    pts = _grid_points(rng, n) if grid else rng.uniform(size=(n, 2))
+    inst = Instance(pts, NormSpec((1.0, 2.0, 3.0)[seed % 3]))
+    res = held_karp(inst)
+    length, tour = _held_karp_per_mask(inst)
+    assert res.length.hex() == length.hex()
+    assert res.tour == tour
 
 
 def test_held_karp_invariant_under_relabeling():
@@ -80,3 +162,76 @@ def test_integrality_ratio_at_least_one():
 
 def test_integrality_ratio_known_value():
     assert integrality_ratio(gen_I2(IJK(0, 0, 0))) == pytest.approx(18.0 / 17.0, abs=1e-7)
+
+
+def _two_opt_gain(inst, order):
+    """Largest length decrease any 2-opt move on the cyclic order achieves."""
+    D = inst.distance_matrix()
+    n = len(order)
+    gain = 0.0
+    for a in range(n):
+        for c in range(a + 2, n):
+            if a == 0 and c == n - 1:
+                continue  # the two edges share vertex order[0]
+            b, d = order[a + 1], order[(c + 1) % n]
+            old = D[order[a], b] + D[order[c], d]
+            gain = max(gain, old - D[order[a], order[c]] - D[b, d])
+    return gain
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_heuristic_tour_is_a_deterministic_two_opt_optimum(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 31))
+    inst = Instance(rng.uniform(size=(n, 2)), NormSpec((1.0, 2.0)[seed % 2]))
+    tour, length = heuristic_tour(inst)
+    assert sorted(tour.order) == list(range(n))
+    D = inst.distance_matrix()
+    o = tour.order
+    assert length == pytest.approx(sum(D[o[i - 1], o[i]] for i in range(n)), rel=1e-12)
+    assert heuristic_tour(inst) == (tour, length)
+    assert _two_opt_gain(inst, o) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(3, 9), st.booleans())
+def test_heuristic_tour_never_beats_held_karp(seed, n, grid):
+    rng = np.random.default_rng(seed)
+    pts = _grid_points(rng, n) if grid else rng.uniform(size=(n, 2))
+    inst = Instance(pts, NormSpec((1.0, 2.0)[seed % 2]))
+    opt = held_karp(inst).length
+    assert heuristic_tour(inst)[1] >= opt * (1 - 1e-12)
+
+
+def test_integrality_ratio_rejects_opt_below_lp(monkeypatch):
+    # An "optimum" of length 1 lies below the relaxation cost 17/3.
+    monkeypatch.setattr(
+        exact, "held_karp", lambda inst: ExactResult(Tour(range(inst.n)), 1.0, "held_karp")
+    )
+    with pytest.raises(LpError, match="exceeds the optimal tour length"):
+        integrality_ratio(gen_I2(IJK(0, 0, 0)))
+
+
+_BELOW_LP_SCRIPT = """
+from tspgap import exact
+from tspgap.core import Tour
+from tspgap.families import IJK, gen_I2
+from tspgap.lp import LpError
+
+print("debug" if __debug__ else "optimized")
+exact.held_karp = lambda inst: exact.ExactResult(Tour(range(inst.n)), 1.0, "held_karp")
+try:
+    exact.integrality_ratio(gen_I2(IJK(0, 0, 0)))
+except LpError:
+    print("raised")
+"""
+
+
+def test_integrality_ratio_check_survives_optimize_flag():
+    src = os.path.dirname(os.path.dirname(exact.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _BELOW_LP_SCRIPT],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.split() == ["optimized", "raised"]

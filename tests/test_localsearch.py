@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tspgap import localsearch
 from tspgap.core import Instance, NormSpec, Tour, fractional_cost, tour_length
 from tspgap.ellipse import ellipse_construct
 from tspgap.exact import held_karp
@@ -241,3 +242,37 @@ def test_local_search_monotone_and_certified():
     x = solve_subtour_lp(inst).x
     pool = build_tour_pool(inst, params.epsilon3 * ex.length)
     assert local_opt_certificate(inst, pool, x, epsilon1=params.epsilon1)
+
+
+def _held_karp_first_ratio_state(inst):
+    # The evaluation order before the integral-LP shortcut: always solve OPT.
+    exact = held_karp(inst)
+    lp = solve_subtour_lp(inst)
+    return exact.length / lp.cost, exact.length, lp.x
+
+
+def test_ratio_state_skips_held_karp_on_integral_lp(monkeypatch):
+    calls = []
+
+    def counting_held_karp(inst):
+        calls.append(inst.n)
+        return held_karp(inst)
+
+    monkeypatch.setattr(localsearch, "held_karp", counting_held_karp)
+    square = Instance([(0, 0), (1, 0), (1, 1), (0, 1)])
+    ratio, opt_len, x = localsearch._ratio_state(square)
+    assert calls == []
+    assert (ratio, opt_len) == (1.0, 4.0)
+    assert x == solve_subtour_lp(square).x
+    ratio, opt_len, _ = localsearch._ratio_state(gen_I2(IJK(0, 0, 0)))
+    assert calls == [6]
+    assert ratio == pytest.approx(18.0 / 17.0, abs=1e-7)
+
+    params = dict(epsilon0=1e-6, epsilon1=5e-4, epsilon3=1e-2)
+    runs = []
+    for ratio_state in (localsearch._ratio_state, _held_karp_first_ratio_state):
+        monkeypatch.setattr(localsearch, "_ratio_state", ratio_state)
+        runs.append([local_search(6, LocalSearchParams(rng_seed=s, **params)) for s in (19, 32, 25)])
+    for (inst, trace), (ref_inst, ref_trace) in zip(*runs):
+        assert trace == ref_trace
+        assert inst.points.tobytes() == ref_inst.points.tobytes()
