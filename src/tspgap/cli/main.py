@@ -290,8 +290,6 @@ def _sweep_ellipse(n: int) -> dict | None:
     best: dict | None = None
     for i in range((n - 6) // 2 + 1):
         j = n - 6 - 2 * i
-        if j < 0:
-            continue
         try:
             result = ellipse_construct(i, j, DEFAULT_EPS)
         except EllipseConstructionError:

@@ -92,6 +92,44 @@ def _bisect(fn: Callable[[float], float], lo: float, hi: float, iters: int = 100
     return 0.5 * (lo + hi)
 
 
+def _find_root(
+    fn: Callable[[float], float],
+    lo: float,
+    hi: float,
+    samples: int,
+    eps: float,
+    error: type[EllipseConstructionError],
+) -> float:
+    """Root of fn on [lo, hi] whose residual is within eps, or raise error.
+
+    Walks the midpoints of `samples` equal cells left to right, skipping
+    points where fn raises, and bisects the first pair of consecutive
+    evaluated points whose residuals change sign (or whose left residual is
+    zero).  An EllipseConstructionError raised by fn inside that bracket
+    propagates with its own class.
+    """
+    prev: tuple[float, float] | None = None
+    for s in range(samples):
+        x = lo + (hi - lo) * (s + 0.5) / samples
+        try:
+            r = fn(x)
+        except (_BracketError, EllipseConstructionError):
+            continue
+        if prev is not None and (prev[1] == 0.0 or (prev[1] > 0) != (r > 0)):
+            break
+        prev = (x, r)
+    else:
+        raise error(f"residual does not change sign on [{lo}, {hi}]")
+    try:
+        root = _bisect(fn, prev[0], x)
+        resid = fn(root)
+    except _BracketError:
+        raise error(f"residual undefined inside the bracket [{prev[0]}, {x}]") from None
+    if abs(resid) > eps:
+        raise error(f"residual {resid} above eps at {root}")
+    return root
+
+
 # -- inner vertices --------------------------------------------------------
 
 
@@ -141,54 +179,17 @@ def inner_vertices(i: int, j: int, b: float, eps: float = DEFAULT_EPS) -> list[t
     """Place the inner vertices on the x-axis, symmetric about 0, so every
     middle-gap tie equation closes within eps.
 
-    The outermost abscissa f is found by binary search (the closure
-    residual is monotone in f), falling back to a dense grid scan when the
-    bracket assumption fails.
+    The outermost abscissa f is bracketed by a coarse scan of the closure
+    residual over (0, b) and bisected; a residual without a sign change, or
+    a bisected root above eps, raises InnerPlacementError.
     """
     del i  # the inner chain sees only the corners (±b, ±1)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    lo, hi = b * 1e-9, b * (1 - 1e-9)
-
-    def resid_of(f: float) -> float:
-        return _inner_attempt(j, b, f)[0]
-
-    samples: list[tuple[float, float]] = []
-    for s in range(_COARSE_SAMPLES):
-        cand = lo + (hi - lo) * (s + 0.5) / _COARSE_SAMPLES
-        try:
-            samples.append((cand, resid_of(cand)))
-        except _BracketError:
-            continue
-    bracket = None
-    for (f1, r1), (f2, r2) in zip(samples, samples[1:]):
-        if r1 == 0.0 or (r1 > 0) != (r2 > 0):
-            bracket = (f1, f2)
-            break
-    if bracket is None:
-        raise InnerPlacementError(f"inner closure residual does not change sign for b = {b}")
-    try:
-        f = _bisect(resid_of, bracket[0], bracket[1])
-    except _BracketError:
-        f = 0.5 * (bracket[0] + bracket[1])
-    if abs(resid_of(f)) > eps:
-        # Monotonicity let the bisection down; fall back to a dense scan.
-        best = (math.inf, None)
-        for s in range(_FALLBACK_SAMPLES):
-            cand = lo + (hi - lo) * (s + 0.5) / _FALLBACK_SAMPLES
-            try:
-                r = abs(resid_of(cand))
-            except _BracketError:
-                continue
-            if r < best[0]:
-                best = (r, cand)
-        if best[1] is None or best[0] > eps:
-            raise InnerPlacementError(f"no inner closure for b = {b}")
-        f = best[1]
-    resid, xs = _inner_attempt(j, b, f)
-    if abs(resid) > eps:
-        raise InnerPlacementError(f"inner residual {resid} above eps at b = {b}")
-    return [(x, 0.0) for x in xs]
+    f = _find_root(
+        lambda f: _inner_attempt(j, b, f)[0], b * 1e-9, b * (1 - 1e-9), _COARSE_SAMPLES, eps, InnerPlacementError
+    )
+    return [(x, 0.0) for x in _inner_attempt(j, b, f)[1]]
 
 
 # -- outer vertices --------------------------------------------------------
@@ -219,11 +220,11 @@ def diff_outer(h: int, zs: Sequence[tuple[float, float]], f: float, b: float) ->
     )
 
 
-def _outer_attempt(
-    i: int, b: float, f: float, e: float
-) -> tuple[float, list[tuple[float, float]], float]:
+def _outer_attempt(i: int, b: float, f: float, e: float) -> tuple[float, list[tuple[float, float]]]:
     """Chain the left outer half along the ellipse for a trial e; return
-    (closure residual, full top line, abscissa of the last chained vertex).
+    (closure residual, full top line).  Raises _BracketError when a tie has
+    no point on the arc or the last chained vertex is not left of the
+    y-axis.
     """
     A, B = _ellipse_axes(b, e)
     theta_corner = math.atan2(1.0 / B, b / A)
@@ -244,10 +245,7 @@ def _outer_attempt(
                 - math.hypot(px - f, py)
             )
 
-        try:
-            theta = _bisect(tie, theta_corner, theta_h)
-        except _BracketError:
-            raise OuterPlacementError(f"no tie point on the arc at h = {h}, e = {e}")
+        theta = _bisect(tie, theta_corner, theta_h)
         zs[h + 1] = (A * math.cos(theta), B * math.sin(theta))
         theta_h = theta
     if i % 2 == 1:
@@ -257,8 +255,9 @@ def _outer_attempt(
             x, y = zs[s]
             zs[i + 1 - s] = (-x, y)
     full = [(float(x), float(y)) for x, y in zs]
-    resid = diff_outer(half, full, f, b)
-    return resid, full, full[half][0]
+    if full[half][0] >= 0:
+        raise _BracketError
+    return diff_outer(half, full, f, b), full
 
 
 def outer_vertices(
@@ -268,8 +267,8 @@ def outer_vertices(
     every top-gap tie equation closes within eps; returns (e, top line).
 
     The focal abscissa e is bracketed by a coarse scan over configurations
-    whose last chained vertex stays left of the y-axis, then bisected;
-    failure to bracket falls back to a dense scan, and a miss there reports
+    whose last chained vertex stays left of the y-axis, then bisected; a
+    residual without a sign change, or a bisected root above eps, reports
     the half-width b as outside the constructible window.
     """
     del j  # the outer chain sees the inner line only through f = inner[-1]
@@ -278,54 +277,10 @@ def outer_vertices(
     f = float(inner[-1][0])
     if i == 0:
         return 0.0, [(-b, 1.0), (b, 1.0)]
-    e_cap = 4.0 * (b + 1.0)
-
-    def attempt(e: float) -> tuple[float, list[tuple[float, float]], float]:
-        return _outer_attempt(i, b, f, e)
-
-    samples: list[tuple[float, float]] = []
-    for s in range(_COARSE_SAMPLES):
-        e = e_cap * (s + 0.5) / _COARSE_SAMPLES
-        try:
-            resid, _, x_last = attempt(e)
-        except OuterPlacementError:
-            continue
-        if x_last >= 0:
-            continue
-        samples.append((e, resid))
-    bracket = None
-    for (e1, r1), (e2, r2) in zip(samples, samples[1:]):
-        if r1 == 0.0 or (r1 > 0) != (r2 > 0):
-            bracket = (e1, e2)
-            break
-    if bracket is None:
-        raise OuterPlacementError(
-            f"outer closure residual does not change sign over e at b = {b}"
-        )
-    try:
-        e_star = _bisect(lambda e: attempt(e)[0], bracket[0], bracket[1])
-    except (_BracketError, OuterPlacementError):
-        e_star = None
-    if e_star is None or abs(attempt(e_star)[0]) > eps:
-        # Monotonicity let the bisection down; fall back to a dense scan.
-        best = (math.inf, None)
-        for s in range(_FALLBACK_SAMPLES):
-            e = e_cap * (s + 0.5) / _FALLBACK_SAMPLES
-            try:
-                resid, _, x_last = attempt(e)
-            except OuterPlacementError:
-                continue
-            if x_last >= 0:
-                continue
-            if abs(resid) < best[0]:
-                best = (abs(resid), e)
-        if best[1] is None or best[0] > eps:
-            raise OuterPlacementError(f"no focal abscissa closes the outer chain at b = {b}")
-        e_star = best[1]
-    resid, zline, _ = attempt(e_star)
-    if abs(resid) > eps:
-        raise OuterPlacementError(f"outer residual {resid} above eps at b = {b}")
-    return float(e_star), zline
+    e_star = _find_root(
+        lambda e: _outer_attempt(i, b, f, e)[0], 0.0, 4.0 * (b + 1.0), _COARSE_SAMPLES, eps, OuterPlacementError
+    )
+    return float(e_star), _outer_attempt(i, b, f, e_star)[1]
 
 
 # -- full construction -----------------------------------------------------
@@ -364,19 +319,8 @@ def _construct_flat(j: int, eps: float) -> ConstructionResult:
         inner = inner_vertices(0, j, b, eps)
         return diff_outer(0, [(-b, 1.0), (b, 1.0)], inner[-1][0], b)
 
-    lo, hi = _B_RANGE
-    samples = []
-    for s in range(_COARSE_SAMPLES * 4):
-        b = lo + (hi - lo) * (s + 0.5) / (_COARSE_SAMPLES * 4)
-        try:
-            samples.append((b, resid(b)))
-        except InnerPlacementError:
-            continue
-    for (b1, r1), (b2, r2) in zip(samples, samples[1:]):
-        if r1 == 0.0 or (r1 > 0) != (r2 > 0):
-            b_star = _bisect(resid, b1, b2)
-            return _evaluate(0, j, b_star, eps)[1]
-    raise EllipseConstructionError(f"no corner half-width closes the flat construction (j = {j})")
+    b_star = _find_root(resid, *_B_RANGE, _COARSE_SAMPLES * 4, eps, EllipseConstructionError)
+    return _evaluate(0, j, b_star, eps)[1]
 
 
 def ellipse_construct(i: int, j: int, eps: float = DEFAULT_EPS) -> ConstructionResult:

@@ -69,17 +69,6 @@ class LabeledVertexSet:
             + [f"Z{s}" for s in range(p.k + 2)]
         )
 
-    def line(self, idx: int) -> tuple[str, int]:
-        """Map an index back to its line name and position."""
-        p = self.ijk
-        if idx < 0 or idx >= p.n:
-            raise IndexError(f"vertex {idx} out of range")
-        if idx < p.i + 2:
-            return "X", idx
-        if idx < p.i + p.j + 4:
-            return "Y", idx - (p.i + 2)
-        return "Z", idx - (p.i + p.j + 4)
-
 
 def labeled_vertices(p: IJK) -> LabeledVertexSet:
     return LabeledVertexSet(p)
@@ -273,12 +262,6 @@ class PseudoTour:
     @property
     def name(self) -> str:
         return self.tag if self.index is None else f"{self.tag}[{self.index}]"
-
-    def multiset(self) -> dict[Edge, int]:
-        return dict(self.edges)
-
-    def total_cost(self, inst: Instance) -> float:
-        return sum(mult * inst.dist(e.u, e.v) for e, mult in self.edges)
 
     def degrees(self) -> list[int]:
         deg = [0] * self.ijk.n

@@ -78,40 +78,30 @@ class SubdividedGraphSpec:
     def _check_two_edge_connected(self) -> None:
         m = len(self.vertices)
         adj = self._adjacency()
-        # Connectivity.
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v, _ in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        if len(seen) != m:
-            raise ValueError("base graph is disconnected")
-        # Bridges via iterative lowlink DFS.
+        # Bridges via iterative lowlink DFS from vertex 0.
         disc = [-1] * m
         low = [0] * m
         timer = 0
-        stack2: list[tuple[int, int, int]] = [(0, -1, 0)]  # vertex, incoming edge, child ptr
+        stack: list[tuple[int, int, int]] = [(0, -1, 0)]  # vertex, incoming edge, child ptr
         order: list[tuple[int, int]] = []
-        while stack2:
-            u, pedge, ptr = stack2.pop()
+        while stack:
+            u, pedge, ptr = stack.pop()
             if ptr == 0:
                 disc[u] = low[u] = timer
                 timer += 1
                 order.append((u, pedge))
             if ptr < len(adj[u]):
-                stack2.append((u, pedge, ptr + 1))
+                stack.append((u, pedge, ptr + 1))
                 v, eidx = adj[u][ptr]
                 if eidx == pedge:
                     continue
                 if disc[v] == -1:
-                    stack2.append((v, eidx, 0))
+                    stack.append((v, eidx, 0))
                 else:
                     low[u] = min(low[u], disc[v])
+        if -1 in disc:
+            raise ValueError("base graph is disconnected")
         # Fold lowlinks back up in reverse discovery order.
-        parent_edge = {u: pe for u, pe in order}
         for u, pe in reversed(order):
             if pe == -1:
                 continue

@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -26,43 +26,12 @@ from .lp import LinearProgram, solve_lp, solve_subtour_lp
 # beyond it the pool only holds tours discovered during the run.
 POOL_ENUM_MAX = 10
 
-_GROUP_TOL = 1e-9
 # An LP optimum with every value this close to 1 is integral.
 _INTEGRAL_TOL = 1e-9
 
 
 class LocalSearchError(RuntimeError):
     """Search could not proceed (no admissible random start found)."""
-
-
-class DirectionVector:
-    """A direction in instance space: one component per coordinate of the
-    embedding, vertex-major (vertex 0 axis 0, vertex 0 axis 1, ...)."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components: Iterable[float]):
-        arr = np.asarray(list(components) if not isinstance(components, np.ndarray) else components, dtype=float)
-        if arr.ndim != 1:
-            raise ValueError("components must be one-dimensional")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("non-finite direction component")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "components", arr)
-
-    def __len__(self) -> int:
-        return len(self.components)
-
-    def dot(self, other: "DirectionVector | np.ndarray") -> float:
-        arr = other.components if isinstance(other, DirectionVector) else np.asarray(other, dtype=float)
-        return float(self.components @ arr)
-
-    def as_points(self, n: int, dim: int) -> np.ndarray:
-        return self.components.reshape(n, dim)
-
-    def __repr__(self) -> str:
-        return f"DirectionVector({self.components.tolist()!r})"
 
 
 @dataclass(frozen=True)
@@ -168,32 +137,31 @@ def _edge_gradient(inst: Instance, pairs: Iterable[tuple[int, int, float]]) -> n
     return G.ravel()
 
 
-def grad_tour_length(inst: Instance, t: Tour) -> DirectionVector:
-    """Gradient of the tour length with respect to every coordinate.
+def grad_tour_length(inst: Instance, t: Tour) -> np.ndarray:
+    """Gradient of the tour length with respect to every coordinate, as an
+    (n*d,) array in vertex-major order (vertex 0 axis 0, vertex 0 axis 1, ...).
 
     Per coordinate (vertex m, axis a) this is the sum over tour neighbors q
     of sgn(v_m[a] - q[a]) |v_m[a] - q[a]|^(p-1) / ||v_m - q||_p^(p-1).
     """
-    return DirectionVector(_edge_gradient(inst, ((e.u, e.v, 1.0) for e in t.edges())))
+    return _edge_gradient(inst, ((e.u, e.v, 1.0) for e in t.edges()))
 
 
-def grad_fractional(inst: Instance, x: EdgeWeightVector) -> DirectionVector:
+def grad_fractional(inst: Instance, x: EdgeWeightVector) -> np.ndarray:
     """Weighted analogue of grad_tour_length over the support of x."""
     if x.n != inst.n:
         raise ValueError(f"weight vector on {x.n} vertices, instance has {inst.n}")
-    return DirectionVector(_edge_gradient(inst, ((e.u, e.v, w) for e, w in x.items())))
+    return _edge_gradient(inst, ((e.u, e.v, w) for e, w in x.items()))
 
 
-def grad_g(inst: Instance, t: Tour, x: EdgeWeightVector, r: float) -> DirectionVector:
+def grad_g(inst: Instance, t: Tour, x: EdgeWeightVector, r: float) -> np.ndarray:
     """Gradient of g(v) = tour_length(v) - r * fractional_cost(v).
 
     Moving along a direction of positive inner product with this gradient
     increases the ratio length(t)/cost(x) when t is optimal and r is the
     current ratio.
     """
-    gt = grad_tour_length(inst, t).components
-    gx = grad_fractional(inst, x).components
-    return DirectionVector(gt - r * gx)
+    return grad_tour_length(inst, t) - r * grad_fractional(inst, x)
 
 
 # -- improvement LP --------------------------------------------------------
@@ -201,14 +169,14 @@ def grad_g(inst: Instance, t: Tour, x: EdgeWeightVector, r: float) -> DirectionV
 
 def improvement_lp(
     inst: Instance, pool: TourPool, x: EdgeWeightVector, r: float
-) -> tuple[DirectionVector, float]:
+) -> tuple[np.ndarray, float]:
     """Maximize delta subject to <w, grad_g(T)> >= delta for every pooled
     tour and w in [-1, 1]^(n*d).  delta > 0 certifies a common ascent
     direction; the zero direction is always feasible, so delta >= 0.
     """
     if not pool.tours:
         raise ValueError("empty tour pool")
-    grads = [grad_g(inst, t, x, r).components for t in sorted(pool.tours, key=lambda t: t.order)]
+    grads = [grad_g(inst, t, x, r) for t in sorted(pool.tours, key=lambda t: t.order)]
     nd = inst.n * inst.dim
     # Variables: w_0 .. w_{nd-1}, then delta (free).
     rows = [(tuple(g) + (-1.0,), ">=", 0.0) for g in grads]
@@ -216,8 +184,7 @@ def improvement_lp(
     bounds = ((-1.0, 1.0),) * nd + ((None, None),)
     lp = LinearProgram(objective=objective, rows=tuple(rows), bounds=bounds, maximize=True)
     sol = solve_lp(lp)
-    w = DirectionVector(sol.values[:nd])
-    return w, float(sol.values[nd])
+    return sol.values[:nd], float(sol.values[nd])
 
 
 def local_opt_certificate(
@@ -233,68 +200,6 @@ def local_opt_certificate(
     r = pool.reference / fractional_cost(inst, x)
     _, delta = improvement_lp(inst, pool, x, r)
     return delta <= epsilon1
-
-
-# -- restricted form for the 1-norm ---------------------------------------
-
-
-def _coordinate_groups(inst: Instance, tol: float = _GROUP_TOL) -> list[list[int]]:
-    """Per axis, flat coordinate indices grouped by (near-)equal value."""
-    groups: list[list[int]] = []
-    for a in range(inst.dim):
-        vals = inst.points[:, a]
-        order = np.argsort(vals, kind="stable")
-        current: list[int] = [int(order[0]) * inst.dim + a]
-        for prev, cur in zip(order[:-1], order[1:]):
-            if vals[cur] - vals[prev] <= tol:
-                current.append(int(cur) * inst.dim + a)
-            else:
-                groups.append(current)
-                current = [int(cur) * inst.dim + a]
-        groups.append(current)
-    return groups
-
-
-def p1_improvement_lp(
-    inst: Instance, pool: TourPool, x: EdgeWeightVector, r: float
-) -> tuple[DirectionVector, float]:
-    """Restricted improvement LP for the 1-norm: coordinates equal within
-    1e-9 on an axis move as one variable, so sign patterns (and hence the
-    subgradient) stay valid along the direction.
-
-    Advisory only: a zero optimum does not rule out every improving
-    direction, it only rules out group-respecting ones.
-    """
-    if inst.norm.p != 1.0:
-        raise ValueError("p1_improvement_lp is only for 1-norm instances")
-    pts = inst.points
-    grads = []
-    for t in sorted(pool.tours, key=lambda t: t.order):
-        G = np.zeros_like(pts)
-        for e in t.edges():
-            diff = np.sign(pts[e.u] - pts[e.v])
-            G[e.u] += diff
-            G[e.v] -= diff
-        Gx = np.zeros_like(pts)
-        for e, w in x.items():
-            diff = np.sign(pts[e.u] - pts[e.v])
-            Gx[e.u] += w * diff
-            Gx[e.v] -= w * diff
-        grads.append((G - r * Gx).ravel())
-    groups = _coordinate_groups(inst)
-    m = len(groups)
-    rows = []
-    for g in grads:
-        coeffs = tuple(float(sum(g[i] for i in grp)) for grp in groups) + (-1.0,)
-        rows.append((coeffs, ">=", 0.0))
-    objective = (0.0,) * m + (1.0,)
-    bounds = ((-1.0, 1.0),) * m + ((None, None),)
-    sol = solve_lp(LinearProgram(objective=objective, rows=tuple(rows), bounds=bounds, maximize=True))
-    w = np.zeros(inst.n * inst.dim)
-    for gi, grp in enumerate(groups):
-        for i in grp:
-            w[i] = sol.values[gi]
-    return DirectionVector(w), float(sol.values[m])
 
 
 # -- Algorithm 1 -----------------------------------------------------------
@@ -325,13 +230,6 @@ _MAX_HALVINGS = 60
 def random_instance(n: int, p: float, rng: np.random.Generator) -> Instance:
     """Uniform points in the unit square under the p-norm."""
     return Instance(rng.random((n, 2)), NormSpec(p))
-
-
-def perturb_instance(inst: Instance, magnitude: float, rng: np.random.Generator) -> Instance:
-    """Jitter every coordinate uniformly in [-magnitude, magnitude]; use to
-    restart the search near a previous local optimum."""
-    shift = rng.uniform(-magnitude, magnitude, size=inst.points.shape)
-    return Instance(inst.points + shift, inst.norm, labels=inst.labels)
 
 
 def _ratio_state(inst: Instance) -> tuple[float, float, EdgeWeightVector]:
@@ -389,7 +287,7 @@ def local_search(n: int, params: LocalSearchParams) -> tuple[Instance, SearchTra
         if delta <= params.epsilon1:
             converged = True
             break
-        step = w.as_points(inst.n, inst.dim)
+        step = w.reshape(inst.n, inst.dim)
         # Walk the dyadic step ladder; keep the best strict ratio improvement
         # and stop once gains start shrinking (first-improvement acceptance
         # creeps near an optimum).

@@ -233,8 +233,8 @@ def test_criterion_08_gradient_finite_difference_suite():
             x = solve_subtour_lp(inst).x
 
             for kind, grad in (
-                ("tour", grad_tour_length(inst, tour).components),
-                ("frac", grad_fractional(inst, x).components),
+                ("tour", grad_tour_length(inst, tour)),
+                ("frac", grad_fractional(inst, x)),
             ):
                 flat = inst.points.ravel()
                 fd = np.empty_like(flat)

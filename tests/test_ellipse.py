@@ -9,6 +9,9 @@ from tspgap.core import fractional_cost, tour_length
 from tspgap.ellipse import (
     DEFAULT_EPS,
     EllipseConstructionError,
+    InnerPlacementError,
+    OuterPlacementError,
+    _find_root,
     diff_inner,
     diff_outer,
     ellipse_construct,
@@ -113,3 +116,127 @@ def test_invalid_arguments_rejected():
         ellipse_construct(-1, 0, DEFAULT_EPS)
     with pytest.raises(ValueError):
         ellipse_construct(0, 0, 0.0)
+
+
+# float.hex of (ratio, b, e, f, inner residual, outer residual) for every
+# row with n = 2i + j + 6 <= 12 at the default eps, frozen from the
+# scan-bracket-bisect construction.
+_GOLDEN = {
+    (0, 0): (
+        "0x1.0618618618619p+0", "0x1.cccccccccccccp-1", "0x0.0p+0",
+        "0x1.3333333333330p-3", "0x0.0p+0", "0x0.0p+0",
+    ),
+    (0, 1): (
+        "0x1.08d1d93457b93p+0", "0x1.b749e85537cdap-1", "0x0.0p+0",
+        "0x1.c24412513b122p-3", "0x1.0000000000000p-52", "0x0.0p+0",
+    ),
+    (0, 2): (
+        "0x1.0a66cf9f129f1p+0", "0x1.ab12b7c8a6d16p-1", "0x0.0p+0",
+        "0x1.0c5ef2fb783b0p-2", "0x0.0p+0", "0x0.0p+0",
+    ),
+    (1, 0): (
+        "0x1.0a918eb35f8f1p+0", "0x1.8a66666648d56p+0", "0x1.ebbcf0a5f40f4p-4",
+        "0x1.440b0c788432ap-2", "0x1.8000000000000p-50", "0x0.0p+0",
+    ),
+    (0, 3): (
+        "0x1.0b719d9de7e1ap+0", "0x1.a31b46584eb3ep-1", "0x0.0p+0",
+        "0x1.29cfc708978e6p-2", "0x1.0000000000000p-50", "0x0.0p+0",
+    ),
+    (1, 1): (
+        "0x1.0f4c15deebdccp+0", "0x1.6e22222204911p+0", "0x1.a4177900eaa36p-1",
+        "0x1.c23db2255e21ep-2", "0x0.0p+0", "0x0.0p+0",
+    ),
+    (0, 4): (
+        "0x1.0c2f41a05e3afp+0", "0x1.9d79258983daep-1", "0x0.0p+0",
+        "0x1.3f4ddd7110b6ep-2", "0x1.2000000000000p-49", "0x1.0000000000000p-51",
+    ),
+    (1, 2): (
+        "0x1.1233eb6b39c06p+0", "0x1.6e22222204911p+0", "0x1.076dffd8e1f8bp-2",
+        "0x1.130d00a2e5dfcp-1", "0x1.4000000000000p-50", "0x0.0p+0",
+    ),
+    (2, 0): (
+        "0x1.0d0da387eb765p+0", "0x1.0bddddddcf155p+1", "0x1.63baf8647a300p-1",
+        "0x1.e663c91cf82b4p-2", "0x1.0000000000000p-51", "0x1.8000000000000p-50",
+    ),
+    (0, 5): (
+        "0x1.0cbd19ba4c170p+0", "0x1.99456f6c96b6cp-1", "0x0.0p+0",
+        "0x1.4fbc4eb6a7b84p-2", "0x1.0000000000000p-52", "0x1.0000000000000p-51",
+    ),
+    (1, 3): (
+        "0x1.139724e32bb8cp+0", "0x1.51ddddddc04cdp+0", "0x1.4c95b012f9eccp+0",
+        "0x1.1722cbd525546p-1", "0x1.0000000000000p-51", "0x0.0p+0",
+    ),
+    (2, 1): (
+        "0x1.132fb0928a6b4p+0", "0x1.fb77777759e67p+0", "0x1.bb51cb69b73fcp-1",
+        "0x1.594905949572cp-1", "0x1.0000000000000p-50", "0x1.0000000000000p-52",
+    ),
+    (0, 6): (
+        "0x1.0d2b2a7dae56bp+0", "0x1.9603ecd226df2p-1", "0x0.0p+0",
+        "0x1.5cb83b8aecf66p-2", "0x1.c000000000000p-50", "0x0.0p+0",
+    ),
+    (1, 4): (
+        "0x1.15010d95eb79dp+0", "0x1.51ddddddc04cdp+0", "0x1.2e68989de5a62p+0",
+        "0x1.2e96e0fb76b78p-1", "0x1.c000000000000p-50", "0x0.0p+0",
+    ),
+    (2, 2): (
+        "0x1.16e78e10b8b95p+0", "0x1.fb77777759e67p+0", "0x1.4ebad4854e92ep-1",
+        "0x1.a380004bc8a94p-1", "0x1.0000000000000p-52", "0x1.c000000000000p-50",
+    ),
+    (3, 0): (
+        "0x1.0e9f9daf871d9p+0", "0x1.5288888879c00p+1", "0x1.b1070f6324c7cp-1",
+        "0x1.485aae6207aa9p-1", "0x0.0p+0", "0x1.8000000000000p-50",
+    ),
+}
+
+# At eps = 1e-15 the two smallest flat rows close to the same bits.
+_GOLDEN_TIGHT = {
+    (0, 0): _GOLDEN[(0, 0)],
+    (0, 1): _GOLDEN[(0, 1)],
+}
+
+
+def _hexes(res):
+    p = res.params
+    return tuple(v.hex() for v in (res.ratio, p.b, p.e, p.f, res.inner_residual, res.outer_residual))
+
+
+@pytest.mark.parametrize("ij", sorted(_GOLDEN))
+def test_constructions_are_bit_exact(ij):
+    assert _hexes(ellipse_construct(*ij)) == _GOLDEN[ij]
+
+
+@pytest.mark.parametrize("ij", sorted(_GOLDEN_TIGHT))
+def test_tight_eps_constructions_are_bit_exact(ij):
+    assert _hexes(ellipse_construct(*ij, 1e-15)) == _GOLDEN_TIGHT[ij]
+
+
+def test_tight_eps_flat_failure_keeps_its_class():
+    with pytest.raises(InnerPlacementError):
+        ellipse_construct(0, 2, 1e-15)
+
+
+def test_find_root_rejects_a_sign_change_without_a_root():
+    def step(x):
+        return -1.0 if x < 0.3 else 1.0
+
+    with pytest.raises(OuterPlacementError, match="above eps"):
+        _find_root(step, 0.0, 1.0, 8, 1e-9, OuterPlacementError)
+    with pytest.raises(OuterPlacementError, match="does not change sign"):
+        _find_root(lambda x: 1.0, 0.0, 1.0, 8, 1e-9, OuterPlacementError)
+
+
+def test_find_root_skips_failed_samples_and_propagates_bracket_errors():
+    def gappy(x):
+        if x < 0.25:
+            raise InnerPlacementError("left of the window")
+        return x - 0.5
+
+    assert _find_root(gappy, 0.0, 1.0, 8, 1e-12, OuterPlacementError) == pytest.approx(0.5, abs=1e-12)
+
+    def hole(x):
+        if x not in (0.25, 0.75):
+            raise InnerPlacementError("inside the bracket")
+        return x - 0.5
+
+    with pytest.raises(InnerPlacementError):
+        _find_root(hole, 0.0, 1.0, 2, 1e-9, OuterPlacementError)

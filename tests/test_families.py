@@ -285,8 +285,15 @@ def test_bounds_never_exceed_four_thirds():
 
 def test_subdivided_validation_rejects_bridges_and_crossings():
     # Path graph: every edge is a bridge.
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bridge"):
         SubdividedGraphSpec(((0, 0), (1, 0), (2, 0)), ((0, 1), (1, 2)), (0, 0))
+    # Two disjoint triangles: disconnected, reported ahead of any bridge.
+    with pytest.raises(ValueError, match="disconnected"):
+        SubdividedGraphSpec(
+            ((0, 0), (1, 0), (0, 1), (3, 0), (4, 0), (3, 1)),
+            ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)),
+            (0,) * 6,
+        )
     # Square with both diagonals: diagonals cross.
     with pytest.raises(ValueError):
         SubdividedGraphSpec(
