@@ -2,6 +2,13 @@
 separation, and the degree-constrained cutting-plane loop for the subtour
 relaxation.
 
+One simplex tableau serves both entry points.  `solve_lp` builds it for a
+whole `LinearProgram` and runs two-phase simplex once.  `solve_subtour_lp`
+keeps one tableau alive for the whole cutting-plane loop: each subtour cut
+is appended as a row whose artificial enters the basis at the cut's
+violation, and phase 1 on that artificial alone followed by phase 2
+re-optimise from the previous optimal basis instead of starting over.
+
 No external solver is used; the simplex below is exact enough for the desk
 scale this package targets (hundreds of variables, tens of rows).
 """
@@ -20,10 +27,14 @@ from .core import Edge, EdgeWeightVector, Instance, degree_vector
 FEAS_TOL = 1e-7
 # Pivot magnitude below which a column entry is treated as zero.
 PIVOT_TOL = 1e-10
-# Dantzig pricing switches to Bland's rule after this many pivots.
+# Dantzig pricing switches to Bland's rule after this many pivots of one
+# (re-)optimisation.
 BLAND_AFTER = 1000
+# Each simplex phase may take PIVOT_CAP * (rows + structural columns) pivots.
+PIVOT_CAP = 50
 
-_REL = ("<=", "=", ">=")
+# Slack bounds that encode each row relation.
+_SLACK_BOUNDS = {"<=": (0.0, math.inf), ">=": (-math.inf, 0.0), "=": (0.0, 0.0)}
 
 
 class LpError(RuntimeError):
@@ -52,7 +63,7 @@ class LinearProgram:
             coeffs = tuple(float(v) for v in coeffs)
             if len(coeffs) != n:
                 raise ValueError(f"row has {len(coeffs)} coefficients, expected {n}")
-            if rel not in _REL:
+            if rel not in _SLACK_BOUNDS:
                 raise ValueError(f"unknown relation {rel!r}")
             rows.append((coeffs, rel, float(rhs)))
         bounds = []
@@ -81,98 +92,151 @@ class LpSolution:
     iterations: int = 0
 
 
-# Variable statuses inside the simplex.
+# Variable statuses inside the simplex, and which of them may rise (at the
+# lower bound, or free) or fall (at the upper bound, or free) on entering.
 _AT_LOWER, _AT_UPPER, _BASIC, _FREE = 0, 1, 2, 3
+_CAN_RISE = np.array([True, False, False, True])
+_CAN_FALL = np.array([False, True, False, True])
 
 
 class _Tableau:
-    """Bounded-variable primal simplex working state.
+    """Bounded-variable primal simplex working state that rows can be added to.
+
+    Columns are the structural variables, then one slack per row (bounds
+    encode the relation: [0, inf) for <=, (-inf, 0] for >=, [0, 0] for =),
+    then one artificial per row.  The initial rows are laid out as
+    [structural | slacks | artificials]; each row added later appends its
+    slack and its artificial at the end.  A new row's artificial enters the
+    basis at the row's residual (sign matched, so its value is >= 0) and the
+    other basic values stay as they were, so the basis stays valid and the
+    next re-optimisation starts from it: phase 1 drives the live artificials
+    to zero, they are pinned at [0, 0], and phase 2 runs on the objective.
 
     The basic solution is recomputed from the nonbasic statuses every
     iteration (a dense solve), trading speed for drift-free arithmetic.
     """
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-        self.A = A
+    def __init__(self, A: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray, rels: Sequence[str]):
+        m, n = A.shape
+        slack_lo, slack_hi = np.array([_SLACK_BOUNDS[rel] for rel in rels]).reshape(m, 2).T
+        self.num_struct = n
+        self.A = np.hstack([A, np.eye(m)])
         self.b = b
-        self.lo = lo
-        self.hi = hi
-        self.m, self.ncols = A.shape
-        self.status = np.full(self.ncols, _AT_LOWER, dtype=np.int8)
-        for j in range(self.ncols):
-            if lo[j] == -math.inf and hi[j] == math.inf:
-                self.status[j] = _FREE
-            elif lo[j] == -math.inf:
-                self.status[j] = _AT_UPPER
-        self.basis = np.zeros(self.m, dtype=int)
+        self.lo = np.concatenate([lo, slack_lo])
+        self.hi = np.concatenate([hi, slack_hi])
+        self.status = np.where(
+            self.lo == -math.inf, np.where(self.hi == math.inf, _FREE, _AT_UPPER), _AT_LOWER
+        ).astype(np.int8)
+        self.art = np.zeros(n + m, dtype=bool)
         self.pivots = 0
+        # Phase-1 artificials matching the sign of each row's residual.
+        resid = b - self.A @ self.nonbasic_values()
+        self._append_columns(np.diag(np.where(resid >= 0, 1.0, -1.0)), 0.0, math.inf, _BASIC, True)
+        self.basis = np.arange(n + m, n + 2 * m)
+
+    @property
+    def m(self) -> int:
+        return self.A.shape[0]
+
+    @property
+    def ncols(self) -> int:
+        return self.A.shape[1]
+
+    def _append_columns(self, cols: np.ndarray, lo: float, hi: float, status: int, art: bool) -> None:
+        k = cols.shape[1]
+        self.A = np.hstack([self.A, cols])
+        self.lo = np.concatenate([self.lo, np.full(k, lo)])
+        self.hi = np.concatenate([self.hi, np.full(k, hi)])
+        self.status = np.concatenate([self.status, np.full(k, status, dtype=np.int8)])
+        self.art = np.concatenate([self.art, np.full(k, art)])
+
+    def add_row(self, coeffs: np.ndarray, rel: str, rhs: float) -> None:
+        """Append the row coeffs . x_struct (rel) rhs with its slack at 0 and
+        a basic artificial at the residual rhs - coeffs . x."""
+        x = self.solution()
+        row = np.zeros(self.ncols)
+        row[: self.num_struct] = coeffs
+        resid = rhs - float(row @ x)
+        self.A = np.vstack([self.A, row])
+        self.b = np.append(self.b, rhs)
+        lo, hi = _SLACK_BOUNDS[rel]
+        unit = np.zeros((self.m, 1))
+        unit[-1] = 1.0
+        self._append_columns(unit, lo, hi, _AT_UPPER if lo == -math.inf else _AT_LOWER, False)
+        self._append_columns(unit if resid >= 0 else -unit, 0.0, math.inf, _BASIC, True)
+        self.basis = np.append(self.basis, self.ncols - 1)
 
     def nonbasic_values(self) -> np.ndarray:
-        x = np.zeros(self.ncols)
-        at_lo = self.status == _AT_LOWER
-        at_hi = self.status == _AT_UPPER
-        x[at_lo] = self.lo[at_lo]
-        x[at_hi] = self.hi[at_hi]
-        return x
+        """Each nonbasic column at its bound (free ones at 0), basic ones 0."""
+        st = self.status
+        return np.where(st == _AT_LOWER, self.lo, np.where(st == _AT_UPPER, self.hi, 0.0))
 
     def solution(self) -> np.ndarray:
         x = self.nonbasic_values()
-        if self.m:
-            Bmat = self.A[:, self.basis]
-            x[self.basis] = 0.0
-            x[self.basis] = np.linalg.solve(Bmat, self.b - self.A @ x)
+        x[self.basis] = np.linalg.solve(self.A[:, self.basis], self.b - self.A @ x)
         return x
 
-    def minimize(self, c: np.ndarray, cap: int, tol: float) -> str:
-        """Run phases on objective c.  Returns "optimal" or "unbounded"."""
-        m = self.m
-        while True:
-            if self.pivots >= cap:
-                raise LpError(f"simplex exceeded {cap} pivots")
-            bland = self.pivots >= BLAND_AFTER
-            x = self.solution()
-            if m:
-                Bmat = self.A[:, self.basis]
-                y = np.linalg.solve(Bmat.T, c[self.basis])
-                d = c - y @ self.A
-            else:
-                d = c.copy()
+    def optimise(self, c: np.ndarray, cap: int, tol: float) -> str:
+        """Minimise c . x_struct from the current basis.
 
-            enter, direction = self._price(d, tol, bland)
+        Phase 1 minimises the sum of the live (unpinned) artificials; then
+        the basic ones are pivoted out where possible, all are pinned at 0,
+        and phase 2 minimises c.  Each phase may take up to cap pivots, and
+        Bland's rule takes over after BLAND_AFTER pivots of this call.
+        Returns "optimal", "infeasible" or "unbounded".
+        """
+        start = self.pivots
+        live = self.art & (self.hi > 0)
+        c1 = live.astype(float)
+        c2 = np.zeros(self.ncols)
+        c2[: self.num_struct] = c
+        try:
+            self._minimize(c1, start + cap, start, tol)
+            if float(self.solution()[live].sum()) > FEAS_TOL:
+                return "infeasible"
+            self._drive_out_artificials()
+            self.lo[live] = 0.0
+            self.hi[live] = 0.0
+            return self._minimize(c2, self.pivots + cap, start, tol)
+        except np.linalg.LinAlgError as exc:
+            raise LpError(f"singular basis: {exc}") from exc
+
+    def _minimize(self, c: np.ndarray, limit: int, start: int, tol: float) -> str:
+        """Primal simplex on objective c until optimal, unbounded, or the
+        pivot count reaches limit.  Returns "optimal" or "unbounded"."""
+        movable = self.lo != self.hi
+        while True:
+            if self.pivots >= limit:
+                raise LpError(f"simplex exceeded {limit - start} pivots")
+            bland = self.pivots - start >= BLAND_AFTER
+            basis = self.basis
+            Bmat = self.A[:, basis]
+            y = np.linalg.solve(Bmat.T, c[basis])
+            enter, direction = self._price(c - y @ self.A, tol, bland, movable)
             if enter is None:
                 return "optimal"
+            xb = np.linalg.solve(Bmat, self.b - self.A @ self.nonbasic_values())
+            w = np.linalg.solve(Bmat, self.A[:, enter])
+            delta = -direction * w
 
-            if m:
-                w = np.linalg.solve(self.A[:, self.basis], self.A[:, enter])
-                delta = -direction * w
-            else:
-                delta = np.zeros(0)
-
-            # Ratio test: entering variable's own range versus basic bounds.
+            # Ratio test: the entering variable's own range versus the rows
+            # whose basic variable moves toward a finite bound.
             t_best = math.inf
             leave = -1  # -1 means bound flip
-            leave_to = _AT_LOWER
             if self.lo[enter] != -math.inf and self.hi[enter] != math.inf:
                 t_best = self.hi[enter] - self.lo[enter]
-            for i in range(m):
-                v = self.basis[i]
-                dv = delta[i]
-                if dv < -PIVOT_TOL and self.lo[v] != -math.inf:
-                    tt = (x[v] - self.lo[v]) / (-dv)
-                    to = _AT_LOWER
-                elif dv > PIVOT_TOL and self.hi[v] != math.inf:
-                    tt = (self.hi[v] - x[v]) / dv
-                    to = _AT_UPPER
-                else:
-                    continue
-                tt = max(tt, 0.0)
+            room = np.where(delta < 0.0, xb - self.lo[basis], self.hi[basis] - xb)
+            mag = np.abs(delta)
+            rows = ((mag > PIVOT_TOL) & (room < math.inf)).nonzero()[0]
+            steps = np.maximum(room[rows] / mag[rows], 0.0)
+            for i, tt in zip(rows.tolist(), steps.tolist()):
                 if tt < t_best - 1e-12:
                     better = True
                 elif tt <= t_best + 1e-12 and leave >= 0:
                     # Tie between basic rows: Bland wants the smallest leaving
                     # index, Dantzig the fattest pivot element.
                     if bland:
-                        better = v < self.basis[leave]
+                        better = basis[i] < basis[leave]
                     else:
                         better = abs(w[i]) > abs(w[leave])
                 elif tt <= t_best + 1e-12 and leave == -1 and tt < t_best:
@@ -182,7 +246,6 @@ class _Tableau:
                 if better:
                     t_best = min(t_best, tt)
                     leave = i
-                    leave_to = to
 
             if t_best == math.inf:
                 return "unbounded"
@@ -192,124 +255,61 @@ class _Tableau:
                 # Bound flip, basis unchanged.
                 self.status[enter] = _AT_UPPER if direction > 0 else _AT_LOWER
                 continue
-            out = self.basis[leave]
-            self.status[out] = leave_to
-            self.basis[leave] = enter
+            self.status[basis[leave]] = _AT_LOWER if delta[leave] < 0.0 else _AT_UPPER
+            basis[leave] = enter
             self.status[enter] = _BASIC
 
-    def _price(self, d: np.ndarray, tol: float, bland: bool) -> tuple[int | None, int]:
-        best, best_score, best_dir = None, tol, 0
-        for j in range(self.ncols):
-            st = self.status[j]
-            if st == _BASIC or self.lo[j] == self.hi[j]:
+    def _price(self, d: np.ndarray, tol: float, bland: bool, movable: np.ndarray) -> tuple[int | None, int]:
+        """Entering column and direction (+1 up, -1 down), or (None, 0).
+
+        A column improves if it is nonbasic, not fixed, and may move against
+        its reduced cost.  Dantzig takes the first improving column of
+        largest |d_j|, Bland the first improving column.
+        """
+        st = self.status
+        rise = _CAN_RISE[st] & (d < -tol)
+        improving = (rise | (_CAN_FALL[st] & (d > tol))) & movable
+        j = int(np.argmax(improving if bland else np.where(improving, np.abs(d), 0.0)))
+        if not improving[j]:
+            return None, 0
+        return j, 1 if rise[j] else -1
+
+    def _drive_out_artificials(self) -> None:
+        """Pivot zero-valued basic artificials out where possible."""
+        for i in range(self.m):
+            if not self.art[self.basis[i]]:
                 continue
-            dj = d[j]
-            if (st == _AT_LOWER or st == _FREE) and dj < -tol:
-                score, direction = -dj, +1
-            elif (st == _AT_UPPER or st == _FREE) and dj > tol:
-                score, direction = dj, -1
-            else:
-                continue
-            if bland:
-                return j, direction
-            if score > best_score:
-                best, best_score, best_dir = j, score, direction
-        return best, best_dir
+            Bmat = self.A[:, self.basis]
+            z = np.linalg.solve(Bmat.T, np.eye(self.m)[:, i])
+            row = z @ self.A
+            candidates = ~self.art & (self.status != _BASIC) & (np.abs(row) > 1e-9)
+            if candidates.any():
+                picked = int(np.argmax(candidates))
+                self.status[self.basis[i]] = _AT_LOWER
+                self.basis[i] = picked
+                self.status[picked] = _BASIC
+            # else: redundant row; the artificial stays basic, pinned at zero.
 
 
 def solve_lp(lp: LinearProgram, *, tol: float = 1e-9) -> LpSolution:
     """Two-phase bounded-variable primal simplex.
 
-    Dantzig pricing with a Bland's-rule fallback after 1000 pivots; raises
-    LpError if the pivot count passes 50 * (rows + cols).
+    Dantzig pricing with a Bland's-rule fallback after BLAND_AFTER pivots;
+    raises LpError if a phase passes PIVOT_CAP * (rows + cols) pivots.
     """
     n = lp.num_vars
     m = len(lp.rows)
-    cap = 50 * (m + n)
-
-    A = np.zeros((m, n + m))
-    b = np.zeros(m)
-    lo = np.full(n + m, -math.inf)
-    hi = np.full(n + m, math.inf)
-    for j, (l, h) in enumerate(lp.bounds):
-        lo[j] = -math.inf if l is None else l
-        hi[j] = math.inf if h is None else h
-    for i, (coeffs, rel, rhs) in enumerate(lp.rows):
-        A[i, :n] = coeffs
-        A[i, n + i] = 1.0
-        b[i] = rhs
-        if rel == "<=":
-            lo[n + i], hi[n + i] = 0.0, math.inf
-        elif rel == ">=":
-            lo[n + i], hi[n + i] = -math.inf, 0.0
-        else:
-            lo[n + i], hi[n + i] = 0.0, 0.0
-
-    c_min = np.zeros(n + m)
-    c_min[:n] = lp.objective
-    if lp.maximize:
-        c_min[:n] *= -1.0
-
-    tab = _Tableau(A, b, lo, hi)
-
-    if m:
-        # Phase 1: artificial columns matching the sign of the residual.
-        x0 = tab.nonbasic_values()
-        resid = b - A @ x0
-        art_sign = np.where(resid >= 0, 1.0, -1.0)
-        A1 = np.hstack([A, np.diag(art_sign)])
-        lo1 = np.concatenate([lo, np.zeros(m)])
-        hi1 = np.concatenate([hi, np.full(m, math.inf)])
-        tab.A, tab.lo, tab.hi = A1, lo1, hi1
-        tab.ncols = n + 2 * m
-        tab.status = np.concatenate([tab.status, np.full(m, _BASIC, dtype=np.int8)])
-        tab.basis = np.arange(n + m, n + 2 * m)
-        c1 = np.zeros(n + 2 * m)
-        c1[n + m :] = 1.0
-        try:
-            tab.minimize(c1, cap, tol)
-        except np.linalg.LinAlgError as exc:
-            raise LpError(f"singular basis in phase 1: {exc}") from exc
-        x = tab.solution()
-        if float(x[n + m :].sum()) > FEAS_TOL:
-            return LpSolution("infeasible", None, None, tab.pivots)
-        _drive_out_artificials(tab, n + m)
-        # Pin the artificials at zero for phase 2.
-        tab.lo[n + m :] = 0.0
-        tab.hi[n + m :] = 0.0
-        c2 = np.concatenate([c_min, np.zeros(m)])
-    else:
-        c2 = c_min
-
-    try:
-        outcome = tab.minimize(c2, cap + tab.pivots, tol)
-    except np.linalg.LinAlgError as exc:
-        raise LpError(f"singular basis in phase 2: {exc}") from exc
-    if outcome == "unbounded":
-        return LpSolution("unbounded", None, None, tab.pivots)
+    A = np.array([coeffs for coeffs, _, _ in lp.rows]).reshape(m, n)
+    b = np.array([rhs for _, _, rhs in lp.rows])
+    lo = np.array([-math.inf if l is None else l for l, _ in lp.bounds])
+    hi = np.array([math.inf if h is None else h for _, h in lp.bounds])
+    c = np.array(lp.objective)
+    tab = _Tableau(A, b, lo, hi, [rel for _, rel, _ in lp.rows])
+    outcome = tab.optimise(-c if lp.maximize else c, PIVOT_CAP * (m + n), tol)
+    if outcome != "optimal":
+        return LpSolution(outcome, None, None, tab.pivots)
     x = tab.solution()[:n]
-    obj = float(np.dot(lp.objective, x))
-    return LpSolution("optimal", x, obj, tab.pivots)
-
-
-def _drive_out_artificials(tab: _Tableau, first_art: int) -> None:
-    """Pivot zero-valued artificials out of the basis where possible."""
-    for i in range(tab.m):
-        if tab.basis[i] < first_art:
-            continue
-        Bmat = tab.A[:, tab.basis]
-        z = np.linalg.solve(Bmat.T, np.eye(tab.m)[:, i])
-        row = z @ tab.A
-        picked = -1
-        for j in range(first_art):
-            if tab.status[j] != _BASIC and abs(row[j]) > 1e-9:
-                picked = j
-                break
-        if picked >= 0:
-            tab.status[tab.basis[i]] = _AT_LOWER
-            tab.basis[i] = picked
-            tab.status[picked] = _BASIC
-        # else: redundant row; the artificial stays basic, pinned at zero.
+    return LpSolution("optimal", x, float(np.dot(lp.objective, x)), tab.pivots)
 
 
 @dataclass(frozen=True)
@@ -318,9 +318,6 @@ class Cut:
 
     vertices: frozenset[int]
     value: float
-
-    def crosses(self, e: Edge) -> bool:
-        return (e.u in self.vertices) != (e.v in self.vertices)
 
 
 def _cut_value(x: EdgeWeightVector, S: frozenset[int]) -> float:
@@ -419,57 +416,54 @@ def separate_subtour(x: EdgeWeightVector, *, tol: float = FEAS_TOL) -> Cut | Non
 
 @dataclass(frozen=True)
 class SubtourLpResult:
-    """Optimal fractional tour of the subtour relaxation."""
+    """Optimal fractional tour of the subtour relaxation.
+
+    pivots is the total simplex pivot count over the cutting-plane loop,
+    phase 1 included.
+    """
 
     x: EdgeWeightVector
     cost: float
     cuts: tuple[Cut, ...]
     rounds: int
+    pivots: int
 
 
 def solve_subtour_lp(inst: Instance, *, cut_tol: float = FEAS_TOL) -> SubtourLpResult:
     """Cutting-plane solve of the subtour relaxation.
 
-    Starts from degree constraints and 0 <= x_e <= 1, adds the single most
-    violated subtour cut per round, and stops when a full separation pass
-    finds no cut below 2 - cut_tol.
+    Starts from degree constraints and 0 <= x_e <= 1 over the edges in
+    np.triu_indices order, adds the single most violated subtour cut per
+    round, and stops when a full separation pass finds no cut below
+    2 - cut_tol.  One simplex tableau lives for the whole loop: the first
+    round is a two-phase solve from scratch, and each cut is appended as a
+    row x(delta(S)) >= 2 whose slack sits at 0 and whose artificial enters
+    the basis at 2 - x(delta(S)); phase 1 on that artificial alone and then
+    phase 2 re-optimise from the previous optimal basis.
     """
     n = inst.n
-    edges = [Edge(i, j) for i in range(n) for j in range(i + 1, n)]
-    col = {e: k for k, e in enumerate(edges)}
-    cost = [inst.dist(e.u, e.v) for e in edges]
-    bounds = [(0.0, 1.0)] * len(edges)
-
-    rows: list[tuple[list[float], str, float]] = []
-    for v in range(n):
-        coeffs = [0.0] * len(edges)
-        for e in edges:
-            if v == e.u or v == e.v:
-                coeffs[col[e]] = 1.0
-        rows.append((coeffs, "=", 2.0))
+    iu, iv = np.triu_indices(n, 1)
+    num_edges = len(iu)
+    cost = np.array([inst.dist(i, j) for i, j in zip(iu.tolist(), iv.tolist())])
+    degree = np.zeros((n, num_edges))
+    degree[iu, np.arange(num_edges)] = 1.0
+    degree[iv, np.arange(num_edges)] = 1.0
+    tab = _Tableau(degree, np.full(n, 2.0), np.zeros(num_edges), np.ones(num_edges), ["="] * n)
 
     cuts: list[Cut] = []
-    rounds = 0
     while True:
-        lp = LinearProgram(
-            objective=tuple(cost),
-            rows=tuple((tuple(r), rel, rhs) for r, rel, rhs in rows),
-            bounds=tuple(bounds),
-            maximize=False,
-        )
-        sol = solve_lp(lp)
-        if sol.status != "optimal":
-            raise LpError(f"subtour relaxation came back {sol.status}")
-        x = EdgeWeightVector(n, {e: sol.values[col[e]] for e in edges if sol.values[col[e]] > 1e-12})
+        outcome = tab.optimise(cost, PIVOT_CAP * (tab.m + num_edges), 1e-9)
+        if outcome != "optimal":
+            raise LpError(f"subtour relaxation came back {outcome}")
+        values = tab.solution()[:num_edges]
+        support = np.flatnonzero(values > 1e-12).tolist()
+        x = EdgeWeightVector(n, {Edge(iu[k], iv[k]): values[k] for k in support})
         cut = separate_subtour(x, tol=cut_tol)
         if cut is None:
-            return SubtourLpResult(x, float(sol.objective_value), tuple(cuts), rounds)
-        cuts.append(cut)
-        coeffs = [0.0] * len(edges)
-        for e in edges:
-            if cut.crosses(e):
-                coeffs[col[e]] = 1.0
-        rows.append((coeffs, ">=", 2.0))
-        rounds += 1
-        if rounds > 1000:
+            return SubtourLpResult(x, float(np.dot(cost, values)), tuple(cuts), len(cuts), tab.pivots)
+        if len(cuts) == 1000:
             raise LpError("cutting-plane loop failed to converge after 1000 rounds")
+        cuts.append(cut)
+        inside = np.zeros(n, dtype=bool)
+        inside[list(cut.vertices)] = True
+        tab.add_row((inside[iu] != inside[iv]).astype(float), ">=", 2.0)

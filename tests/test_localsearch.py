@@ -1,5 +1,6 @@
 """Gradient machinery, improvement LP, tour pools, and the search driver."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -240,3 +241,38 @@ def test_ratio_state_skips_held_karp_on_integral_lp(monkeypatch):
     for (inst, trace), (ref_inst, ref_trace) in zip(*runs):
         assert trace == ref_trace
         assert inst.points.tobytes() == ref_inst.points.tobytes()
+
+
+# local_search(6) at the criterion-9 parameters, frozen bit for bit: draws
+# until the start, accepted records, the final ratio (float.hex), sha256 of
+# the records' "ratio delta eta" float.hex lines, and sha256 of the final
+# points' bytes.
+_GOLDEN_SEARCH = [
+    (
+        19, 259, 25, "0x1.0456983a7f132p+0",
+        "ac4e9be11fd928a6eafa975996a1b104e0e937831effa654b6525b1adec32667",
+        "e1186a8261d2d0e8c5eaadc9de17928ae43120f2a7db0bc72afa3579176ed4f5",
+    ),
+    (
+        32, 163, 87, "0x1.0614904376408p+0",
+        "1479aee52e1a7f3169983acfeea72fc812c4ff074fe9527cc7ea3c1bac03acf3",
+        "ef43a60ad93d77d0e5e8ad981e8c16ec3ff7b7fbaa1d6efeecc884e4f735e57a",
+    ),
+    (
+        25, 186, 98, "0x1.06148ca4258b1p+0",
+        "b3e1a4cd9e9153b9f5c4801d7718ec18639917273f01bd109d9a454e93b0748f",
+        "9c655ff0b40c8581038fe201cdf7e37484101ac05779706bff10f5b337fad5f1",
+    ),
+]
+
+
+@pytest.mark.parametrize("seed, restarts, n_records, final_hex, records_sha, points_sha", _GOLDEN_SEARCH)
+def test_local_search_golden_bit_exact(seed, restarts, n_records, final_hex, records_sha, points_sha):
+    params = LocalSearchParams(rng_seed=seed, epsilon0=1e-6, epsilon1=5e-4, epsilon3=1e-2)
+    inst, trace = local_search(6, params)
+    lines = "".join(f"{r.ratio.hex()} {r.delta.hex()} {r.eta.hex()}\n" for r in trace.records)
+    assert trace.restarts == restarts
+    assert len(trace.records) == n_records
+    assert trace.final_ratio.hex() == final_hex
+    assert hashlib.sha256(lines.encode()).hexdigest() == records_sha
+    assert hashlib.sha256(np.ascontiguousarray(inst.points).tobytes()).hexdigest() == points_sha

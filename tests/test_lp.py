@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from tspgap.core import Edge, EdgeWeightVector, Instance, degree_vector
+from tspgap.core import Edge, EdgeWeightVector, Instance, NormSpec, degree_vector
 from tspgap.families import IJK, closed_form_lp_I2, fractional_xijk, gen_I2
 from tspgap.lp import (
     FEAS_TOL,
@@ -211,3 +211,34 @@ def test_lp_validation_errors():
         LinearProgram(objective=(1.0,), rows=(((1.0,), "<", 1.0),), bounds=((0.0, None),))
     with pytest.raises(ValueError):
         LinearProgram(objective=(1.0,), rows=(), bounds=((2.0, 1.0),))
+
+
+# The subtour LP's cost (as float.hex), cut rounds and cut count, frozen bit
+# for bit.  The instances are the benchmark's: random L2 points at n = 30,
+# 35, 40 and random n = 13-15 points under L1/L2, each list drawn in order
+# from default_rng(2021).
+_GOLDEN_BOUND = [
+    (30, 2.0, "0x1.25a5b58758dccp+2", 6, 6),
+    (35, 2.0, "0x1.2a027997437d4p+2", 6, 6),
+    (40, 2.0, "0x1.34a389b5dbb00p+2", 8, 8),
+]
+_GOLDEN_CERTIFY = [
+    (13, 1.0, "0x1.14066831c7b42p+2", 3, 3),
+    (13, 2.0, "0x1.7c652ed08877bp+1", 3, 3),
+    (14, 2.0, "0x1.acdbc068b685ep+1", 5, 5),
+    (15, 1.0, "0x1.e0537267f4df8p+1", 1, 1),
+]
+
+
+def _golden_cases():
+    for table in (_GOLDEN_BOUND, _GOLDEN_CERTIFY):
+        rng = np.random.default_rng(2021)
+        for n, p, cost_hex, rounds, cuts in table:
+            yield Instance(rng.random((n, 2)), NormSpec(p)), cost_hex, rounds, cuts
+
+
+@pytest.mark.parametrize("k", range(len(_GOLDEN_BOUND) + len(_GOLDEN_CERTIFY)))
+def test_subtour_lp_golden_bit_exact(k):
+    inst, cost_hex, rounds, cuts = list(_golden_cases())[k]
+    res = solve_subtour_lp(inst)
+    assert (res.cost.hex(), res.rounds, len(res.cuts)) == (cost_hex, rounds, cuts)
