@@ -4,10 +4,14 @@ relaxation.
 
 One simplex tableau serves both entry points.  `solve_lp` builds it for a
 whole `LinearProgram` and runs two-phase simplex once.  `solve_subtour_lp`
-keeps one tableau alive for the whole cutting-plane loop: each subtour cut
-is appended as a row whose artificial enters the basis at the cut's
-violation, and phase 1 on that artificial alone followed by phase 2
-re-optimise from the previous optimal basis instead of starting over.
+keeps one tableau alive for the whole cutting-plane loop.  Phase 1 on the
+degree rows reads neither the costs nor the points, so its outcome (basis,
+column statuses, pinned bounds, pivot count) is computed once per n, cached,
+and copied into every solve, whose first round goes straight to phase 2.
+Each subtour cut is then appended as a row whose artificial enters the
+basis at the cut's violation, and phase 1 on that artificial alone followed
+by phase 2 re-optimise from the previous optimal basis instead of starting
+over.
 
 No external solver is used; the simplex below is exact enough for the desk
 scale this package targets (hundreds of variables, tens of rows).
@@ -15,6 +19,8 @@ scale this package targets (hundreds of variables, tens of rows).
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -92,6 +98,13 @@ class LpSolution:
     iterations: int = 0
 
 
+def _solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise LpError(f"singular basis: {exc}") from exc
+
+
 # Variable statuses inside the simplex, and which of them may rise (at the
 # lower bound, or free) or fall (at the upper bound, or free) on entering.
 _AT_LOWER, _AT_UPPER, _BASIC, _FREE = 0, 1, 2, 3
@@ -109,8 +122,12 @@ class _Tableau:
     slack and its artificial at the end.  A new row's artificial enters the
     basis at the row's residual (sign matched, so its value is >= 0) and the
     other basic values stay as they were, so the basis stays valid and the
-    next re-optimisation starts from it: phase 1 drives the live artificials
-    to zero, they are pinned at [0, 0], and phase 2 runs on the objective.
+    next re-optimisation starts from it: the feasibility step (phase 1 on
+    the live artificials, then pivoting them out and pinning them at
+    [0, 0]) and then phase 2 on the objective.
+
+    `solve_subtour_lp` starts each solve from a `fork` of the cached,
+    read-only degree tableau of `_degree_start`.
 
     The basic solution is recomputed from the nonbasic statuses every
     iteration (a dense solve), trading speed for drift-free arithmetic.
@@ -171,35 +188,51 @@ class _Tableau:
         st = self.status
         return np.where(st == _AT_LOWER, self.lo, np.where(st == _AT_UPPER, self.hi, 0.0))
 
+    def fork(self) -> _Tableau:
+        """A copy with its own statuses, basis, bounds and pivot count that
+        shares A, b and the artificial mask (no pivot writes them)."""
+        tab = copy.copy(self)
+        for name in ("lo", "hi", "status", "basis"):
+            setattr(tab, name, getattr(self, name).copy())
+        return tab
+
     def solution(self) -> np.ndarray:
         x = self.nonbasic_values()
-        x[self.basis] = np.linalg.solve(self.A[:, self.basis], self.b - self.A @ x)
+        x[self.basis] = _solve(self.A[:, self.basis], self.b - self.A @ x)
         return x
 
-    def optimise(self, c: np.ndarray, cap: int, tol: float) -> str:
+    def optimise(self, c: np.ndarray, cap: int, tol: float, start: int | None = None) -> str:
         """Minimise c . x_struct from the current basis.
 
-        Phase 1 minimises the sum of the live (unpinned) artificials; then
-        the basic ones are pivoted out where possible, all are pinned at 0,
-        and phase 2 minimises c.  Each phase may take up to cap pivots, and
-        Bland's rule takes over after BLAND_AFTER pivots of this call.
+        The feasibility step (`make_feasible`), then phase 2 on c.  Each
+        phase may take up to cap pivots, and Bland's rule takes over after
+        BLAND_AFTER pivots counted from start (default: this call's first).
         Returns "optimal", "infeasible" or "unbounded".
         """
-        start = self.pivots
-        live = self.art & (self.hi > 0)
-        c1 = live.astype(float)
+        start = self.pivots if start is None else start
+        if not self.make_feasible(cap, tol, start):
+            return "infeasible"
         c2 = np.zeros(self.ncols)
         c2[: self.num_struct] = c
-        try:
-            self._minimize(c1, start + cap, start, tol)
-            if float(self.solution()[live].sum()) > FEAS_TOL:
-                return "infeasible"
-            self._drive_out_artificials()
-            self.lo[live] = 0.0
-            self.hi[live] = 0.0
-            return self._minimize(c2, self.pivots + cap, start, tol)
-        except np.linalg.LinAlgError as exc:
-            raise LpError(f"singular basis: {exc}") from exc
+        return self._minimize(c2, self.pivots + cap, start, tol)
+
+    def make_feasible(self, cap: int, tol: float, start: int) -> bool:
+        """Phase 1 on the live (unpinned) artificials, at most cap pivots.
+
+        Returns False if their sum stays above FEAS_TOL.  Otherwise the
+        basic ones are pivoted out where possible and all are pinned at 0.
+        With no live artificial this does nothing.
+        """
+        live = self.art & (self.hi > 0)
+        if not live.any():
+            return True
+        self._minimize(live.astype(float), start + cap, start, tol)
+        if float(self.solution()[live].sum()) > FEAS_TOL:
+            return False
+        self._drive_out_artificials()
+        self.lo[live] = 0.0
+        self.hi[live] = 0.0
+        return True
 
     def _minimize(self, c: np.ndarray, limit: int, start: int, tol: float) -> str:
         """Primal simplex on objective c until optimal, unbounded, or the
@@ -211,12 +244,12 @@ class _Tableau:
             bland = self.pivots - start >= BLAND_AFTER
             basis = self.basis
             Bmat = self.A[:, basis]
-            y = np.linalg.solve(Bmat.T, c[basis])
+            y = _solve(Bmat.T, c[basis])
             enter, direction = self._price(c - y @ self.A, tol, bland, movable)
             if enter is None:
                 return "optimal"
-            xb = np.linalg.solve(Bmat, self.b - self.A @ self.nonbasic_values())
-            w = np.linalg.solve(Bmat, self.A[:, enter])
+            xb = _solve(Bmat, self.b - self.A @ self.nonbasic_values())
+            w = _solve(Bmat, self.A[:, enter])
             delta = -direction * w
 
             # Ratio test: the entering variable's own range versus the rows
@@ -280,7 +313,7 @@ class _Tableau:
             if not self.art[self.basis[i]]:
                 continue
             Bmat = self.A[:, self.basis]
-            z = np.linalg.solve(Bmat.T, np.eye(self.m)[:, i])
+            z = _solve(Bmat.T, np.eye(self.m)[:, i])
             row = z @ self.A
             candidates = ~self.art & (self.status != _BASIC) & (np.abs(row) > 1e-9)
             if candidates.any():
@@ -429,30 +462,55 @@ class SubtourLpResult:
     pivots: int
 
 
+@functools.lru_cache(maxsize=32)
+def _degree_start(n: int, bland_after: int, pivot_cap: int) -> tuple[np.ndarray, np.ndarray, _Tableau]:
+    """np.triu_indices(n, 1) and the degree tableau after `make_feasible`.
+
+    The tableau holds x(delta(v)) = 2 for every vertex and 0 <= x_e <= 1
+    over the edges in np.triu_indices order.  Its feasibility step reads
+    no edge costs, so it is the same for every instance on n points.  The
+    simplex reads BLAND_AFTER and PIVOT_CAP from this module; they are
+    arguments only to key the cache.  Every array returned is read-only:
+    callers solve on a `fork()` of the tableau.
+    """
+    iu, iv = np.triu_indices(n, 1)
+    num_edges = len(iu)
+    degree = np.zeros((n, num_edges))
+    degree[iu, np.arange(num_edges)] = 1.0
+    degree[iv, np.arange(num_edges)] = 1.0
+    tab = _Tableau(degree, np.full(n, 2.0), np.zeros(num_edges), np.ones(num_edges), ["="] * n)
+    if not tab.make_feasible(pivot_cap * (n + num_edges), 1e-9, 0):
+        raise LpError("subtour relaxation came back infeasible")
+    for arr in (iu, iv, tab.A, tab.b, tab.art, tab.lo, tab.hi, tab.status, tab.basis):
+        arr.setflags(write=False)
+    return iu, iv, tab
+
+
 def solve_subtour_lp(inst: Instance, *, cut_tol: float = FEAS_TOL) -> SubtourLpResult:
     """Cutting-plane solve of the subtour relaxation.
 
     Starts from degree constraints and 0 <= x_e <= 1 over the edges in
     np.triu_indices order, adds the single most violated subtour cut per
     round, and stops when a full separation pass finds no cut below
-    2 - cut_tol.  One simplex tableau lives for the whole loop: the first
-    round is a two-phase solve from scratch, and each cut is appended as a
-    row x(delta(S)) >= 2 whose slack sits at 0 and whose artificial enters
-    the basis at 2 - x(delta(S)); phase 1 on that artificial alone and then
+    2 - cut_tol.  One simplex tableau lives for the whole loop.  It is a
+    fork of the cached per-n start of `_degree_start`, which has already
+    run the first round's phase 1, so the first round is phase 2 alone;
+    its pivots still count from 0, phase 1's included, against BLAND_AFTER
+    and the cap, as in a solve from scratch.  Each cut is appended as a row
+    x(delta(S)) >= 2 whose slack sits at 0 and whose artificial enters the
+    basis at 2 - x(delta(S)); phase 1 on that artificial alone and then
     phase 2 re-optimise from the previous optimal basis.
     """
     n = inst.n
-    iu, iv = np.triu_indices(n, 1)
+    iu, iv, start = _degree_start(n, BLAND_AFTER, PIVOT_CAP)
+    tab = start.fork()
     num_edges = len(iu)
     cost = np.array([inst.dist(i, j) for i, j in zip(iu.tolist(), iv.tolist())])
-    degree = np.zeros((n, num_edges))
-    degree[iu, np.arange(num_edges)] = 1.0
-    degree[iv, np.arange(num_edges)] = 1.0
-    tab = _Tableau(degree, np.full(n, 2.0), np.zeros(num_edges), np.ones(num_edges), ["="] * n)
 
     cuts: list[Cut] = []
     while True:
-        outcome = tab.optimise(cost, PIVOT_CAP * (tab.m + num_edges), 1e-9)
+        # The first round counts from 0, so the cached phase-1 pivots count.
+        outcome = tab.optimise(cost, PIVOT_CAP * (tab.m + num_edges), 1e-9, 0 if not cuts else None)
         if outcome != "optimal":
             raise LpError(f"subtour relaxation came back {outcome}")
         values = tab.solution()[:num_edges]

@@ -213,32 +213,33 @@ def test_lp_validation_errors():
         LinearProgram(objective=(1.0,), rows=(), bounds=((2.0, 1.0),))
 
 
-# The subtour LP's cost (as float.hex), cut rounds and cut count, frozen bit
-# for bit.  The instances are the benchmark's: random L2 points at n = 30,
-# 35, 40 and random n = 13-15 points under L1/L2, each list drawn in order
-# from default_rng(2021).
+# The subtour LP's cost (as float.hex), cut rounds, cut count and simplex
+# pivots (the loop's total, phase 1 included), frozen bit for bit.  The
+# instances are the benchmark's: random L2 points at n = 30, 35, 40 and
+# random n = 13-15 points under L1/L2, each list drawn in order from
+# default_rng(2021).
 _GOLDEN_BOUND = [
-    (30, 2.0, "0x1.25a5b58758dccp+2", 6, 6),
-    (35, 2.0, "0x1.2a027997437d4p+2", 6, 6),
-    (40, 2.0, "0x1.34a389b5dbb00p+2", 8, 8),
+    (30, 2.0, "0x1.25a5b58758dccp+2", 6, 6, 247),
+    (35, 2.0, "0x1.2a027997437d4p+2", 6, 6, 271),
+    (40, 2.0, "0x1.34a389b5dbb00p+2", 8, 8, 285),
 ]
 _GOLDEN_CERTIFY = [
-    (13, 1.0, "0x1.14066831c7b42p+2", 3, 3),
-    (13, 2.0, "0x1.7c652ed08877bp+1", 3, 3),
-    (14, 2.0, "0x1.acdbc068b685ep+1", 5, 5),
-    (15, 1.0, "0x1.e0537267f4df8p+1", 1, 1),
+    (13, 1.0, "0x1.14066831c7b42p+2", 3, 3, 90),
+    (13, 2.0, "0x1.7c652ed08877bp+1", 3, 3, 95),
+    (14, 2.0, "0x1.acdbc068b685ep+1", 5, 5, 126),
+    (15, 1.0, "0x1.e0537267f4df8p+1", 1, 1, 81),
 ]
 
 
 def _golden_cases():
     for table in (_GOLDEN_BOUND, _GOLDEN_CERTIFY):
         rng = np.random.default_rng(2021)
-        for n, p, cost_hex, rounds, cuts in table:
-            yield Instance(rng.random((n, 2)), NormSpec(p)), cost_hex, rounds, cuts
+        for n, p, cost_hex, rounds, cuts, pivots in table:
+            yield Instance(rng.random((n, 2)), NormSpec(p)), cost_hex, rounds, cuts, pivots
 
 
 @pytest.mark.parametrize("k", range(len(_GOLDEN_BOUND) + len(_GOLDEN_CERTIFY)))
 def test_subtour_lp_golden_bit_exact(k):
-    inst, cost_hex, rounds, cuts = list(_golden_cases())[k]
+    inst, cost_hex, rounds, cuts, pivots = list(_golden_cases())[k]
     res = solve_subtour_lp(inst)
-    assert (res.cost.hex(), res.rounds, len(res.cuts)) == (cost_hex, rounds, cuts)
+    assert (res.cost.hex(), res.rounds, len(res.cuts), res.pivots) == (cost_hex, rounds, cuts, pivots)

@@ -1,6 +1,10 @@
 """The warm-started cutting-plane loop: pivot counts, agreement with HiGHS on
 the final cut set, Bland's rule and the pivot cap on the re-optimisations,
-and rows added to a live tableau."""
+rows added to a live tableau, and the cached per-n degree start."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -174,3 +178,122 @@ def test_rows_added_to_a_solved_tableau_match_highs(seed):
         rhs.append(float(rng.integers(-4, 5)))
         tab.add_row(rows[-1], rels[-1], rhs[-1])
         outcome = tab.optimise(c, 1000, 1e-9)
+
+
+def _fresh_degree_start(n, bland_after, pivot_cap):
+    # What a solve from scratch starts from: the degree tableau before phase 1.
+    iu, iv = np.triu_indices(n, 1)
+    cols = np.arange(len(iu))
+    degree = np.zeros((n, len(iu)))
+    degree[iu, cols] = 1.0
+    degree[iv, cols] = 1.0
+    return iu, iv, lp._Tableau(degree, np.full(n, 2.0), np.zeros(len(iu)), np.ones(len(iu)), ["="] * n)
+
+
+def _certify_n13():
+    # The first of the benchmark's `certify` random instances.
+    return Instance(np.random.default_rng(2021).random((13, 2)), NormSpec(1.0))
+
+
+def _outcome(inst):
+    try:
+        res = solve_subtour_lp(inst)
+    except LpError as exc:
+        return str(exc)
+    return res.cost.hex(), res.rounds, res.pivots, res.x
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_cached_degree_start_matches_a_fresh_feasibility_step(n):
+    _, _, fresh = _fresh_degree_start(n, lp.BLAND_AFTER, lp.PIVOT_CAP)
+    assert fresh.make_feasible(lp.PIVOT_CAP * (n + n * (n - 1) // 2), 1e-9, 0)
+    _, _, cached = lp._degree_start(n, lp.BLAND_AFTER, lp.PIVOT_CAP)
+    for name in ("A", "b", "art", "basis", "status", "lo", "hi"):
+        assert np.array_equal(getattr(cached, name), getattr(fresh, name)), name
+    assert cached.pivots == fresh.pivots > 0
+
+
+def test_cached_degree_start_is_read_only_and_forks_copy_it():
+    iu, iv, start = lp._degree_start(7, lp.BLAND_AFTER, lp.PIVOT_CAP)
+    shared = {"iu": iu, "iv": iv, "A": start.A, "b": start.b, "art": start.art}
+    state = {name: getattr(start, name) for name in ("lo", "hi", "status", "basis")}
+    for name, arr in {**shared, **state}.items():
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+    tab = start.fork()
+    for name, arr in state.items():
+        assert not np.shares_memory(getattr(tab, name), arr), name
+        getattr(tab, name)[0] = arr[0]
+
+
+def test_solves_do_not_change_the_cached_start():
+    # A, then a different instance B with cuts, then A again.
+    a, b = _random(13, 2.0, 113), _random(13, 1.0, 213)
+    _, _, start = lp._degree_start(13, lp.BLAND_AFTER, lp.PIVOT_CAP)
+    before = {name: getattr(start, name).copy() for name in ("lo", "hi", "status", "basis")}
+    first = solve_subtour_lp(a)
+    assert solve_subtour_lp(b).rounds > 0
+    again = solve_subtour_lp(a)
+    assert first.rounds > 0
+    assert (again.cost.hex(), again.x, again.pivots) == (first.cost.hex(), first.x, first.pivots)
+    for name, arr in before.items():
+        assert np.array_equal(getattr(start, name), arr), name
+
+
+@pytest.mark.parametrize("bland_after, pivot_cap", [(30, 50), (10, 50), (0, 50), (1000, 1), (1000, 0)])
+def test_limits_are_read_per_call(monkeypatch, bland_after, pivot_cap):
+    inst = _certify_n13()
+    # The start under the default limits is cached before they change.
+    phase1 = lp._degree_start(13, lp.BLAND_AFTER, lp.PIVOT_CAP)[2].pivots
+    if bland_after == 30:
+        # Bland takes over in the first round's phase 2.
+        assert phase1 < bland_after < solve_subtour_lp(inst).pivots
+    monkeypatch.setattr(lp, "BLAND_AFTER", bland_after)
+    monkeypatch.setattr(lp, "PIVOT_CAP", pivot_cap)
+    cached = _outcome(inst)
+    monkeypatch.setattr(lp, "_degree_start", _fresh_degree_start)
+    assert cached == _outcome(inst)
+    if pivot_cap == 0:
+        assert cached == "simplex exceeded 0 pivots"
+
+
+def test_bland_rule_from_the_first_phase_1_pivot(monkeypatch):
+    seen = []
+    price = lp._Tableau._price
+
+    def spy(self, d, tol, bland, movable):
+        seen.append((self.pivots, bland))
+        return price(self, d, tol, bland, movable)
+
+    lp._degree_start.cache_clear()
+    solve_subtour_lp(_certify_n13())  # caches the start under the default limits only
+    monkeypatch.setattr(lp._Tableau, "_price", spy)
+    monkeypatch.setattr(lp, "BLAND_AFTER", 0)
+    solve_subtour_lp(_certify_n13())
+    assert seen[0] == (0, True)
+    assert all(bland for _, bland in seen)
+
+
+_OPTIMIZED_SCRIPT = """
+import numpy as np
+from tspgap.core import Instance, NormSpec
+from tspgap.lp import solve_subtour_lp
+
+rng = np.random.default_rng(2021)
+for n in (30, 35):
+    rng.random((n, 2))
+inst = Instance(rng.random((40, 2)), NormSpec(2.0))
+res = solve_subtour_lp(inst)
+print("debug" if __debug__ else "optimized", res.cost.hex(), res.pivots)
+"""
+
+
+def test_bound_instance_under_optimize_flag():
+    # The n = 40 `bound` instance's golden cost and pivots (tests/test_lp.py).
+    src = os.path.dirname(os.path.dirname(lp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_SCRIPT],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.split() == ["optimized", "0x1.34a389b5dbb00p+2", "285"]
