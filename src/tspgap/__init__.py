@@ -7,17 +7,17 @@ graphs, gradient-based local search, and the ellipse construction.
 """
 
 from .core import (
-    Edge,
     EdgeWeightVector,
     Instance,
     NormSpec,
     Tour,
     degree_vector,
     distance,
+    edge_index,
     fractional_cost,
     tour_length,
 )
-from .exact import ExactResult, brute_force, held_karp, heuristic_tour, integrality_ratio
+from .exact import ExactResult, brute_force, enumerate_tours, held_karp, heuristic_tour, integrality_ratio
 from .lp import (
     Cut,
     LinearProgram,

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from ..core import Instance
 from ..ellipse import DEFAULT_EPS, EllipseConstructionError, ellipse_construct
-from ..exact import HELD_KARP_MAX, held_karp, heuristic_tour
+from ..exact import ENUM_MAX, HELD_KARP_MAX, held_karp, heuristic_tour
 from ..families import (
     GAP_TAGS,
     IJK,
@@ -47,7 +47,6 @@ from ..families import (
     tetrahedron_spec,
 )
 from ..localsearch import (
-    POOL_ENUM_MAX,
     LocalSearchError,
     LocalSearchParams,
     build_tour_pool,
@@ -365,7 +364,7 @@ def cmd_localsearch(args: argparse.Namespace) -> dict:
         if best_idx < 0 or trace.final_ratio > runs[best_idx][2].final_ratio:
             best_idx = r
     seed, inst, trace = runs[best_idx]
-    if args.n <= POOL_ENUM_MAX:
+    if args.n <= ENUM_MAX:
         exact = held_karp(inst)
         lp = solve_subtour_lp(inst)
         pool = build_tour_pool(inst, args.epsilon3 * exact.length)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import EdgeWeightVector, Instance, Tour
+from ..core import EdgeWeightVector, Instance, Tour, edge_index
 
 # Fixed oblique projection coefficients for d=3 input.
 _OBLIQUE_X = 0.45
@@ -95,9 +95,10 @@ def render_svg(
         f'<rect width="{side}" height="{side}" fill="#ffffff" />',
     ]
     if fractional is not None:
-        for e, w in fractional.items():
-            style = _SOLID_STYLE if w >= _SOLID_CUTOFF else _DASHED_STYLE
-            parts.append(_line(xy[e.u], xy[e.v], style))
+        iu, iv = edge_index(inst.n)
+        for k in np.flatnonzero(fractional.values):
+            style = _SOLID_STYLE if fractional.values[k] >= _SOLID_CUTOFF else _DASHED_STYLE
+            parts.append(_line(xy[iu[k]], xy[iv[k]], style))
     if tour is not None:
         order = tour.order
         for idx in range(len(order)):

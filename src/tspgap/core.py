@@ -2,12 +2,19 @@
 
 Everything here is an immutable value object validated at construction time.
 All arithmetic is plain float64; comparison tolerances live with the callers.
+
+An edge vector on n vertices is one array with a value per edge of K_n, in
+edge order: the pairs u < v row by row over the upper triangle, (0, 1),
+(0, 2), ..., (0, n-1), (1, 2), ..., (n-2, n-1), as `edge_index(n)` lists
+them.  The subtour LP's columns, `EdgeWeightVector` and pseudo-tour edge
+multiplicities all use it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -40,35 +47,6 @@ def _norm(diff: np.ndarray, p: float) -> float:
 def distance(norm: NormSpec, u: Sequence[float], v: Sequence[float]) -> float:
     """Distance between two points under the given norm."""
     return _norm(np.asarray(u, dtype=float) - np.asarray(v, dtype=float), norm.p)
-
-
-@dataclass(frozen=True)
-class Edge:
-    """Undirected edge on vertex indices, stored with u < v."""
-
-    u: int
-    v: int
-
-    def __post_init__(self) -> None:
-        u, v = int(self.u), int(self.v)
-        if u == v:
-            raise ValueError(f"self-loop edge ({u}, {v})")
-        if u < 0:
-            raise ValueError(f"negative vertex index in edge ({u}, {v})")
-        if u > v:
-            u, v = v, u
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter((self.u, self.v))
-
-    def other(self, w: int) -> int:
-        if w == self.u:
-            return self.v
-        if w == self.v:
-            return self.u
-        raise ValueError(f"vertex {w} not on edge ({self.u}, {self.v})")
 
 
 class Instance:
@@ -173,11 +151,6 @@ class Tour:
     def n(self) -> int:
         return len(self.order)
 
-    def edges(self) -> Iterator[Edge]:
-        o = self.order
-        for i in range(len(o)):
-            yield Edge(o[i], o[(i + 1) % len(o)])
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Tour) and self.order == other.order
 
@@ -188,64 +161,103 @@ class Tour:
         return f"Tour{self.order}"
 
 
-class EdgeWeightVector:
-    """Sparse edge weights in [0, 1] over n vertices; zero entries dropped.
+@functools.lru_cache(maxsize=64)
+def edge_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(iu, iv): the endpoints u < v of the n(n-1)/2 edges of K_n in edge
+    order.  Cached; both arrays are read-only."""
+    iu, iv = np.triu_indices(n, 1)
+    iu.setflags(write=False)
+    iv.setflags(write=False)
+    return iu, iv
 
-    Values within 1e-9 outside [0, 1] (LP round-off) are clamped.
+
+def edge_position(n: int, u, v):
+    """Position in edge order of the edge (u, v) with u < v; u and v may
+    be equal-length integer arrays."""
+    return u * (2 * n - u - 1) // 2 + v - u - 1
+
+
+def edge_costs(inst: Instance, edges: np.ndarray | None = None) -> np.ndarray:
+    """inst.dist(u, v) for the edges at the given positions (all edges by
+    default), in the order given."""
+    iu, iv = edge_index(inst.n)
+    if edges is not None:
+        iu, iv = iu[edges], iv[edges]
+    return np.array([inst.dist(u, v) for u, v in zip(iu.tolist(), iv.tolist())])
+
+
+class EdgeWeightVector:
+    """Edge weights in [0, 1] on n vertices, one per edge in edge order.
+
+    Values within 1e-9 outside [0, 1] (LP round-off) are clamped, anything
+    further out raises, and values at or below 1e-12 are stored as 0.  The
+    `values` array is read-only.
     """
 
-    __slots__ = ("n", "_w")
+    __slots__ = ("n", "values")
 
     _BOUND_TOL = 1e-9
     _DROP_TOL = 1e-12
 
-    def __init__(self, n: int, weights: Mapping[Edge, float] | Iterable[tuple[Edge, float]]):
+    def __init__(self, n: int, values: Sequence[float] | np.ndarray):
         n = int(n)
         if n < 1:
             raise ValueError(f"vertex count must be positive, got {n}")
-        items = weights.items() if isinstance(weights, Mapping) else weights
-        w: dict[Edge, float] = {}
-        for e, val in items:
-            if not isinstance(e, Edge):
-                e = Edge(*e)
-            if e.v >= n:
-                raise ValueError(f"edge {e} outside vertex range 0..{n - 1}")
-            val = float(val)
-            if not (-self._BOUND_TOL <= val <= 1.0 + self._BOUND_TOL):
-                raise ValueError(f"weight {val} on {e} outside [0, 1]")
-            val = min(max(val, 0.0), 1.0)
-            if val <= self._DROP_TOL:
-                continue
-            if e in w:
-                raise ValueError(f"duplicate edge {e}")
-            w[e] = val
+        vals = np.array(values, dtype=float)
+        if vals.shape != (n * (n - 1) // 2,):
+            raise ValueError(f"{n} vertices need {n * (n - 1) // 2} edge values, got shape {vals.shape}")
+        bad = ~((vals >= -self._BOUND_TOL) & (vals <= 1.0 + self._BOUND_TOL))
+        if bad.any():
+            k = int(bad.argmax())
+            iu, iv = edge_index(n)
+            raise ValueError(f"weight {vals[k]} on edge ({iu[k]}, {iv[k]}) outside [0, 1]")
+        vals = np.clip(vals, 0.0, 1.0)
+        vals[vals <= self._DROP_TOL] = 0.0
+        vals.setflags(write=False)
         self.n = n
-        self._w = w
+        self.values = vals
+
+    @classmethod
+    def from_pairs(
+        cls, n: int, weights: Mapping[tuple[int, int], float] | Iterable[tuple[tuple[int, int], float]]
+    ) -> "EdgeWeightVector":
+        """Build from {(u, v): w} or ((u, v), w) pairs; each edge at most once,
+        in either orientation."""
+        n = int(n)
+        values = np.zeros(n * (n - 1) // 2)
+        given = np.zeros(values.shape, dtype=bool)
+        for (u, v), w in weights.items() if isinstance(weights, Mapping) else weights:
+            u, v = sorted((int(u), int(v)))
+            if u == v:
+                raise ValueError(f"self-loop edge ({u}, {v})")
+            if u < 0:
+                raise ValueError(f"negative vertex index in edge ({u}, {v})")
+            if v >= n:
+                raise ValueError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
+            k = edge_position(n, u, v)
+            if given[k]:
+                raise ValueError(f"duplicate edge ({u}, {v})")
+            given[k] = True
+            values[k] = w
+        return cls(n, values)
 
     @classmethod
     def from_tour(cls, tour: Tour) -> "EdgeWeightVector":
-        return cls(tour.n, {e: 1.0 for e in tour.edges()})
-
-    def __getitem__(self, e: Edge) -> float:
-        return self._w.get(e, 0.0)
-
-    def __contains__(self, e: Edge) -> bool:
-        return e in self._w
-
-    def __len__(self) -> int:
-        return len(self._w)
-
-    def items(self) -> Iterator[tuple[Edge, float]]:
-        return iter(sorted(self._w.items(), key=lambda kv: (kv[0].u, kv[0].v)))
-
-    def support(self) -> list[Edge]:
-        return sorted(self._w, key=lambda e: (e.u, e.v))
+        order = np.array(tour.order)
+        values = np.zeros(tour.n * (tour.n - 1) // 2)
+        succ = np.roll(order, -1)
+        values[edge_position(tour.n, np.minimum(order, succ), np.maximum(order, succ))] = 1.0
+        return cls(tour.n, values)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, EdgeWeightVector) and self._w == other._w
+        return (
+            isinstance(other, EdgeWeightVector)
+            and self.n == other.n
+            and np.array_equal(self.values, other.values)
+        )
 
     def __repr__(self) -> str:
-        return f"EdgeWeightVector({len(self._w)} edges)"
+        return f"EdgeWeightVector(n={self.n}, {np.count_nonzero(self.values)} edges)"
 
 
 def tour_length(inst: Instance, tour: Tour) -> float:
@@ -264,16 +276,15 @@ def fractional_cost(inst: Instance, x: EdgeWeightVector) -> float:
     """Weighted edge cost sum(x_e * c_e) of a fractional tour vector."""
     if x.n != inst.n:
         raise ValueError(f"vector on {x.n} vertices, instance has {inst.n}")
-    total = 0.0
-    for e, w in x.items():
-        total += w * inst.dist(e.u, e.v)
-    return total
+    support = np.flatnonzero(x.values)
+    if not support.size:
+        return 0.0
+    # cumsum adds in edge order, one term at a time; np.sum would reassociate.
+    return float(np.cumsum(x.values[support] * edge_costs(inst, support))[-1])
 
 
 def degree_vector(x: EdgeWeightVector) -> np.ndarray:
     """Fractional degree sum(x_e, e incident to v) for each vertex."""
-    deg = np.zeros(x.n)
-    for e, w in x.items():
-        deg[e.u] += w
-        deg[e.v] += w
-    return deg
+    iu, iv = edge_index(x.n)
+    # bincount adds in input order: each edge's weight to u, then to v.
+    return np.bincount(np.column_stack([iu, iv]).ravel(), np.repeat(x.values, 2), minlength=x.n)

@@ -1,11 +1,14 @@
 """Exact optimal tours: Held-Karp dynamic programming as the workhorse plus
-a factorial brute-force oracle, and the integrality ratio built on both;
-a 2-opt heuristic gives the upper bound beyond Held-Karp's range.
+a factorial brute-force oracle over the one tour enumeration, and the
+integrality ratio; a 2-opt heuristic gives the upper bound beyond
+Held-Karp's range.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +17,9 @@ from .core import Instance, Tour, tour_length
 from .lp import LpError, solve_subtour_lp
 
 HELD_KARP_MAX = 20
-BRUTE_FORCE_MAX = 11
+# Tour enumeration (brute force, exhaustive tour pools) stops here: the
+# (n-1)!/2 orders at n = 11 would take about 200 MB to enumerate and index.
+ENUM_MAX = 10
 
 
 @dataclass(frozen=True)
@@ -101,30 +106,37 @@ def heuristic_tour(inst: Instance) -> tuple[Tour, float]:
     return tour, tour_length(inst, tour)
 
 
-def brute_force(inst: Instance) -> ExactResult:
-    """Optimal tour by enumeration; 3 <= n <= 11.
+@functools.lru_cache(maxsize=None)
+def enumerate_tours(n: int) -> np.ndarray:
+    """All (n-1)!/2 tours on 3 <= n <= ENUM_MAX vertices, one canonical
+    order per row (0 first, second < last) in lexicographic order.
+    Cached and read-only."""
+    if not 3 <= n <= ENUM_MAX:
+        raise ValueError(f"tour enumeration handles 3 <= n <= {ENUM_MAX}, got {n}")
+    flat = itertools.chain.from_iterable(itertools.permutations(range(1, n)))
+    perms = np.fromiter(flat, dtype=np.int16, count=math.factorial(n - 1) * (n - 1)).reshape(-1, n - 1)
+    perms = perms[perms[:, 0] < perms[:, -1]]
+    orders = np.column_stack([np.zeros(len(perms), dtype=np.int16), perms])
+    orders.setflags(write=False)
+    return orders
 
-    Vertex 0 is fixed first and reversals are skipped, so (n-1)!/2 orders
-    are scanned in lexicographic order; the first minimum wins.
+
+def brute_force(inst: Instance) -> ExactResult:
+    """Optimal tour by scanning `enumerate_tours`; 3 <= n <= ENUM_MAX.
+
+    Each length adds the closing edges 0 - first and last - 0, then the
+    path edges in order; the first minimum wins.
     """
     n = inst.n
-    if not 3 <= n <= BRUTE_FORCE_MAX:
-        raise ValueError(f"brute_force handles 3 <= n <= {BRUTE_FORCE_MAX}, got {n}")
-    D = inst.distance_matrix().tolist()
-    best_cost = np.inf
-    best_perm = None
-    for perm in itertools.permutations(range(1, n)):
-        if perm[0] > perm[-1]:
-            continue
-        cost = D[0][perm[0]] + D[perm[-1]][0]
-        prev = perm[0]
-        for v in perm[1:]:
-            cost += D[prev][v]
-            prev = v
-        if cost < best_cost:
-            best_cost = cost
-            best_perm = perm
-    return ExactResult(Tour((0,) + best_perm), float(best_cost), "brute_force")
+    if not 3 <= n <= ENUM_MAX:
+        raise ValueError(f"brute_force handles 3 <= n <= {ENUM_MAX}, got {n}")
+    P = enumerate_tours(n)
+    D = inst.distance_matrix()
+    cost = D[0, P[:, 1]] + D[P[:, -1], 0]
+    for k in range(1, n - 1):
+        cost += D[P[:, k], P[:, k + 1]]
+    best = int(cost.argmin())
+    return ExactResult(Tour(P[best].tolist()), float(cost[best]), "brute_force")
 
 
 def integrality_ratio(inst: Instance) -> float:

@@ -7,7 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core import Edge
+import numpy as np
+
 from .ijk import IJK, PseudoTour, fractional_xijk, pseudo_tours
 
 IDENTITY_TOL = 1e-12
@@ -52,19 +53,10 @@ def lambda_certificate(p: IJK) -> CertificateReport:
     lam = [_coefficient(pt, denom) for pt in tours]
     sum_error = abs(sum(lam) - 1.0)
 
-    combo: dict[Edge, float] = {}
+    combo = np.zeros(p.n * (p.n - 1) // 2)
     for pt, coeff in zip(tours, lam):
-        for e, mult in pt.edges:
-            combo[e] = combo.get(e, 0.0) + coeff * mult
-
-    x = fractional_xijk(p)
-    max_err = 0.0
-    support = set(x.support())
-    for e in support:
-        max_err = max(max_err, abs(combo.get(e, 0.0) - multiplier * x[e]))
-    for e, val in combo.items():
-        if e not in support:
-            max_err = max(max_err, abs(val))
+        combo += coeff * pt.edges
+    max_err = float(np.abs(combo - multiplier * fractional_xijk(p).values).max())
 
     if sum_error > IDENTITY_TOL:
         raise CertificateError(f"coefficients sum to 1{sum_error:+.3e} at {p}")

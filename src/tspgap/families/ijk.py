@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ..core import Edge, EdgeWeightVector, Instance, NormSpec, Tour
+import numpy as np
+
+from ..core import EdgeWeightVector, Instance, NormSpec, Tour, edge_position
 
 RECTILINEAR = "rectilinear"
 METRIC = "metric"
@@ -78,16 +80,9 @@ def fractional_xijk(p: IJK) -> EdgeWeightVector:
     """The canonical fractional tour: 1 along each path, 1/2 on the two
     end triangles.  Every vertex gets fractional degree exactly 2."""
     lv = LabeledVertexSet(p)
-    w: dict[Edge, float] = {}
-    for s in range(p.i + 1):
-        w[Edge(lv.x(s), lv.x(s + 1))] = 1.0
-    for s in range(p.j + 1):
-        w[Edge(lv.y(s), lv.y(s + 1))] = 1.0
-    for s in range(p.k + 1):
-        w[Edge(lv.z(s), lv.z(s + 1))] = 1.0
-    for a, b in _triangle_edges(lv):
-        w[Edge(a, b)] = 0.5
-    return EdgeWeightVector(p.n, w)
+    paths = [(a, b) for line in "XYZ" for a, b in _line_edges(lv, line)]
+    halves = _triangle_edges(lv)
+    return EdgeWeightVector.from_pairs(p.n, [(e, 1.0) for e in paths] + [(e, 0.5) for e in halves])
 
 
 def _triangle_edges(lv: LabeledVertexSet) -> list[tuple[int, int]]:
@@ -246,29 +241,23 @@ ANCHOR_TAGS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PseudoTour:
     """Edge multiset of one family member.
 
     tag is one of GAP_TAGS (with index = the skipped edge position) or
-    ANCHOR_TAGS (index None).
+    ANCHOR_TAGS (index None).  edges holds each edge's multiplicity (0, 1
+    or 2) in edge order, read-only.
     """
 
     tag: str
     index: int | None
     ijk: IJK
-    edges: tuple[tuple[Edge, int], ...]
+    edges: np.ndarray
 
     @property
     def name(self) -> str:
         return self.tag if self.index is None else f"{self.tag}[{self.index}]"
-
-    def degrees(self) -> list[int]:
-        deg = [0] * self.ijk.n
-        for e, mult in self.edges:
-            deg[e.u] += mult
-            deg[e.v] += mult
-        return deg
 
 
 def _line_indices(lv: LabeledVertexSet, line: str) -> list[int]:
@@ -280,33 +269,35 @@ def _line_indices(lv: LabeledVertexSet, line: str) -> list[int]:
     return [lv.z(s) for s in range(p.k + 2)]
 
 
-def _corner(lv: LabeledVertexSet, pair: str, side: str) -> Edge:
+def _line_edges(lv: LabeledVertexSet, line: str) -> list[tuple[int, int]]:
+    idx = _line_indices(lv, line)
+    return list(zip(idx, idx[1:]))
+
+
+def _corner(lv: LabeledVertexSet, pair: str, side: str) -> tuple[int, int]:
     """Triangle edge by line pair ("XY", "XZ", "YZ") and side ("L", "R")."""
     p = lv.ijk
     ends = {
         "L": {"X": lv.x(0), "Y": lv.y(0), "Z": lv.z(0)},
         "R": {"X": lv.x(p.i + 1), "Y": lv.y(p.j + 1), "Z": lv.z(p.k + 1)},
     }[side]
-    return Edge(ends[pair[0]], ends[pair[1]])
+    return ends[pair[0]], ends[pair[1]]
 
 
 def _pseudo_tour(lv: LabeledVertexSet, tag: str, index: int | None) -> PseudoTour:
     p = lv.ijk
     doubled_line = {"top": "Z", "middle": "Y", "bottom": "X"}[tag.split("_")[0]]
-    counts: dict[Edge, int] = {}
+    counts = np.zeros(p.n * (p.n - 1) // 2, dtype=int)
 
-    def add(e: Edge, mult: int = 1) -> None:
-        counts[e] = counts.get(e, 0) + mult
+    def add(e: tuple[int, int], mult: int = 1) -> None:
+        counts[edge_position(p.n, *e)] += mult
 
     for line in "XYZ":
-        idx = _line_indices(lv, line)
-        for a, b in zip(idx, idx[1:]):
-            add(Edge(a, b), 2 if line == doubled_line else 1)
+        for e in _line_edges(lv, line):
+            add(e, 2 if line == doubled_line else 1)
 
     if tag.endswith("_gap"):
-        idx = _line_indices(lv, doubled_line)
-        gap = Edge(idx[index], idx[index + 1])
-        del counts[gap]
+        counts[edge_position(p.n, *_line_edges(lv, doubled_line)[index])] = 0
         # Both end triangles connect the doubled line to the two others.
         pairs = {"X": ("XY", "XZ"), "Y": ("XY", "YZ"), "Z": ("XZ", "YZ")}[doubled_line]
         for pair in pairs:
@@ -323,8 +314,8 @@ def _pseudo_tour(lv: LabeledVertexSet, tag: str, index: int | None) -> PseudoTou
         other_pair = ({"XY", "XZ", "YZ"} - set(pairs)).pop()
         add(_corner(lv, other_pair, far))
 
-    edges = tuple(sorted(counts.items(), key=lambda kv: (kv[0].u, kv[0].v)))
-    return PseudoTour(tag, index, p, edges)
+    counts.setflags(write=False)
+    return PseudoTour(tag, index, p, counts)
 
 
 def pseudo_tours(p: IJK) -> list[PseudoTour]:

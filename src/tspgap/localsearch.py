@@ -10,21 +10,14 @@ strictly increases.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 
-from .core import EdgeWeightVector, Instance, NormSpec, Tour, fractional_cost, tour_length
-from .exact import held_karp
+from .core import EdgeWeightVector, Instance, NormSpec, Tour, edge_index, fractional_cost, tour_length
+from .exact import ENUM_MAX, enumerate_tours, held_karp
 from .lp import LinearProgram, solve_lp, solve_subtour_lp
-
-# Full tour enumeration keeps the pool provably complete up to this size;
-# beyond it the pool only holds tours discovered during the run.
-POOL_ENUM_MAX = 10
 
 # An LP optimum with every value this close to 1 is integral.
 _INTEGRAL_TOL = 1e-9
@@ -90,27 +83,16 @@ class TourPool:
         return TourPool(keep, reference, window)
 
 
-@lru_cache(maxsize=None)
-def _canonical_perms(n: int) -> np.ndarray:
-    """All (n-1)!/2 canonical tour orders: fixed 0 first, second < last."""
-    rows = [
-        (0,) + perm
-        for perm in itertools.permutations(range(1, n))
-        if perm[0] < perm[-1]
-    ]
-    return np.array(rows, dtype=np.int16)
-
-
 def build_tour_pool(inst: Instance, window: float) -> TourPool:
     """Exhaustive pool of all tours within `window` of the optimum.
 
-    Only for n <= POOL_ENUM_MAX; larger instances must grow a pool
-    incrementally from tours discovered during the search.
+    Only for n <= ENUM_MAX, which keeps the pool provably complete; larger
+    instances grow a pool from tours discovered during the search.
     """
     n = inst.n
-    if n > POOL_ENUM_MAX:
-        raise ValueError(f"n = {n} exceeds enumeration cap {POOL_ENUM_MAX}")
-    P = _canonical_perms(n)
+    if n > ENUM_MAX:
+        raise ValueError(f"n = {n} exceeds enumeration cap {ENUM_MAX}")
+    P = enumerate_tours(n)
     D = inst.distance_matrix()
     lengths = D[P, np.roll(P, -1, axis=1)].sum(axis=1)
     opt = float(lengths.min())
@@ -122,18 +104,21 @@ def build_tour_pool(inst: Instance, window: float) -> TourPool:
 # -- gradients -------------------------------------------------------------
 
 
-def _edge_gradient(inst: Instance, pairs: Iterable[tuple[int, int, float]]) -> np.ndarray:
+def _edge_gradient(inst: Instance, u: np.ndarray, v: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Gradient of sum_k weight[k] * ||pts[u[k]] - pts[v[k]]||_p."""
     p = inst.norm.p
     if not (math.isfinite(p) and p > 1):
         raise ValueError("gradients require a finite norm exponent p > 1")
     pts = inst.points
+    diff = pts[u] - pts[v]
+    # The norms' last powers are per-edge float pows: numpy's array power
+    # may take a sqrt or SIMD path whose last bits differ.
+    sums = (np.abs(diff) ** p).sum(axis=1)
+    scale = np.array([(s ** (1.0 / p)) ** (p - 1.0) for s in sums.tolist()])
+    term = weight[:, None] * np.sign(diff) * np.abs(diff) ** (p - 1.0) / scale[:, None]
+    # add.at applies the rows in order: edge by edge, +term at u, -term at v.
     G = np.zeros_like(pts)
-    for u, v, weight in pairs:
-        diff = pts[u] - pts[v]
-        nrm = float(np.sum(np.abs(diff) ** p) ** (1.0 / p))
-        term = weight * np.sign(diff) * np.abs(diff) ** (p - 1.0) / nrm ** (p - 1.0)
-        G[u] += term
-        G[v] -= term
+    np.add.at(G, np.column_stack([u, v]).ravel(), np.stack([term, -term], axis=1).reshape(-1, pts.shape[1]))
     return G.ravel()
 
 
@@ -144,14 +129,17 @@ def grad_tour_length(inst: Instance, t: Tour) -> np.ndarray:
     Per coordinate (vertex m, axis a) this is the sum over tour neighbors q
     of sgn(v_m[a] - q[a]) |v_m[a] - q[a]|^(p-1) / ||v_m - q||_p^(p-1).
     """
-    return _edge_gradient(inst, ((e.u, e.v, 1.0) for e in t.edges()))
+    order = np.array(t.order)
+    return _edge_gradient(inst, order, np.roll(order, -1), np.ones(t.n))
 
 
 def grad_fractional(inst: Instance, x: EdgeWeightVector) -> np.ndarray:
     """Weighted analogue of grad_tour_length over the support of x."""
     if x.n != inst.n:
         raise ValueError(f"weight vector on {x.n} vertices, instance has {inst.n}")
-    return _edge_gradient(inst, ((e.u, e.v, w) for e, w in x.items()))
+    iu, iv = edge_index(x.n)
+    support = np.flatnonzero(x.values)
+    return _edge_gradient(inst, iu[support], iv[support], x.values[support])
 
 
 def grad_g(inst: Instance, t: Tour, x: EdgeWeightVector, r: float) -> np.ndarray:
@@ -176,13 +164,18 @@ def improvement_lp(
     """
     if not pool.tours:
         raise ValueError("empty tour pool")
-    grads = [grad_g(inst, t, x, r) for t in sorted(pool.tours, key=lambda t: t.order)]
-    nd = inst.n * inst.dim
-    # Variables: w_0 .. w_{nd-1}, then delta (free).
-    rows = [(tuple(g) + (-1.0,), ">=", 0.0) for g in grads]
-    objective = (0.0,) * nd + (1.0,)
-    bounds = ((-1.0, 1.0),) * nd + ((None, None),)
-    lp = LinearProgram(objective=objective, rows=tuple(rows), bounds=bounds, maximize=True)
+    grads = np.array([grad_g(inst, t, x, r) for t in sorted(pool.tours, key=lambda t: t.order)])
+    m, nd = grads.shape
+    # Variables: w_0 .. w_{nd-1}, then delta (free); rows <g_T, w> - delta >= 0.
+    lp = LinearProgram(
+        c=np.append(np.zeros(nd), 1.0),
+        A=np.hstack([grads, np.full((m, 1), -1.0)]),
+        rels=(">=",) * m,
+        b=np.zeros(m),
+        lo=np.append(np.full(nd, -1.0), -math.inf),
+        hi=np.append(np.ones(nd), math.inf),
+        maximize=True,
+    )
     sol = solve_lp(lp)
     return sol.values[:nd], float(sol.values[nd])
 
@@ -234,7 +227,8 @@ def random_instance(n: int, p: float, rng: np.random.Generator) -> Instance:
 
 def _ratio_state(inst: Instance) -> tuple[float, float, EdgeWeightVector]:
     lp = solve_subtour_lp(inst)
-    if all(abs(w - 1.0) <= _INTEGRAL_TOL for _, w in lp.x.items()):
+    values = lp.x.values
+    if np.all(np.abs(values[values > 0] - 1.0) <= _INTEGRAL_TOL):
         # A 0/1 optimum that passed separation is a Hamiltonian cycle, so
         # OPT = LP and Held-Karp is not needed.  Such states have ratio 1
         # and are never accepted.
@@ -277,7 +271,7 @@ def local_search(n: int, params: LocalSearchParams) -> tuple[Instance, SearchTra
     pool: TourPool | None = None
     for it in range(1, params.max_iters + 1):
         window = params.epsilon3 * opt_len
-        if n <= POOL_ENUM_MAX:
+        if n <= ENUM_MAX:
             pool = build_tour_pool(inst, window)
         else:
             found = held_karp(inst).tour

@@ -23,11 +23,11 @@ import copy
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Edge, EdgeWeightVector, Instance, degree_vector
+from .core import EdgeWeightVector, Instance, degree_vector, edge_costs, edge_index
 
 # Feasibility / cut-violation tolerance.
 FEAS_TOL = 1e-7
@@ -47,47 +47,41 @@ class LpError(RuntimeError):
     """Simplex stalled or the cutting-plane loop failed to converge."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """min/max c.x subject to rows (a.x rel b) and per-variable bounds.
+    """min/max c.x subject to the rows A x (rels) b and lo <= x <= hi.
 
-    bounds entries are (lo, hi) with None for unbounded ends.
+    A is (rows, variables) and rels holds "<=", ">=" or "=" per row; lo and
+    hi may hold -inf and inf.  The arrays are stored as read-only floats.
     """
 
-    objective: tuple[float, ...]
-    rows: tuple[tuple[tuple[float, ...], str, float], ...]
-    bounds: tuple[tuple[float | None, float | None], ...]
+    c: np.ndarray
+    A: np.ndarray
+    rels: tuple[str, ...]
+    b: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
     maximize: bool = False
 
     def __post_init__(self) -> None:
-        c = tuple(float(v) for v in self.objective)
-        n = len(c)
-        if n == 0:
-            raise ValueError("LP needs at least one variable")
-        rows = []
-        for coeffs, rel, rhs in self.rows:
-            coeffs = tuple(float(v) for v in coeffs)
-            if len(coeffs) != n:
-                raise ValueError(f"row has {len(coeffs)} coefficients, expected {n}")
+        rels = tuple(self.rels)
+        for rel in rels:
             if rel not in _SLACK_BOUNDS:
                 raise ValueError(f"unknown relation {rel!r}")
-            rows.append((coeffs, rel, float(rhs)))
-        bounds = []
-        for lo, hi in self.bounds:
-            lo = None if lo is None else float(lo)
-            hi = None if hi is None else float(hi)
-            if lo is not None and hi is not None and lo > hi:
-                raise ValueError(f"empty bound interval ({lo}, {hi})")
-            bounds.append((lo, hi))
-        if len(bounds) != n:
-            raise ValueError(f"{len(bounds)} bound pairs for {n} variables")
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "rows", tuple(rows))
-        object.__setattr__(self, "bounds", tuple(bounds))
-
-    @property
-    def num_vars(self) -> int:
-        return len(self.objective)
+        m, n = len(rels), np.size(self.c)
+        if n == 0:
+            raise ValueError("LP needs at least one variable")
+        for name, shape in (("c", (n,)), ("A", (m, n)), ("b", (m,)), ("lo", (n,)), ("hi", (n,))):
+            arr = np.array(getattr(self, name), dtype=float)
+            if arr.size == 0 and 0 in shape:
+                arr = arr.reshape(shape)  # an empty list for no rows
+            if arr.shape != shape:
+                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "rels", rels)
+        if np.any(self.lo > self.hi):
+            raise ValueError("empty bound interval")
 
 
 @dataclass(frozen=True)
@@ -330,19 +324,13 @@ def solve_lp(lp: LinearProgram, *, tol: float = 1e-9) -> LpSolution:
     Dantzig pricing with a Bland's-rule fallback after BLAND_AFTER pivots;
     raises LpError if a phase passes PIVOT_CAP * (rows + cols) pivots.
     """
-    n = lp.num_vars
-    m = len(lp.rows)
-    A = np.array([coeffs for coeffs, _, _ in lp.rows]).reshape(m, n)
-    b = np.array([rhs for _, _, rhs in lp.rows])
-    lo = np.array([-math.inf if l is None else l for l, _ in lp.bounds])
-    hi = np.array([math.inf if h is None else h for _, h in lp.bounds])
-    c = np.array(lp.objective)
-    tab = _Tableau(A, b, lo, hi, [rel for _, rel, _ in lp.rows])
-    outcome = tab.optimise(-c if lp.maximize else c, PIVOT_CAP * (m + n), tol)
+    m, n = lp.A.shape
+    tab = _Tableau(lp.A, lp.b, lp.lo, lp.hi, lp.rels)
+    outcome = tab.optimise(-lp.c if lp.maximize else lp.c, PIVOT_CAP * (m + n), tol)
     if outcome != "optimal":
         return LpSolution(outcome, None, None, tab.pivots)
     x = tab.solution()[:n]
-    return LpSolution("optimal", x, float(np.dot(lp.objective, x)), tab.pivots)
+    return LpSolution("optimal", x, float(np.dot(lp.c, x)), tab.pivots)
 
 
 @dataclass(frozen=True)
@@ -353,8 +341,17 @@ class Cut:
     value: float
 
 
+def _crossing(n: int, S: Iterable[int]) -> np.ndarray:
+    """Mask over edge order of the edges with exactly one end in S."""
+    iu, iv = edge_index(n)
+    inside = np.zeros(n, dtype=bool)
+    inside[list(S)] = True
+    return inside[iu] != inside[iv]
+
+
 def _cut_value(x: EdgeWeightVector, S: frozenset[int]) -> float:
-    return sum(w for e, w in x.items() if (e.u in S) != (e.v in S))
+    # Python's sum adds in edge order, one term at a time.
+    return sum(x.values[_crossing(x.n, S)].tolist())
 
 
 def _lex_side(S: Sequence[int], n: int) -> tuple[int, ...]:
@@ -412,10 +409,12 @@ def separate_subtour(x: EdgeWeightVector, *, tol: float = FEAS_TOL) -> Cut | Non
         worst = int(np.abs(deg - 2.0).argmax())
         raise ValueError(f"vertex {worst} has fractional degree {deg[worst]:.9f}, expected 2")
 
+    iu, iv = edge_index(n)
+    support = np.flatnonzero(x.values)
     weights: dict[int, dict[int, float]] = {i: {} for i in range(n)}
-    for e, w in x.items():
-        weights[e.u][e.v] = weights[e.u].get(e.v, 0.0) + w
-        weights[e.v][e.u] = weights[e.v].get(e.u, 0.0) + w
+    for u, v, w in zip(iu[support].tolist(), iv[support].tolist(), x.values[support].tolist()):
+        weights[u][v] = w
+        weights[v][u] = w
 
     # Disconnected support: every component is a zero cut.
     seen: set[int] = set()
@@ -463,17 +462,17 @@ class SubtourLpResult:
 
 
 @functools.lru_cache(maxsize=32)
-def _degree_start(n: int, bland_after: int, pivot_cap: int) -> tuple[np.ndarray, np.ndarray, _Tableau]:
-    """np.triu_indices(n, 1) and the degree tableau after `make_feasible`.
+def _degree_start(n: int, bland_after: int, pivot_cap: int) -> _Tableau:
+    """The degree tableau after `make_feasible`.
 
     The tableau holds x(delta(v)) = 2 for every vertex and 0 <= x_e <= 1
-    over the edges in np.triu_indices order.  Its feasibility step reads
-    no edge costs, so it is the same for every instance on n points.  The
-    simplex reads BLAND_AFTER and PIVOT_CAP from this module; they are
-    arguments only to key the cache.  Every array returned is read-only:
-    callers solve on a `fork()` of the tableau.
+    over the edges in edge order.  Its feasibility step reads no edge
+    costs, so it is the same for every instance on n points.  The simplex
+    reads BLAND_AFTER and PIVOT_CAP from this module; they are arguments
+    only to key the cache.  Every array of the tableau is read-only:
+    callers solve on a `fork()` of it.
     """
-    iu, iv = np.triu_indices(n, 1)
+    iu, iv = edge_index(n)
     num_edges = len(iu)
     degree = np.zeros((n, num_edges))
     degree[iu, np.arange(num_edges)] = 1.0
@@ -481,17 +480,17 @@ def _degree_start(n: int, bland_after: int, pivot_cap: int) -> tuple[np.ndarray,
     tab = _Tableau(degree, np.full(n, 2.0), np.zeros(num_edges), np.ones(num_edges), ["="] * n)
     if not tab.make_feasible(pivot_cap * (n + num_edges), 1e-9, 0):
         raise LpError("subtour relaxation came back infeasible")
-    for arr in (iu, iv, tab.A, tab.b, tab.art, tab.lo, tab.hi, tab.status, tab.basis):
+    for arr in (tab.A, tab.b, tab.art, tab.lo, tab.hi, tab.status, tab.basis):
         arr.setflags(write=False)
-    return iu, iv, tab
+    return tab
 
 
 def solve_subtour_lp(inst: Instance, *, cut_tol: float = FEAS_TOL) -> SubtourLpResult:
     """Cutting-plane solve of the subtour relaxation.
 
     Starts from degree constraints and 0 <= x_e <= 1 over the edges in
-    np.triu_indices order, adds the single most violated subtour cut per
-    round, and stops when a full separation pass finds no cut below
+    edge order (`edge_index`), adds the single most violated subtour cut
+    per round, and stops when a full separation pass finds no cut below
     2 - cut_tol.  One simplex tableau lives for the whole loop.  It is a
     fork of the cached per-n start of `_degree_start`, which has already
     run the first round's phase 1, so the first round is phase 2 alone;
@@ -502,10 +501,9 @@ def solve_subtour_lp(inst: Instance, *, cut_tol: float = FEAS_TOL) -> SubtourLpR
     phase 2 re-optimise from the previous optimal basis.
     """
     n = inst.n
-    iu, iv, start = _degree_start(n, BLAND_AFTER, PIVOT_CAP)
-    tab = start.fork()
-    num_edges = len(iu)
-    cost = np.array([inst.dist(i, j) for i, j in zip(iu.tolist(), iv.tolist())])
+    tab = _degree_start(n, BLAND_AFTER, PIVOT_CAP).fork()
+    cost = edge_costs(inst)
+    num_edges = cost.size
 
     cuts: list[Cut] = []
     while True:
@@ -514,14 +512,11 @@ def solve_subtour_lp(inst: Instance, *, cut_tol: float = FEAS_TOL) -> SubtourLpR
         if outcome != "optimal":
             raise LpError(f"subtour relaxation came back {outcome}")
         values = tab.solution()[:num_edges]
-        support = np.flatnonzero(values > 1e-12).tolist()
-        x = EdgeWeightVector(n, {Edge(iu[k], iv[k]): values[k] for k in support})
+        x = EdgeWeightVector(n, np.maximum(values, 0.0))
         cut = separate_subtour(x, tol=cut_tol)
         if cut is None:
             return SubtourLpResult(x, float(np.dot(cost, values)), tuple(cuts), len(cuts), tab.pivots)
         if len(cuts) == 1000:
             raise LpError("cutting-plane loop failed to converge after 1000 rounds")
         cuts.append(cut)
-        inside = np.zeros(n, dtype=bool)
-        inside[list(cut.vertices)] = True
-        tab.add_row((inside[iu] != inside[iv]).astype(float), ">=", 2.0)
+        tab.add_row(_crossing(n, cut.vertices).astype(float), ">=", 2.0)

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tspgap.core import (
-    Edge,
     EdgeWeightVector,
     Instance,
     NormSpec,
     Tour,
     degree_vector,
     distance,
+    edge_index,
+    edge_position,
     fractional_cost,
     tour_length,
 )
@@ -35,16 +36,38 @@ def test_distance_p1_p2_p3():
     assert distance(NormSpec(3.0), u, v) == pytest.approx(91.0 ** (1.0 / 3.0), rel=1e-15)
 
 
+def _edges(x):
+    iu, iv = edge_index(x.n)
+    support = np.flatnonzero(x.values)
+    return list(zip(iu[support].tolist(), iv[support].tolist()))
+
+
 def test_edge_normalizes_and_rejects():
-    e = Edge(5, 2)
-    assert (e.u, e.v) == (2, 5)
-    assert e.other(2) == 5 and e.other(5) == 2
-    with pytest.raises(ValueError):
-        Edge(3, 3)
-    with pytest.raises(ValueError):
-        Edge(-1, 2)
-    with pytest.raises(ValueError):
-        e.other(7)
+    x = EdgeWeightVector.from_pairs(6, {(5, 2): 1.0})
+    assert _edges(x) == [(2, 5)]
+    assert x.values[edge_position(6, 2, 5)] == 1.0
+    with pytest.raises(ValueError, match="self-loop"):
+        EdgeWeightVector.from_pairs(4, {(3, 3): 1.0})
+    with pytest.raises(ValueError, match="negative"):
+        EdgeWeightVector.from_pairs(4, {(-1, 2): 1.0})
+    with pytest.raises(ValueError, match="outside vertex range"):
+        EdgeWeightVector.from_pairs(4, {(1, 4): 1.0})
+
+
+def test_edge_index_order_and_positions():
+    iu, iv = edge_index(5)
+    assert list(zip(iu.tolist(), iv.tolist())) == [
+        (0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
+    ]
+    assert edge_index(5) is edge_index(5)
+    for arr in (iu, iv):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    for n in (3, 4, 9, 20):
+        iu, iv = edge_index(n)
+        k = np.arange(len(iu))
+        assert np.array_equal(edge_position(n, iu, iv), k)
+        assert [edge_position(n, int(a), int(b)) for a, b in zip(iu, iv)] == k.tolist()
 
 
 def test_instance_rejects_degenerate_input():
@@ -105,25 +128,42 @@ def test_tour_canonicalization_is_rotation_invariant(perm):
 
 
 def test_edge_weight_vector_validation():
-    with pytest.raises(ValueError):
-        EdgeWeightVector(4, {Edge(0, 1): 1.5})
-    with pytest.raises(ValueError):
-        EdgeWeightVector(3, {Edge(0, 5): 0.5})
-    with pytest.raises(ValueError):
-        EdgeWeightVector(4, [(Edge(0, 1), 0.5), (Edge(1, 0), 0.25)])  # duplicate
+    with pytest.raises(ValueError, match="outside"):
+        EdgeWeightVector.from_pairs(4, {(0, 1): 1.5})
+    with pytest.raises(ValueError, match="outside vertex range"):
+        EdgeWeightVector.from_pairs(3, {(0, 5): 0.5})
+    with pytest.raises(ValueError, match="duplicate"):
+        EdgeWeightVector.from_pairs(4, [((0, 1), 0.5), ((1, 0), 0.25)])
     # Tiny LP round-off is clamped, zeros dropped.
-    x = EdgeWeightVector(4, {Edge(0, 1): 1.0 + 1e-10, Edge(2, 3): 1e-13})
-    assert x[Edge(0, 1)] == 1.0
-    assert Edge(2, 3) not in x
-    assert len(x) == 1
+    x = EdgeWeightVector.from_pairs(4, {(0, 1): 1.0 + 1e-10, (2, 3): 1e-13})
+    assert x.values[edge_position(4, 0, 1)] == 1.0
+    assert x.values[edge_position(4, 2, 3)] == 0.0
+    assert np.count_nonzero(x.values) == 1
+
+
+def test_edge_weight_vector_array_form():
+    vals = np.array([1.0, -1e-10, 0.5, 1e-13, 0.5, 1.0 + 1e-10])
+    x = EdgeWeightVector(4, vals)
+    assert x.values.tolist() == [1.0, 0.0, 0.5, 0.0, 0.5, 1.0]
+    assert vals[1] == -1e-10  # the input is copied, not clamped in place
+    with pytest.raises(ValueError, match="read-only"):
+        x.values[0] = 0.0
+    assert x == EdgeWeightVector(4, x.values)
+    assert x != EdgeWeightVector(4, np.zeros(6))
+    assert x != EdgeWeightVector(5, np.zeros(10))
+    for bad in (-1e-6, 1.0 + 1e-6, float("nan")):
+        with pytest.raises(ValueError, match="outside"):
+            EdgeWeightVector(4, [bad, 0, 0, 0, 0, 0])
+    with pytest.raises(ValueError, match="edge values"):
+        EdgeWeightVector(4, np.zeros(5))
+    with pytest.raises(ValueError, match="edge values"):
+        EdgeWeightVector(4, np.zeros((2, 3)))
 
 
 def test_edge_weight_vector_from_tour_and_degrees():
     t = Tour([0, 1, 2, 3])
     x = EdgeWeightVector.from_tour(t)
-    assert sorted(x.support(), key=lambda e: (e.u, e.v)) == [
-        Edge(0, 1), Edge(0, 3), Edge(1, 2), Edge(2, 3),
-    ]
+    assert _edges(x) == [(0, 1), (0, 3), (1, 2), (2, 3)]
     assert np.allclose(degree_vector(x), 2.0)
 
 
@@ -153,9 +193,27 @@ def test_tour_length_reversal_invariant(seed):
     )
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+def test_edge_arithmetic_matches_the_per_edge_loop_bit_for_bit(seed, p):
+    # The loops fractional_cost and degree_vector replaced, as references.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 25))
+    inst = Instance(rng.uniform(size=(n, int(rng.integers(1, 4)))), NormSpec(p))
+    iu, iv = edge_index(n)
+    x = EdgeWeightVector(n, np.where(rng.random(len(iu)) < 0.5, rng.random(len(iu)), 0.0))
+    total, deg = 0.0, np.zeros(n)
+    for k in np.flatnonzero(x.values):
+        total += x.values[k] * inst.dist(iu[k], iv[k])
+        deg[iu[k]] += x.values[k]
+        deg[iv[k]] += x.values[k]
+    assert fractional_cost(inst, x).hex() == total.hex()
+    assert degree_vector(x).tobytes() == deg.tobytes()
+
+
 def test_size_mismatch_rejected():
     inst = Instance([(0, 0), (1, 0), (0, 1)])
     with pytest.raises(ValueError):
         tour_length(inst, Tour([0, 1, 2, 3]))
     with pytest.raises(ValueError):
-        fractional_cost(inst, EdgeWeightVector(5, {Edge(0, 1): 1.0}))
+        fractional_cost(inst, EdgeWeightVector.from_pairs(5, {(0, 1): 1.0}))

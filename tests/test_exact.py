@@ -1,5 +1,6 @@
 """Exact solvers: Held-Karp against brute force, caps, ratio plumbing."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -12,10 +13,11 @@ from hypothesis import strategies as st
 from tspgap.core import Instance, NormSpec, Tour, tour_length
 from tspgap import exact
 from tspgap.exact import (
-    BRUTE_FORCE_MAX,
+    ENUM_MAX,
     HELD_KARP_MAX,
     ExactResult,
     brute_force,
+    enumerate_tours,
     held_karp,
     heuristic_tour,
     integrality_ratio,
@@ -139,7 +141,7 @@ def test_size_caps_enforced():
     big = Instance(rng.uniform(size=(HELD_KARP_MAX + 1, 2)))
     with pytest.raises(ValueError):
         held_karp(big)
-    mid = Instance(rng.uniform(size=(BRUTE_FORCE_MAX + 1, 2)))
+    mid = Instance(rng.uniform(size=(ENUM_MAX + 1, 2)))
     with pytest.raises(ValueError):
         brute_force(mid)
 
@@ -235,3 +237,62 @@ def test_integrality_ratio_check_survives_optimize_flag():
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.split() == ["optimized", "raised"]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(6, 10), st.sampled_from([1.0, 2.0]))
+def test_integrality_ratio_invariant_under_relabel_shift_and_scale(seed, n, p):
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(size=(n, 2))
+    want = integrality_ratio(Instance(pts, NormSpec(p)))
+    moved = [
+        pts[rng.permutation(n)],
+        pts + rng.uniform(-50.0, 50.0, size=2),
+        pts * 1e3,
+        pts * 1e-3,
+    ]
+    for q in moved:
+        assert integrality_ratio(Instance(q, NormSpec(p))) == pytest.approx(want, rel=1e-9)
+
+
+def _python_brute_force(inst):
+    # The pure-Python scan `brute_force` replaced, kept as its oracle.
+    D = inst.distance_matrix().tolist()
+    best_cost, best_perm = np.inf, None
+    for perm in itertools.permutations(range(1, inst.n)):
+        if perm[0] > perm[-1]:
+            continue
+        cost = D[0][perm[0]] + D[perm[-1]][0]
+        for a, b in zip(perm, perm[1:]):
+            cost += D[a][b]
+        if cost < best_cost:
+            best_cost, best_perm = cost, perm
+    return (0,) + best_perm, best_cost
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_enumerate_tours_is_the_canonical_lexicographic_list(n):
+    want = [(0,) + perm for perm in itertools.permutations(range(1, n)) if perm[0] < perm[-1]]
+    got = enumerate_tours(n)
+    assert [tuple(row) for row in got.tolist()] == want
+    assert enumerate_tours(n) is got
+    with pytest.raises(ValueError, match="read-only"):
+        got[0, 0] = 1
+
+
+def test_enumerate_tours_cap():
+    assert len(enumerate_tours(ENUM_MAX)) == 181440  # 9!/2
+    for n in (2, ENUM_MAX + 1):
+        with pytest.raises(ValueError, match="tour enumeration"):
+            enumerate_tours(n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(3, 8), st.booleans())
+def test_brute_force_matches_the_python_scan_bit_for_bit(seed, n, grid):
+    rng = np.random.default_rng(seed)
+    pts = _grid_points(rng, n) if grid else rng.uniform(size=(n, 2))
+    inst = Instance(pts, NormSpec((1.0, 2.0, 3.0)[seed % 3]))
+    res = brute_force(inst)
+    order, cost = _python_brute_force(inst)
+    assert (res.tour.order, res.length.hex()) == (order, cost.hex())

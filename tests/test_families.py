@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tspgap.core import Edge, degree_vector, tour_length
+from tspgap.core import degree_vector, edge_index, edge_position, tour_length
 from tspgap.exact import held_karp
 from tspgap.families import (
     ANCHOR_TAGS,
@@ -68,13 +68,14 @@ def test_fractional_vector_weights():
     lv = labeled_vertices(p)
     idx = {s: lv.labels.index(s) for s in lv.labels}
     halves = {
-        Edge(idx["X0"], idx["Y0"]), Edge(idx["X0"], idx["Z0"]), Edge(idx["Y0"], idx["Z0"]),
-        Edge(idx["X2"], idx["Y3"]), Edge(idx["X2"], idx["Z2"]), Edge(idx["Y3"], idx["Z2"]),
+        (idx["X0"], idx["Y0"]), (idx["X0"], idx["Z0"]), (idx["Y0"], idx["Z0"]),
+        (idx["X2"], idx["Y3"]), (idx["X2"], idx["Z2"]), (idx["Y3"], idx["Z2"]),
     }
-    for e, w in x.items():
-        assert w == (0.5 if e in halves else 1.0)
+    iu, iv = edge_index(p.n)
+    for k in np.flatnonzero(x.values):
+        assert x.values[k] == (0.5 if (iu[k], iv[k]) in halves else 1.0)
     # Path edges: one chain per line.
-    assert len(x) == (1 + 1) + (2 + 1) + (1 + 1) + 6
+    assert np.count_nonzero(x.values) == (1 + 1) + (2 + 1) + (1 + 1) + 6
 
 
 # --- plane embedding against its closed forms --------------------------------
@@ -193,12 +194,10 @@ def test_certificate_small_case_exact_mass():
     assert rep.multiplier == pytest.approx(20 / 17, rel=1e-15)
     lam = dict(rep.coefficients)
     lv = labeled_vertices(p)
-    target = Edge(lv.labels.index("Y0"), lv.labels.index("Z0"))
+    target = edge_position(p.n, lv.labels.index("Y0"), lv.labels.index("Z0"))
     mass = 0.0
     for pt in pseudo_tours(p):
-        for e, mult in pt.edges:
-            if e == target:
-                mass += lam[pt.name] * mult
+        mass += lam[pt.name] * pt.edges[target]
     assert mass == pytest.approx(10 / 17, abs=1e-12)
 
 

@@ -9,12 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tspgap import localsearch
-from tspgap.core import Instance, NormSpec, Tour, fractional_cost, tour_length
+from tspgap.core import EdgeWeightVector, Instance, NormSpec, Tour, edge_index, fractional_cost, tour_length
 from tspgap.ellipse import ellipse_construct
-from tspgap.exact import held_karp
+from tspgap.exact import ENUM_MAX, held_karp
 from tspgap.families import IJK, gen_I2
 from tspgap.localsearch import (
-    POOL_ENUM_MAX,
     LocalSearchParams,
     TourPool,
     build_tour_pool,
@@ -60,6 +59,37 @@ def test_fractional_gradient_matches_finite_differences(p):
     g = grad_fractional(Instance(pts, norm), x)
     fd = _fd_gradient(lambda q: fractional_cost(Instance(q, norm), x), pts)
     assert np.linalg.norm(g - fd) / np.linalg.norm(fd) < 1e-5
+
+
+def _loop_edge_gradient(inst, pairs):
+    # The per-edge loop `_edge_gradient` replaced, kept as its reference.
+    p = inst.norm.p
+    pts = inst.points
+    G = np.zeros_like(pts)
+    for u, v, weight in pairs:
+        diff = pts[u] - pts[v]
+        nrm = float(np.sum(np.abs(diff) ** p) ** (1.0 / p))
+        term = weight * np.sign(diff) * np.abs(diff) ** (p - 1.0) / nrm ** (p - 1.0)
+        G[u] += term
+        G[v] -= term
+    return G.ravel()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.sampled_from([1.1, 1.5, 2.0, 2.5, 3.0]), st.sampled_from([2, 3]))
+def test_gradients_match_the_per_edge_loop_bit_for_bit(seed, p, d):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 12))
+    inst = Instance(rng.uniform(size=(n, d)), NormSpec(p))
+    t = Tour(rng.permutation(n))
+    o = t.order
+    tour_pairs = [(min(a, b), max(a, b), 1.0) for a, b in zip(o, o[1:] + o[:1])]
+    assert grad_tour_length(inst, t).tobytes() == _loop_edge_gradient(inst, tour_pairs).tobytes()
+    # Random weights on a random support, in edge order.
+    iu, iv = edge_index(n)
+    x = EdgeWeightVector(n, np.where(rng.random(len(iu)) < 0.4, rng.random(len(iu)), 0.0))
+    pairs = [(iu[k], iv[k], x.values[k]) for k in np.flatnonzero(x.values)]
+    assert grad_fractional(inst, x).tobytes() == _loop_edge_gradient(inst, pairs).tobytes()
 
 
 def test_gradient_rejects_p_one():
@@ -126,7 +156,7 @@ def test_build_tour_pool_square():
 
 def test_build_tour_pool_size_cap():
     rng = np.random.default_rng(0)
-    inst = Instance(rng.uniform(size=(POOL_ENUM_MAX + 1, 2)))
+    inst = Instance(rng.uniform(size=(ENUM_MAX + 1, 2)))
     with pytest.raises(ValueError):
         build_tour_pool(inst, 0.1)
 

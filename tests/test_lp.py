@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from tspgap.core import Edge, EdgeWeightVector, Instance, NormSpec, degree_vector
+from tspgap.core import EdgeWeightVector, Instance, NormSpec, degree_vector, edge_index
 from tspgap.families import IJK, closed_form_lp_I2, fractional_xijk, gen_I2
 from tspgap.lp import (
     FEAS_TOL,
@@ -18,27 +18,18 @@ from tspgap.lp import (
 
 
 def _scipy_solve(lp: LinearProgram):
-    c = np.array(lp.objective)
-    if lp.maximize:
-        c = -c
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    for coeffs, rel, rhs in lp.rows:
-        if rel == "<=":
-            a_ub.append(coeffs)
-            b_ub.append(rhs)
-        elif rel == ">=":
-            a_ub.append([-v for v in coeffs])
-            b_ub.append(-rhs)
-        else:
-            a_eq.append(coeffs)
-            b_eq.append(rhs)
+    c = -lp.c if lp.maximize else lp.c
+    rels = np.array(lp.rels, dtype=object)
+    sign = np.where(rels == ">=", -1.0, 1.0)
+    ub = rels != "="
+    eq = rels == "="
     res = linprog(
         c,
-        A_ub=np.array(a_ub) if a_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(a_eq) if a_eq else None,
-        b_eq=np.array(b_eq) if b_eq else None,
-        bounds=list(lp.bounds),
+        A_ub=(sign[:, None] * lp.A)[ub] if ub.any() else None,
+        b_ub=(sign * lp.b)[ub] if ub.any() else None,
+        A_eq=lp.A[eq] if eq.any() else None,
+        b_eq=lp.b[eq] if eq.any() else None,
+        bounds=list(zip(lp.lo, lp.hi)),
         method="highs",
     )
     return res
@@ -60,10 +51,8 @@ def _assert_matches_scipy(lp: LinearProgram, tol: float = 1e-7):
 def test_simple_maximization():
     # max x+y, x+2y <= 4, 3x+y <= 6, x,y >= 0 -> (1.6, 1.2), value 2.8
     lp = LinearProgram(
-        objective=(1.0, 1.0),
-        rows=(((1.0, 2.0), "<=", 4.0), ((3.0, 1.0), "<=", 6.0)),
-        bounds=((0.0, None), (0.0, None)),
-        maximize=True,
+        c=[1.0, 1.0], A=[[1.0, 2.0], [3.0, 1.0]], rels=["<=", "<="], b=[4.0, 6.0],
+        lo=[0.0, 0.0], hi=[np.inf, np.inf], maximize=True,
     )
     sol = solve_lp(lp)
     assert sol.status == "optimal"
@@ -72,31 +61,18 @@ def test_simple_maximization():
 
 
 def test_infeasible_detected():
-    lp = LinearProgram(
-        objective=(1.0,),
-        rows=(((1.0,), ">=", 2.0), ((1.0,), "<=", 1.0)),
-        bounds=((0.0, None),),
-    )
+    lp = LinearProgram(c=[1.0], A=[[1.0], [1.0]], rels=[">=", "<="], b=[2.0, 1.0], lo=[0.0], hi=[np.inf])
     assert solve_lp(lp).status == "infeasible"
 
 
 def test_unbounded_detected():
-    lp = LinearProgram(
-        objective=(1.0,),
-        rows=(((1.0,), ">=", 0.0),),
-        bounds=((0.0, None),),
-        maximize=True,
-    )
+    lp = LinearProgram(c=[1.0], A=[[1.0]], rels=[">="], b=[0.0], lo=[0.0], hi=[np.inf], maximize=True)
     assert solve_lp(lp).status == "unbounded"
 
 
 def test_free_and_upper_bounded_variables():
     # Free variable pulled negative; boxed variable pinned at its cap.
-    lp = LinearProgram(
-        objective=(1.0, -2.0),
-        rows=(((1.0, 1.0), "=", 3.0),),
-        bounds=((None, None), (0.0, 5.0)),
-    )
+    lp = LinearProgram(c=[1.0, -2.0], A=[[1.0, 1.0]], rels=["="], b=[3.0], lo=[-np.inf, 0.0], hi=[np.inf, 5.0])
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     assert sol.values == pytest.approx([-2.0, 5.0])
@@ -105,9 +81,8 @@ def test_free_and_upper_bounded_variables():
 
 def test_equality_system_with_negative_rhs():
     lp = LinearProgram(
-        objective=(2.0, 3.0, 1.0),
-        rows=(((1.0, 1.0, 1.0), "=", 1.0), ((1.0, -1.0, 0.0), "=", -0.5)),
-        bounds=((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)),
+        c=[2.0, 3.0, 1.0], A=[[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]], rels=["=", "="], b=[1.0, -0.5],
+        lo=np.zeros(3), hi=np.ones(3),
     )
     _assert_matches_scipy(lp)
 
@@ -118,24 +93,25 @@ def test_random_lps_match_scipy(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 7))
     m = int(rng.integers(1, 7))
-    rows = []
+    A, rels, b = [], [], []
     for _ in range(m):
-        coeffs = tuple(float(v) for v in rng.integers(-4, 5, size=n))
-        rel = ("<=", "=", ">=")[int(rng.integers(0, 3))]
-        rows.append((coeffs, rel, float(rng.integers(-6, 7))))
-    bounds = []
+        A.append(rng.integers(-4, 5, size=n))
+        rels.append(("<=", "=", ">=")[int(rng.integers(0, 3))])
+        b.append(float(rng.integers(-6, 7)))
+    lo, hi = [], []
     for _ in range(n):
         kind = int(rng.integers(0, 3))
         if kind == 0:
-            bounds.append((0.0, None))
+            lo.append(0.0)
+            hi.append(np.inf)
         elif kind == 1:
-            bounds.append((0.0, float(rng.integers(1, 5))))
+            lo.append(0.0)
+            hi.append(float(rng.integers(1, 5)))
         else:
-            bounds.append((float(rng.integers(-4, 0)), float(rng.integers(0, 5))))
+            lo.append(float(rng.integers(-4, 0)))
+            hi.append(float(rng.integers(0, 5)))
     lp = LinearProgram(
-        objective=tuple(float(v) for v in rng.integers(-5, 6, size=n)),
-        rows=tuple(rows),
-        bounds=tuple(bounds),
+        c=rng.integers(-5, 6, size=n), A=A, rels=rels, b=b, lo=lo, hi=hi,
         maximize=bool(rng.integers(0, 2)),
     )
     _assert_matches_scipy(lp)
@@ -143,10 +119,8 @@ def test_random_lps_match_scipy(seed):
 
 def test_separation_finds_disconnected_halves():
     # Two disjoint triangles: global min cut 0, maximally violated.
-    w = {}
-    for a, b in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]:
-        w[Edge(a, b)] = 1.0
-    cut = separate_subtour(EdgeWeightVector(6, w))
+    w = {(a, b): 1.0 for a, b in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]}
+    cut = separate_subtour(EdgeWeightVector.from_pairs(6, w))
     assert cut is not None
     side = set(cut.vertices)
     assert side in ({0, 1, 2}, {3, 4, 5})
@@ -154,7 +128,7 @@ def test_separation_finds_disconnected_halves():
 
 
 def test_separation_accepts_tour_vector():
-    x = EdgeWeightVector(5, {Edge(a, (a + 1) % 5): 1.0 for a in range(5)})
+    x = EdgeWeightVector.from_pairs(5, {(a, (a + 1) % 5): 1.0 for a in range(5)})
     assert separate_subtour(x) is None
 
 
@@ -178,10 +152,10 @@ def test_subtour_lp_needs_cut_on_clustered_points():
     res = solve_subtour_lp(inst)
     assert res.cuts, "expected at least one subtour cut"
     # Cut constraints hold at the optimum.
+    iu, iv = edge_index(inst.n)
     for cut in res.cuts:
-        total = sum(
-            w for e, w in res.x.items() if (e.u in set(cut.vertices)) != (e.v in set(cut.vertices))
-        )
+        inside = np.isin(np.arange(inst.n), sorted(cut.vertices))
+        total = res.x.values[inside[iu] != inside[iv]].sum()
         assert total >= 2.0 - FEAS_TOL
 
 
@@ -203,14 +177,22 @@ def test_subtour_lp_invariant_under_vertex_shuffle():
 
 
 def test_lp_validation_errors():
-    with pytest.raises(ValueError):
-        LinearProgram(objective=(), rows=(), bounds=())
-    with pytest.raises(ValueError):
-        LinearProgram(objective=(1.0,), rows=(((1.0, 2.0), "<=", 1.0),), bounds=((0.0, None),))
-    with pytest.raises(ValueError):
-        LinearProgram(objective=(1.0,), rows=(((1.0,), "<", 1.0),), bounds=((0.0, None),))
-    with pytest.raises(ValueError):
-        LinearProgram(objective=(1.0,), rows=(), bounds=((2.0, 1.0),))
+    with pytest.raises(ValueError, match="at least one variable"):
+        LinearProgram(c=[], A=[], rels=[], b=[], lo=[], hi=[])
+    with pytest.raises(ValueError, match="A has shape"):
+        LinearProgram(c=[1.0], A=[[1.0, 2.0]], rels=["<="], b=[1.0], lo=[0.0], hi=[np.inf])
+    with pytest.raises(ValueError, match="b has shape"):
+        LinearProgram(c=[1.0], A=[[1.0]], rels=["<="], b=[1.0, 2.0], lo=[0.0], hi=[np.inf])
+    with pytest.raises(ValueError, match="lo has shape"):
+        LinearProgram(c=[1.0], A=[[1.0]], rels=["<="], b=[1.0], lo=[0.0, 0.0], hi=[np.inf])
+    with pytest.raises(ValueError, match="unknown relation"):
+        LinearProgram(c=[1.0], A=[[1.0]], rels=["<"], b=[1.0], lo=[0.0], hi=[np.inf])
+    with pytest.raises(ValueError, match="empty bound interval"):
+        LinearProgram(c=[1.0], A=[], rels=[], b=[], lo=[2.0], hi=[1.0])
+    lp = LinearProgram(c=[1.0], A=[], rels=[], b=[], lo=[2.0], hi=[3.0])
+    assert lp.A.shape == (0, 1)
+    with pytest.raises(ValueError, match="read-only"):
+        lp.c[0] = 0.0
 
 
 # The subtour LP's cost (as float.hex), cut rounds, cut count and simplex
@@ -243,3 +225,33 @@ def test_subtour_lp_golden_bit_exact(k):
     inst, cost_hex, rounds, cuts, pivots = list(_golden_cases())[k]
     res = solve_subtour_lp(inst)
     assert (res.cost.hex(), res.rounds, len(res.cuts), res.pivots) == (cost_hex, rounds, cuts, pivots)
+
+
+def _degree_two_vectors():
+    """LP optima of random L1/L2 instances, n = 6-30, stopped after the
+    first round (cut_tol = 2.5: subtours left), at a partial cut set
+    (cut_tol = 1) and at the optimum; then the family vectors x_ijk."""
+    for n in (6, 9, 14, 20, 30):
+        for p in (1.0, 2.0):
+            inst = Instance(np.random.default_rng(100 * n + int(p)).random((n, 2)), NormSpec(p))
+            for cut_tol in (2.5, 1.0, FEAS_TOL):
+                yield f"n{n}-L{p:g}-tol{cut_tol:g}", solve_subtour_lp(inst, cut_tol=cut_tol).x
+    for trip in [(0, 0, 0), (1, 2, 1), (3, 0, 2), (2, 5, 4)]:
+        yield f"xijk-{trip}", fractional_xijk(IJK(*trip))
+
+
+_DEGREE_TWO = list(_degree_two_vectors())
+
+
+@pytest.mark.parametrize("x", [x for _, x in _DEGREE_TWO], ids=[name for name, _ in _DEGREE_TWO])
+def test_separation_matches_networkx_stoer_wagner(x):
+    nx = pytest.importorskip("networkx")
+    iu, iv = edge_index(x.n)
+    graph = nx.Graph()
+    graph.add_nodes_from(range(x.n))
+    for k in np.flatnonzero(x.values):
+        graph.add_edge(int(iu[k]), int(iv[k]), weight=float(x.values[k]))
+    want = nx.stoer_wagner(graph)[0] if nx.is_connected(graph) else 0.0
+    # tol = -1 reports the minimum cut whatever its value (at most 2 < 3).
+    assert abs(separate_subtour(x, tol=-1.0).value - want) <= 1e-9
+    assert (separate_subtour(x) is None) == (want >= 2.0 - FEAS_TOL)

@@ -107,7 +107,7 @@ def test_zero_pivot_cap_raises_lp_error(monkeypatch):
     monkeypatch.setattr(lp, "PIVOT_CAP", 0)
     with pytest.raises(LpError, match="exceeded 0 pivots"):
         solve_subtour_lp(_random(8, 2.0, 8))
-    prog = LinearProgram(objective=(1.0,), rows=(((1.0,), ">=", 1.0),), bounds=((0.0, None),))
+    prog = LinearProgram(c=[1.0], A=[[1.0]], rels=[">="], b=[1.0], lo=[0.0], hi=[np.inf])
     with pytest.raises(LpError, match="exceeded 0 pivots"):
         solve_lp(prog)
 
@@ -187,7 +187,7 @@ def _fresh_degree_start(n, bland_after, pivot_cap):
     degree = np.zeros((n, len(iu)))
     degree[iu, cols] = 1.0
     degree[iv, cols] = 1.0
-    return iu, iv, lp._Tableau(degree, np.full(n, 2.0), np.zeros(len(iu)), np.ones(len(iu)), ["="] * n)
+    return lp._Tableau(degree, np.full(n, 2.0), np.zeros(len(iu)), np.ones(len(iu)), ["="] * n)
 
 
 def _certify_n13():
@@ -205,17 +205,17 @@ def _outcome(inst):
 
 @pytest.mark.parametrize("n", range(3, 17))
 def test_cached_degree_start_matches_a_fresh_feasibility_step(n):
-    _, _, fresh = _fresh_degree_start(n, lp.BLAND_AFTER, lp.PIVOT_CAP)
+    fresh = _fresh_degree_start(n, lp.BLAND_AFTER, lp.PIVOT_CAP)
     assert fresh.make_feasible(lp.PIVOT_CAP * (n + n * (n - 1) // 2), 1e-9, 0)
-    _, _, cached = lp._degree_start(n, lp.BLAND_AFTER, lp.PIVOT_CAP)
+    cached = lp._degree_start(n, lp.BLAND_AFTER, lp.PIVOT_CAP)
     for name in ("A", "b", "art", "basis", "status", "lo", "hi"):
         assert np.array_equal(getattr(cached, name), getattr(fresh, name)), name
     assert cached.pivots == fresh.pivots > 0
 
 
 def test_cached_degree_start_is_read_only_and_forks_copy_it():
-    iu, iv, start = lp._degree_start(7, lp.BLAND_AFTER, lp.PIVOT_CAP)
-    shared = {"iu": iu, "iv": iv, "A": start.A, "b": start.b, "art": start.art}
+    start = lp._degree_start(7, lp.BLAND_AFTER, lp.PIVOT_CAP)
+    shared = {"A": start.A, "b": start.b, "art": start.art}
     state = {name: getattr(start, name) for name in ("lo", "hi", "status", "basis")}
     for name, arr in {**shared, **state}.items():
         with pytest.raises(ValueError, match="read-only"):
@@ -229,7 +229,7 @@ def test_cached_degree_start_is_read_only_and_forks_copy_it():
 def test_solves_do_not_change_the_cached_start():
     # A, then a different instance B with cuts, then A again.
     a, b = _random(13, 2.0, 113), _random(13, 1.0, 213)
-    _, _, start = lp._degree_start(13, lp.BLAND_AFTER, lp.PIVOT_CAP)
+    start = lp._degree_start(13, lp.BLAND_AFTER, lp.PIVOT_CAP)
     before = {name: getattr(start, name).copy() for name in ("lo", "hi", "status", "basis")}
     first = solve_subtour_lp(a)
     assert solve_subtour_lp(b).rounds > 0
@@ -244,7 +244,7 @@ def test_solves_do_not_change_the_cached_start():
 def test_limits_are_read_per_call(monkeypatch, bland_after, pivot_cap):
     inst = _certify_n13()
     # The start under the default limits is cached before they change.
-    phase1 = lp._degree_start(13, lp.BLAND_AFTER, lp.PIVOT_CAP)[2].pivots
+    phase1 = lp._degree_start(13, lp.BLAND_AFTER, lp.PIVOT_CAP).pivots
     if bland_after == 30:
         # Bland takes over in the first round's phase 2.
         assert phase1 < bland_after < solve_subtour_lp(inst).pivots
