@@ -119,10 +119,6 @@ def write_instance(path: str | os.PathLike, inst: Instance, comment: str | None 
     atomic_write_text(path, format_instance(inst, comment))
 
 
-def format_tour(tour: Tour) -> str:
-    return " ".join(str(v) for v in tour.order) + "\n"
-
-
 def parse_tour(text: str) -> Tour:
     rows = [ln.strip() for ln in text.splitlines()]
     rows = [ln for ln in rows if ln and not ln.startswith("#")]
@@ -142,10 +138,6 @@ def read_tour(path: str | os.PathLike) -> Tour:
     except OSError as exc:
         raise FormatError(f"cannot read {os.fspath(path)!r}: {exc}") from None
     return parse_tour(text)
-
-
-def write_tour(path: str | os.PathLike, tour: Tour) -> None:
-    atomic_write_text(path, format_tour(tour))
 
 
 def tsplib_cost_matrix(inst: Instance) -> np.ndarray:
@@ -214,15 +206,6 @@ def parse_tsplib(text: str) -> tuple[str, np.ndarray]:
         raise FormatError(f"matrix has {len(flat)} entries, expected {n}*{n}")
     matrix = np.array(flat, dtype=np.int64).reshape(n, n)
     return header.get("NAME", ""), matrix
-
-
-def read_tsplib(path: str | os.PathLike) -> tuple[str, np.ndarray]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise FormatError(f"cannot read {os.fspath(path)!r}: {exc}") from None
-    return parse_tsplib(text)
 
 
 def format_trace(records: Sequence) -> str:

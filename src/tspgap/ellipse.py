@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import Instance, NormSpec, fractional_cost, tour_length
-from .families.ijk import IJK, fractional_xijk, labeled_vertices, pseudo_tours, shortcut_tour
+from .core import EdgeWeightVector, Instance, NormSpec, fractional_cost, tour_length
+from .families.ijk import IJK, PseudoTour, fractional_xijk, labeled_vertices, pseudo_tours, shortcut_tour
 
 DEFAULT_EPS = 1e-9
 
@@ -296,13 +296,19 @@ def _assemble(
     return Instance(points, NormSpec(2.0), labels=lv.labels)
 
 
-def _evaluate(i: int, j: int, b: float, eps: float) -> tuple[float, ConstructionResult]:
+def _shortcut_parts(i: int, j: int) -> tuple[EdgeWeightVector, PseudoTour]:
+    """x_ijk and the middle_left anchor of (i, j, i): the same at every b."""
+    p = IJK(i, j, i)
+    return fractional_xijk(p), next(pt for pt in pseudo_tours(p) if pt.tag == "middle_left")
+
+
+def _evaluate(
+    i: int, j: int, b: float, eps: float, parts: tuple[EdgeWeightVector, PseudoTour]
+) -> tuple[float, ConstructionResult]:
     inner = inner_vertices(i, j, b, eps)
     e, zline = outer_vertices(i, j, b, inner, eps)
     inst = _assemble(i, j, inner, zline)
-    p = IJK(i, j, i)
-    x = fractional_xijk(p)
-    anchor = next(pt for pt in pseudo_tours(p) if pt.tag == "middle_left")
+    x, anchor = parts
     ratio = tour_length(inst, shortcut_tour(anchor, inst)) / fractional_cost(inst, x)
     ys = [pt[0] for pt in inner]
     inner_res = max(abs(diff_inner(h, ys, b)) for h in range(j // 2 + 1))
@@ -320,7 +326,7 @@ def _construct_flat(j: int, eps: float) -> ConstructionResult:
         return diff_outer(0, [(-b, 1.0), (b, 1.0)], inner[-1][0], b)
 
     b_star = _find_root(resid, *_B_RANGE, _COARSE_SAMPLES * 4, eps, EllipseConstructionError)
-    return _evaluate(0, j, b_star, eps)[1]
+    return _evaluate(0, j, b_star, eps, _shortcut_parts(0, j))[1]
 
 
 def ellipse_construct(i: int, j: int, eps: float = DEFAULT_EPS) -> ConstructionResult:
@@ -339,10 +345,11 @@ def ellipse_construct(i: int, j: int, eps: float = DEFAULT_EPS) -> ConstructionR
         return _construct_flat(j, eps)
 
     cache: dict[float, tuple[float, ConstructionResult]] = {}
+    parts = _shortcut_parts(i, j)
 
     def ratio_at(b: float) -> float:
         if b not in cache:
-            cache[b] = _evaluate(i, j, b, eps)
+            cache[b] = _evaluate(i, j, b, eps, parts)
         return cache[b][0]
 
     lo, hi = _B_RANGE

@@ -123,8 +123,11 @@ class _Tableau:
     `solve_subtour_lp` starts each solve from a `fork` of the cached,
     read-only degree tableau of `_degree_start`.
 
-    The basic solution is recomputed from the nonbasic statuses every
+    The basic solution is recomputed from the nonbasic values every
     iteration (a dense solve), trading speed for drift-free arithmetic.
+    Within one `_minimize` call those values and the pricing masks live in
+    per-call arrays updated by scalar writes at each pivot, not rebuilt
+    from `status`; the pivots are the same either way (see there).
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray, rels: Sequence[str]):
@@ -230,42 +233,71 @@ class _Tableau:
 
     def _minimize(self, c: np.ndarray, limit: int, start: int, tol: float) -> str:
         """Primal simplex on objective c until optimal, unbounded, or the
-        pivot count reaches limit.  Returns "optimal" or "unbounded"."""
+        pivot count reaches limit.  Returns "optimal" or "unbounded".
+
+        The call keeps its own per-column state, built once on entry:
+        `xn` (each nonbasic column at its bound, as `nonbasic_values`
+        gives it), float masks `rise` and `fall` (1.0 where a nonbasic
+        movable column may rise or fall on entering), and the bounds and
+        the basis as Python lists.  Each pivot or bound flip updates them
+        with scalar writes next to `status` and `basis`, so each iteration
+        costs its three dense solves plus a handful of numpy calls.
+
+        The pivots are those of the plain loop that rebuilds all of this
+        from `status` every iteration (kept as the oracle in the tests):
+        `xn` holds the floats `nonbasic_values` would return (the copied
+        bound, 0.0 for basic columns), so `b - A @ xn` is the same array;
+        `_price` picks the same column (see there); and the ratio test runs
+        the same expressions on the same rows in the same order with the
+        same 1e-12 tie rules, in Python floats, which round exactly as
+        numpy's elementwise float64 does.
+        """
+        A, b, basis, status = self.A, self.b, self.basis, self.status
+        lo, hi = self.lo.tolist(), self.hi.tolist()
         movable = self.lo != self.hi
+        rise = (_CAN_RISE[status] & movable).astype(float)
+        fall = (_CAN_FALL[status] & movable).astype(float)
+        movable = movable.tolist()
+        xn = self.nonbasic_values()
+        rows = basis.tolist()
         while True:
             if self.pivots >= limit:
                 raise LpError(f"simplex exceeded {limit - start} pivots")
             bland = self.pivots - start >= BLAND_AFTER
-            basis = self.basis
-            Bmat = self.A[:, basis]
+            Bmat = A[:, basis]
             y = _solve(Bmat.T, c[basis])
-            enter, direction = self._price(c - y @ self.A, tol, bland, movable)
+            enter, direction = self._price(c - y @ A, tol, bland, rise, fall)
             if enter is None:
                 return "optimal"
-            xb = _solve(Bmat, self.b - self.A @ self.nonbasic_values())
-            w = _solve(Bmat, self.A[:, enter])
-            delta = -direction * w
+            xb = _solve(Bmat, b - A @ xn)
+            w = _solve(Bmat, A[:, enter]).tolist()
 
             # Ratio test: the entering variable's own range versus the rows
             # whose basic variable moves toward a finite bound.
             t_best = math.inf
             leave = -1  # -1 means bound flip
-            if self.lo[enter] != -math.inf and self.hi[enter] != math.inf:
-                t_best = self.hi[enter] - self.lo[enter]
-            room = np.where(delta < 0.0, xb - self.lo[basis], self.hi[basis] - xb)
-            mag = np.abs(delta)
-            rows = ((mag > PIVOT_TOL) & (room < math.inf)).nonzero()[0]
-            steps = np.maximum(room[rows] / mag[rows], 0.0)
-            for i, tt in zip(rows.tolist(), steps.tolist()):
+            if lo[enter] != -math.inf and hi[enter] != math.inf:
+                t_best = hi[enter] - lo[enter]
+            for i, (xi, wi) in enumerate(zip(xb.tolist(), w)):
+                mag = abs(wi)
+                if not mag > PIVOT_TOL:
+                    continue
+                j = rows[i]
+                room = xi - lo[j] if -direction * wi < 0.0 else hi[j] - xi
+                if not room < math.inf:
+                    continue
+                tt = room / mag
+                if tt <= 0.0:
+                    tt = 0.0
                 if tt < t_best - 1e-12:
                     better = True
                 elif tt <= t_best + 1e-12 and leave >= 0:
                     # Tie between basic rows: Bland wants the smallest leaving
                     # index, Dantzig the fattest pivot element.
                     if bland:
-                        better = basis[i] < basis[leave]
+                        better = j < rows[leave]
                     else:
-                        better = abs(w[i]) > abs(w[leave])
+                        better = mag > abs(w[leave])
                 elif tt <= t_best + 1e-12 and leave == -1 and tt < t_best:
                     better = True
                 else:
@@ -280,26 +312,37 @@ class _Tableau:
             self.pivots += 1
             if leave == -1:
                 # Bound flip, basis unchanged.
-                self.status[enter] = _AT_UPPER if direction > 0 else _AT_LOWER
-                continue
-            self.status[basis[leave]] = _AT_LOWER if delta[leave] < 0.0 else _AT_UPPER
-            basis[leave] = enter
-            self.status[enter] = _BASIC
+                out, up = enter, direction > 0
+            else:
+                out, up = rows[leave], not -direction * w[leave] < 0.0
+                basis[leave] = rows[leave] = enter
+                status[enter] = _BASIC
+                xn[enter] = rise[enter] = fall[enter] = 0.0
+            status[out] = _AT_UPPER if up else _AT_LOWER
+            xn[out] = hi[out] if up else lo[out]
+            rise[out] = 0.0 if up else movable[out]
+            fall[out] = movable[out] if up else 0.0
 
-    def _price(self, d: np.ndarray, tol: float, bland: bool, movable: np.ndarray) -> tuple[int | None, int]:
+    def _price(
+        self, d: np.ndarray, tol: float, bland: bool, rise: np.ndarray, fall: np.ndarray
+    ) -> tuple[int | None, int]:
         """Entering column and direction (+1 up, -1 down), or (None, 0).
 
-        A column improves if it is nonbasic, not fixed, and may move against
-        its reduced cost.  Dantzig takes the first improving column of
-        largest |d_j|, Bland the first improving column.
+        A column improves if it may move against its reduced cost: rise
+        (1.0 where it may rise) and d_j < -tol, or fall and d_j > tol.
+        Its score max(-d_j * rise_j, d_j * fall_j) is then |d_j| > tol,
+        and every other column scores at most tol (0, or the reduced
+        cost's wrong-signed or sub-tolerance side).  So the first column
+        of largest score is Dantzig's first improving column of largest
+        |d_j|, and the first with score > tol is Bland's first improving
+        column (for finite d).  The direction is up exactly when the
+        column may rise and d_j < -tol.
         """
-        st = self.status
-        rise = _CAN_RISE[st] & (d < -tol)
-        improving = (rise | (_CAN_FALL[st] & (d > tol))) & movable
-        j = int(np.argmax(improving if bland else np.where(improving, np.abs(d), 0.0)))
-        if not improving[j]:
+        score = np.maximum(-d * rise, d * fall)
+        j = int(np.argmax(score > tol if bland else score))
+        if not score[j] > tol:
             return None, 0
-        return j, 1 if rise[j] else -1
+        return j, 1 if rise[j] and d[j] < -tol else -1
 
     def _drive_out_artificials(self) -> None:
         """Pivot zero-valued basic artificials out where possible."""

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tspgap import ellipse
 from tspgap.core import fractional_cost, tour_length
 from tspgap.ellipse import (
     DEFAULT_EPS,
@@ -240,3 +241,13 @@ def test_find_root_skips_failed_samples_and_propagates_bracket_errors():
 
     with pytest.raises(InnerPlacementError):
         _find_root(hole, 0.0, 1.0, 2, 1e-9, OuterPlacementError)
+
+
+@pytest.mark.parametrize("ij", [(0, 1), (1, 1)])
+def test_shortcut_parts_are_built_once_per_construction(monkeypatch, ij):
+    # x_ijk and the anchor pseudo-tour depend on (i, j) alone, not on b.
+    calls = []
+    real = ellipse.pseudo_tours
+    monkeypatch.setattr(ellipse, "pseudo_tours", lambda p: calls.append(p) or real(p))
+    ellipse_construct(*ij)
+    assert len(calls) == 1

@@ -296,3 +296,14 @@ def test_brute_force_matches_the_python_scan_bit_for_bit(seed, n, grid):
     res = brute_force(inst)
     order, cost = _python_brute_force(inst)
     assert (res.tour.order, res.length.hex()) == (order, cost.hex())
+
+
+def test_layer_steps_are_cached_read_only_int32():
+    steps = exact._layer_steps(5)
+    assert exact._layer_steps(5) is steps
+    assert [v for v, _ in steps] == list(range(5)) * 4
+    for v, S in steps:
+        assert S.dtype == np.int32 and not S.flags.writeable
+        assert all(s >> v & 1 for s in S.tolist())
+    # Every mask of popcount k appears in k steps.
+    assert sum(S.size for _, S in steps) == 5 * 2**4 - 5

@@ -1,7 +1,9 @@
 """The warm-started cutting-plane loop: pivot counts, agreement with HiGHS on
 the final cut set, Bland's rule and the pivot cap on the re-optimisations,
-rows added to a live tableau, and the cached per-n degree start."""
+rows added to a live tableau, the cached per-n degree start, and the simplex
+loop against the plain loop it replaced, pivot for pivot."""
 
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tspgap import lp
-from tspgap.core import Instance, NormSpec
+from tspgap.core import EdgeWeightVector, Instance, NormSpec, edge_costs
 from tspgap.lp import LinearProgram, LpError, separate_subtour, solve_lp, solve_subtour_lp
 
 
@@ -180,14 +182,19 @@ def test_rows_added_to_a_solved_tableau_match_highs(seed):
         outcome = tab.optimise(c, 1000, 1e-9)
 
 
-def _fresh_degree_start(n, bland_after, pivot_cap):
-    # What a solve from scratch starts from: the degree tableau before phase 1.
+def _degree_rows(n):
+    # x(delta(v)) = 2 for every vertex, 0 <= x_e <= 1, as tableau arguments.
     iu, iv = np.triu_indices(n, 1)
     cols = np.arange(len(iu))
     degree = np.zeros((n, len(iu)))
     degree[iu, cols] = 1.0
     degree[iv, cols] = 1.0
-    return lp._Tableau(degree, np.full(n, 2.0), np.zeros(len(iu)), np.ones(len(iu)), ["="] * n)
+    return degree, np.full(n, 2.0), np.zeros(len(iu)), np.ones(len(iu)), ["="] * n
+
+
+def _fresh_degree_start(n, bland_after, pivot_cap):
+    # What a solve from scratch starts from: the degree tableau before phase 1.
+    return lp._Tableau(*_degree_rows(n))
 
 
 def _certify_n13():
@@ -261,9 +268,9 @@ def test_bland_rule_from_the_first_phase_1_pivot(monkeypatch):
     seen = []
     price = lp._Tableau._price
 
-    def spy(self, d, tol, bland, movable):
+    def spy(self, d, tol, bland, rise, fall):
         seen.append((self.pivots, bland))
-        return price(self, d, tol, bland, movable)
+        return price(self, d, tol, bland, rise, fall)
 
     lp._degree_start.cache_clear()
     solve_subtour_lp(_certify_n13())  # caches the start under the default limits only
@@ -297,3 +304,176 @@ def test_bound_instance_under_optimize_flag():
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.split() == ["optimized", "0x1.34a389b5dbb00p+2", "285"]
+
+
+class _ReferenceTableau(lp._Tableau):
+    """The simplex loop as it was before its per-call masks: `nonbasic_values`
+    and the pricing masks rebuilt from `status` every iteration, and the
+    ratio test on filtered arrays.  Copied verbatim, with the `lp` module's
+    names qualified; kept as the oracle the loop must match pivot for pivot."""
+
+    def _minimize(self, c: np.ndarray, limit: int, start: int, tol: float) -> str:
+        """Primal simplex on objective c until optimal, unbounded, or the
+        pivot count reaches limit.  Returns "optimal" or "unbounded"."""
+        movable = self.lo != self.hi
+        while True:
+            if self.pivots >= limit:
+                raise lp.LpError(f"simplex exceeded {limit - start} pivots")
+            bland = self.pivots - start >= lp.BLAND_AFTER
+            basis = self.basis
+            Bmat = self.A[:, basis]
+            y = lp._solve(Bmat.T, c[basis])
+            enter, direction = self._price(c - y @ self.A, tol, bland, movable)
+            if enter is None:
+                return "optimal"
+            xb = lp._solve(Bmat, self.b - self.A @ self.nonbasic_values())
+            w = lp._solve(Bmat, self.A[:, enter])
+            delta = -direction * w
+
+            # Ratio test: the entering variable's own range versus the rows
+            # whose basic variable moves toward a finite bound.
+            t_best = math.inf
+            leave = -1  # -1 means bound flip
+            if self.lo[enter] != -math.inf and self.hi[enter] != math.inf:
+                t_best = self.hi[enter] - self.lo[enter]
+            room = np.where(delta < 0.0, xb - self.lo[basis], self.hi[basis] - xb)
+            mag = np.abs(delta)
+            rows = ((mag > lp.PIVOT_TOL) & (room < math.inf)).nonzero()[0]
+            steps = np.maximum(room[rows] / mag[rows], 0.0)
+            for i, tt in zip(rows.tolist(), steps.tolist()):
+                if tt < t_best - 1e-12:
+                    better = True
+                elif tt <= t_best + 1e-12 and leave >= 0:
+                    # Tie between basic rows: Bland wants the smallest leaving
+                    # index, Dantzig the fattest pivot element.
+                    if bland:
+                        better = basis[i] < basis[leave]
+                    else:
+                        better = abs(w[i]) > abs(w[leave])
+                elif tt <= t_best + 1e-12 and leave == -1 and tt < t_best:
+                    better = True
+                else:
+                    better = False
+                if better:
+                    t_best = min(t_best, tt)
+                    leave = i
+
+            if t_best == math.inf:
+                return "unbounded"
+
+            self.pivots += 1
+            if leave == -1:
+                # Bound flip, basis unchanged.
+                self.status[enter] = lp._AT_UPPER if direction > 0 else lp._AT_LOWER
+                continue
+            self.status[basis[leave]] = lp._AT_LOWER if delta[leave] < 0.0 else lp._AT_UPPER
+            basis[leave] = enter
+            self.status[enter] = lp._BASIC
+
+    def _price(self, d: np.ndarray, tol: float, bland: bool, movable: np.ndarray) -> tuple[int | None, int]:
+        """Entering column and direction (+1 up, -1 down), or (None, 0).
+
+        A column improves if it is nonbasic, not fixed, and may move against
+        its reduced cost.  Dantzig takes the first improving column of
+        largest |d_j|, Bland the first improving column.
+        """
+        st = self.status
+        rise = lp._CAN_RISE[st] & (d < -tol)
+        improving = (rise | (lp._CAN_FALL[st] & (d > tol))) & movable
+        j = int(np.argmax(improving if bland else np.where(improving, np.abs(d), 0.0)))
+        if not improving[j]:
+            return None, 0
+        return j, 1 if rise[j] else -1
+
+
+
+def _pair(*args):
+    return lp._Tableau(*args), _ReferenceTableau(*args)
+
+
+def _optimise(tab, c, cap):
+    try:
+        return tab.optimise(c, cap, 1e-9)
+    except LpError as exc:
+        return str(exc)
+
+
+def _state(tab, outcome):
+    try:
+        x = tab.solution().tobytes()
+    except LpError as exc:
+        x = str(exc)
+    return outcome, tab.basis.tolist(), tab.status.tobytes(), tab.pivots, x
+
+
+def _optimise_both(tabs, c, cap):
+    new, ref = (_state(tab, _optimise(tab, c, cap)) for tab in tabs)
+    assert new == ref
+    return new[0]
+
+
+def _random_program(rng):
+    # Bounds of every kind: boxed, fixed, lower only, upper only and free.
+    # Half the programs have entries in -2..2, for degenerate bases and ties.
+    n, m = int(rng.integers(1, 7)), int(rng.integers(0, 5))
+    top = 2 if rng.random() < 0.5 else 4
+    scale = 1.0 if rng.random() < 0.5 else rng.random() * 3.0
+    c = rng.integers(-5, 6, size=n) * scale
+    A = rng.integers(1 - top, top, size=(m, n)) * (1.0 if top == 2 or rng.random() < 0.5 else rng.random((m, n)) * 2.0)
+    b = rng.integers(1 - top, top + 1, size=m).astype(float)
+    kind = rng.integers(0, 5, size=n)
+    base = rng.integers(-3, 2, size=n).astype(float)
+    lo = np.where((kind == 2) | (kind == 4), -math.inf, base)
+    hi = np.where(kind == 1, base, np.where((kind == 3) | (kind == 4), math.inf, base + rng.integers(1, 5, size=n)))
+    rels = [("<=", "=", ">=")[int(k)] for k in rng.integers(0, 3, size=m)]
+    return c, A, b, lo, hi, rels
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.sampled_from([0, lp.BLAND_AFTER]))
+def test_simplex_matches_the_reference_loop_on_random_programs(seed, bland_after):
+    # After each optimise, on the program and then after each of up to three
+    # added rows: the same outcome, basis, statuses, pivots and x bytes.
+    rng = np.random.default_rng(seed)
+    c, A, b, lo, hi, rels = _random_program(rng)
+    n = len(c)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "BLAND_AFTER", bland_after)
+        tabs = _pair(A, b, lo, hi, rels)
+        for k in range(4):
+            outcome = _optimise_both(tabs, c, lp.PIVOT_CAP * (tabs[0].m + n))
+            if k == 3 or outcome not in ("optimal", "infeasible", "unbounded"):
+                return
+            row = rng.integers(-3, 4, size=n).astype(float)
+            rel, rhs = ("<=", "=", ">=")[int(rng.integers(0, 3))], float(rng.integers(-4, 5))
+            for tab in tabs:
+                tab.add_row(row, rel, rhs)
+
+
+@pytest.mark.parametrize("bland_after", [0, lp.BLAND_AFTER])
+@pytest.mark.parametrize(
+    "make",
+    [_grid, _collinear, lambda: _random(9, 2.0, 9), _two_clusters],
+    ids=["grid-5x5-L1", "collinear-12", "random-n9", "two-clusters"],
+)
+def test_cut_loop_matches_the_reference_loop(monkeypatch, make, bland_after):
+    # The cutting-plane loop from the degree rows before phase 1, once per
+    # simplex loop, compared after every optimise; it ends on the cost and
+    # pivots of `solve_subtour_lp`.
+    monkeypatch.setattr(lp, "BLAND_AFTER", bland_after)
+    inst = make()
+    n = inst.n
+    tabs = _pair(*_degree_rows(n))
+    cost = edge_costs(inst)
+    rounds = 0
+    while True:
+        assert _optimise_both(tabs, cost, lp.PIVOT_CAP * (tabs[0].m + cost.size)) == "optimal"
+        values = tabs[0].solution()[: cost.size]
+        cut = separate_subtour(EdgeWeightVector(n, np.maximum(values, 0.0)))
+        if cut is None:
+            break
+        rounds += 1
+        for tab in tabs:
+            tab.add_row(lp._crossing(n, cut.vertices).astype(float), ">=", 2.0)
+    want = solve_subtour_lp(inst)
+    assert (float(np.dot(cost, values)).hex(), rounds, tabs[0].pivots) == (want.cost.hex(), want.rounds, want.pivots)
