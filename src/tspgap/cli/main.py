@@ -34,9 +34,7 @@ from ..families import (
     closed_form_ratio_metric,
     gen_I2,
     gen_I3,
-    gen_hexagon,
     gen_subdivided,
-    gen_tetrahedron,
     fractional_xijk,
     labeled_vertices,
     lambda_certificate,
@@ -185,6 +183,10 @@ def _load_subdivided_spec(path: str) -> SubdividedGraphSpec:
     return SubdividedGraphSpec(vertices, edges, counts)
 
 
+def _subdivided(spec: SubdividedGraphSpec, source: str) -> tuple[Instance, str, dict]:
+    return gen_subdivided(spec), source, {"tjoin_ratio_bound": tjoin_ratio_bound(spec)}
+
+
 def _build_family(args: argparse.Namespace) -> tuple[Instance, str, dict]:
     """Returns (instance, source tag, extra report fields)."""
     fam = args.family
@@ -195,16 +197,11 @@ def _build_family(args: argparse.Namespace) -> tuple[Instance, str, dict]:
         p = IJK(args.i, args.j, args.k)
         return gen_I3(p), f"i3_{p.i}_{p.j}_{p.k}", {"closed_form": _closed_forms("i3", p)}
     if fam == "tetrahedron":
-        spec = tetrahedron_spec(args.a, args.b)
-        inst = gen_tetrahedron(args.a, args.b)
-        return inst, f"tetrahedron_{args.a}_{args.b}", {"tjoin_ratio_bound": tjoin_ratio_bound(spec)}
+        return _subdivided(tetrahedron_spec(args.a, args.b), f"tetrahedron_{args.a}_{args.b}")
     if fam == "hexagon":
-        spec = hexagon_spec(args.rows, args.cols, args.k)
-        inst = gen_hexagon(args.rows, args.cols, args.k)
-        return inst, f"hexagon_{args.rows}_{args.cols}_{args.k}", {"tjoin_ratio_bound": tjoin_ratio_bound(spec)}
+        return _subdivided(hexagon_spec(args.rows, args.cols, args.k), f"hexagon_{args.rows}_{args.cols}_{args.k}")
     if fam == "subdivided":
-        spec = _load_subdivided_spec(args.spec)
-        return gen_subdivided(spec), "subdivided", {"tjoin_ratio_bound": tjoin_ratio_bound(spec)}
+        return _subdivided(_load_subdivided_spec(args.spec), "subdivided")
     if fam == "ellipse":
         result = ellipse_construct(args.i, args.j, args.eps)
         extra = {

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ijk import IJK, PseudoTour, fractional_xijk, pseudo_tours
+from .ijk import IJK, LabeledVertexSet, fractional_xijk, pseudo_tours
 
 IDENTITY_TOL = 1e-12
 
@@ -29,15 +29,6 @@ class CertificateReport:
     max_entry_error: float
 
 
-def _coefficient(pt: PseudoTour, denom: float) -> float:
-    p = pt.ijk
-    per_line = {"top": p.k + 1, "middle": p.j + 1, "bottom": p.i + 1}
-    count = per_line[pt.tag.split("_")[0]]
-    # Gap members split their line's 1/denom budget; each anchor tour
-    # carries its line's full 1/count share.
-    return 1.0 / (count * denom)
-
-
 def lambda_certificate(p: IJK) -> CertificateReport:
     """Check the convex-combination identity and return the report.
 
@@ -50,7 +41,10 @@ def lambda_certificate(p: IJK) -> CertificateReport:
     multiplier = 1.0 + 1.0 / denom
 
     tours = pseudo_tours(p)
-    lam = [_coefficient(pt, denom) for pt in tours]
+    lines = LabeledVertexSet(p).lines
+    # Gap members split their line's 1/denom budget; each anchor tour
+    # carries its line's full 1/count share, count = the line's edge count.
+    lam = [1.0 / ((len(lines[pt.line]) - 1) * denom) for pt in tours]
     sum_error = abs(sum(lam) - 1.0)
 
     combo = np.zeros(p.n * (p.n - 1) // 2)

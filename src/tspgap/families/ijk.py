@@ -10,7 +10,6 @@ at the left and right path ends.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -43,33 +42,30 @@ class IJK:
 
 @dataclass(frozen=True)
 class LabeledVertexSet:
-    """Index bookkeeping: X_0..X_{i+1}, then Y_0..Y_{j+1}, then Z_0..Z_{k+1}."""
+    """The family layout as three index lists.
+
+    lines = (X, Y, Z) holds the vertex indices of the bottom, middle and top
+    paths in path order: X = 0..i+1, then Y (j+2 indices), then Z (k+2).
+    Path edges join consecutive entries of one line; the left and right end
+    triangles join the lines' first and last entries.  labels name each
+    vertex by its line and position: X0..X_{i+1}, Y0..Y_{j+1}, Z0..Z_{k+1}.
+    """
 
     ijk: IJK
 
-    def x(self, s: int) -> int:
-        if not 0 <= s <= self.ijk.i + 1:
-            raise IndexError(f"X_{s} out of range")
-        return s
-
-    def y(self, s: int) -> int:
-        if not 0 <= s <= self.ijk.j + 1:
-            raise IndexError(f"Y_{s} out of range")
-        return self.ijk.i + 2 + s
-
-    def z(self, s: int) -> int:
-        if not 0 <= s <= self.ijk.k + 1:
-            raise IndexError(f"Z_{s} out of range")
-        return self.ijk.i + self.ijk.j + 4 + s
+    @property
+    def lines(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        p = self.ijk
+        y0, z0 = p.i + 2, p.i + p.j + 4
+        return tuple(range(y0)), tuple(range(y0, z0)), tuple(range(z0, p.n))
 
     @property
     def labels(self) -> tuple[str, ...]:
-        p = self.ijk
-        return tuple(
-            [f"X{s}" for s in range(p.i + 2)]
-            + [f"Y{s}" for s in range(p.j + 2)]
-            + [f"Z{s}" for s in range(p.k + 2)]
-        )
+        return tuple(f"{name}{s}" for name, line in zip("XYZ", self.lines) for s in range(len(line)))
+
+
+# The three line pairs XY, XZ, YZ, as indices into LabeledVertexSet.lines.
+_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
 def labeled_vertices(p: IJK) -> LabeledVertexSet:
@@ -79,21 +75,10 @@ def labeled_vertices(p: IJK) -> LabeledVertexSet:
 def fractional_xijk(p: IJK) -> EdgeWeightVector:
     """The canonical fractional tour: 1 along each path, 1/2 on the two
     end triangles.  Every vertex gets fractional degree exactly 2."""
-    lv = LabeledVertexSet(p)
-    paths = [(a, b) for line in "XYZ" for a, b in _line_edges(lv, line)]
-    halves = _triangle_edges(lv)
+    lines = LabeledVertexSet(p).lines
+    paths = [e for line in lines for e in zip(line, line[1:])]
+    halves = [(lines[a][end], lines[b][end]) for end in (0, -1) for a, b in _PAIRS]
     return EdgeWeightVector.from_pairs(p.n, [(e, 1.0) for e in paths] + [(e, 0.5) for e in halves])
-
-
-def _triangle_edges(lv: LabeledVertexSet) -> list[tuple[int, int]]:
-    p = lv.ijk
-    left = [(lv.x(0), lv.y(0)), (lv.x(0), lv.z(0)), (lv.y(0), lv.z(0))]
-    right = [
-        (lv.x(p.i + 1), lv.y(p.j + 1)),
-        (lv.x(p.i + 1), lv.z(p.k + 1)),
-        (lv.y(p.j + 1), lv.z(p.k + 1)),
-    ]
-    return left + right
 
 
 def line_gaps(p: IJK) -> tuple[float, float]:
@@ -174,31 +159,6 @@ def closed_form_ratio_metric(p: IJK) -> float:
     return 1.0 + 1.0 / (3.0 + 2.0 * (1.0 / (p.i + 1) + 1.0 / (p.j + 1) + 1.0 / (p.k + 1)))
 
 
-@dataclass(frozen=True)
-class GeneralizedRatios:
-    """Closed-form summary for one parameter triple."""
-
-    i: int
-    j: int
-    k: int
-    rect_ratio: float
-    metric_ratio: float
-    opt_len_I2: float
-    lp_cost_I2: float
-
-
-def family_ratios(p: IJK) -> GeneralizedRatios:
-    return GeneralizedRatios(
-        p.i,
-        p.j,
-        p.k,
-        rect_ratio=closed_form_ratio_I2(p),
-        metric_ratio=closed_form_ratio_metric(p),
-        opt_len_I2=closed_form_opt_I2(p),
-        lp_cost_I2=closed_form_lp_I2(p),
-    )
-
-
 def best_partition(n: int, family: str) -> IJK:
     """Ratio-maximizing triple with i+j+k = n-6, by exhaustive enumeration.
 
@@ -241,13 +201,23 @@ ANCHOR_TAGS = (
 )
 
 
+# Index into LabeledVertexSet.lines of the line each tag double-covers.
+_DOUBLED_LINE = {
+    "bottom_gap": 0, "bottom_left": 0, "bottom_right": 0,
+    "middle_gap": 1, "middle_left": 1, "middle_right": 1,
+    "top_gap": 2, "top_left": 2, "top_right": 2,
+}
+
+
 @dataclass(frozen=True, eq=False)
 class PseudoTour:
     """Edge multiset of one family member.
 
-    tag is one of GAP_TAGS (with index = the skipped edge position) or
-    ANCHOR_TAGS (index None).  edges holds each edge's multiplicity (0, 1
-    or 2) in edge order, read-only.
+    tag is one of GAP_TAGS (with index = the skipped edge position along the
+    doubled line) or ANCHOR_TAGS (index None).  line is the position in
+    LabeledVertexSet.lines of the line the member double-covers (bottom 0,
+    middle 1, top 2).  edges holds each edge's multiplicity (0, 1 or 2) in
+    edge order, read-only.
     """
 
     tag: str
@@ -259,77 +229,41 @@ class PseudoTour:
     def name(self) -> str:
         return self.tag if self.index is None else f"{self.tag}[{self.index}]"
 
-
-def _line_indices(lv: LabeledVertexSet, line: str) -> list[int]:
-    p = lv.ijk
-    if line == "X":
-        return [lv.x(s) for s in range(p.i + 2)]
-    if line == "Y":
-        return [lv.y(s) for s in range(p.j + 2)]
-    return [lv.z(s) for s in range(p.k + 2)]
+    @property
+    def line(self) -> int:
+        return _DOUBLED_LINE[self.tag]
 
 
-def _line_edges(lv: LabeledVertexSet, line: str) -> list[tuple[int, int]]:
-    idx = _line_indices(lv, line)
-    return list(zip(idx, idx[1:]))
-
-
-def _corner(lv: LabeledVertexSet, pair: str, side: str) -> tuple[int, int]:
-    """Triangle edge by line pair ("XY", "XZ", "YZ") and side ("L", "R")."""
-    p = lv.ijk
-    ends = {
-        "L": {"X": lv.x(0), "Y": lv.y(0), "Z": lv.z(0)},
-        "R": {"X": lv.x(p.i + 1), "Y": lv.y(p.j + 1), "Z": lv.z(p.k + 1)},
-    }[side]
-    return ends[pair[0]], ends[pair[1]]
-
-
-def _pseudo_tour(lv: LabeledVertexSet, tag: str, index: int | None) -> PseudoTour:
-    p = lv.ijk
-    doubled_line = {"top": "Z", "middle": "Y", "bottom": "X"}[tag.split("_")[0]]
+def _pseudo_tour(p: IJK, lines: tuple[tuple[int, ...], ...], tag: str, index: int | None) -> PseudoTour:
+    doubled = _DOUBLED_LINE[tag]
     counts = np.zeros(p.n * (p.n - 1) // 2, dtype=int)
-
-    def add(e: tuple[int, int], mult: int = 1) -> None:
-        counts[edge_position(p.n, *e)] += mult
-
-    for line in "XYZ":
-        for e in _line_edges(lv, line):
-            add(e, 2 if line == doubled_line else 1)
-
+    for a, line in enumerate(lines):
+        for u, v in zip(line, line[1:]):
+            counts[edge_position(p.n, u, v)] = 2 if a == doubled else 1
+    # Gap members join the doubled line to the two others at both end
+    # triangles.  An anchor makes both joins at its own end only, and ties the
+    # far end with the single remaining cross edge between the other two lines.
     if tag.endswith("_gap"):
-        counts[edge_position(p.n, *_line_edges(lv, doubled_line)[index])] = 0
-        # Both end triangles connect the doubled line to the two others.
-        pairs = {"X": ("XY", "XZ"), "Y": ("XY", "YZ"), "Z": ("XZ", "YZ")}[doubled_line]
-        for pair in pairs:
-            add(_corner(lv, pair, "L"))
-            add(_corner(lv, pair, "R"))
+        counts[edge_position(p.n, lines[doubled][index], lines[doubled][index + 1])] = 0
+        corners = [(pair, end) for pair in _PAIRS if doubled in pair for end in (0, -1)]
     else:
-        # Anchor side gets both of its triangle edges; the far side is tied
-        # with the single remaining cross edge between the other two lines.
-        side = "L" if tag.endswith("_left") else "R"
-        far = "R" if side == "L" else "L"
-        pairs = {"X": ("XY", "XZ"), "Y": ("XY", "YZ"), "Z": ("XZ", "YZ")}[doubled_line]
-        for pair in pairs:
-            add(_corner(lv, pair, side))
-        other_pair = ({"XY", "XZ", "YZ"} - set(pairs)).pop()
-        add(_corner(lv, other_pair, far))
-
+        near = 0 if tag.endswith("_left") else -1
+        corners = [(pair, near if doubled in pair else -1 - near) for pair in _PAIRS]
+    for (a, b), end in corners:
+        counts[edge_position(p.n, lines[a][end], lines[b][end])] = 1
     counts.setflags(write=False)
     return PseudoTour(tag, index, p, counts)
 
 
 def pseudo_tours(p: IJK) -> list[PseudoTour]:
     """All (k+1) + (j+1) + (i+1) + 6 pseudo-tours of the family."""
-    lv = LabeledVertexSet(p)
+    lines = LabeledVertexSet(p).lines
     out: list[PseudoTour] = []
-    for l in range(p.k + 1):
-        out.append(_pseudo_tour(lv, "top_gap", l))
-    for l in range(p.j + 1):
-        out.append(_pseudo_tour(lv, "middle_gap", l))
-    for l in range(p.i + 1):
-        out.append(_pseudo_tour(lv, "bottom_gap", l))
+    for tag in GAP_TAGS:
+        for l in range(len(lines[_DOUBLED_LINE[tag]]) - 1):
+            out.append(_pseudo_tour(p, lines, tag, l))
     for tag in ANCHOR_TAGS:
-        out.append(_pseudo_tour(lv, tag, None))
+        out.append(_pseudo_tour(p, lines, tag, None))
     return out
 
 
@@ -345,10 +279,7 @@ def shortcut_tour(pt: PseudoTour, inst: Instance) -> Tour:
     p = pt.ijk
     if inst.n != p.n:
         raise ValueError(f"pseudo-tour on {p.n} vertices, instance has {inst.n}")
-    lv = LabeledVertexSet(p)
-    X = _line_indices(lv, "X")
-    Y = _line_indices(lv, "Y")
-    Z = _line_indices(lv, "Z")
+    X, Y, Z = LabeledVertexSet(p).lines
     l = pt.index
     tag = pt.tag
     if tag == "top_gap":
@@ -356,9 +287,9 @@ def shortcut_tour(pt: PseudoTour, inst: Instance) -> Tour:
     elif tag == "middle_gap":
         order = X + Y[: l : -1] + Z[::-1] + Y[: l + 1]
     elif tag == "bottom_gap":
-        order = [X[0]] + Z + X[: l : -1] + Y[::-1] + X[l:0:-1]
+        order = X[:1] + Z + X[: l : -1] + Y[::-1] + X[l:0:-1]
     elif tag == "top_left":
-        order = [X[0]] + Z + Y + X[:0:-1]
+        order = X[:1] + Z + Y + X[:0:-1]
     elif tag == "top_right":
         order = X + Z[::-1] + Y[::-1]
     elif tag == "middle_left" or tag == "bottom_right":
@@ -372,18 +303,13 @@ def shortcut_tour(pt: PseudoTour, inst: Instance) -> Tour:
     return Tour(order)
 
 
-@lru_cache(maxsize=None)
-def _theorem_partition_ratio(n: int) -> float:
-    """Maximal metric ratio at a given n by the mod-3 case split."""
+def metric_maximum_ratio(n: int) -> float:
+    """Closed-form maximum of the metric ratio over all triples at size n,
+    by the mod-3 case split."""
+    if n < 6:
+        raise ValueError(f"need n >= 6, got {n}")
     if n % 3 == 0:
         return 1.0 + 1.0 / (3.0 + 18.0 / (n - 3))
     if n % 3 == 1:
         return 1.0 + 1.0 / (3.0 + 2.0 * (6.0 / (n - 4) + 3.0 / (n - 1)))
     return 1.0 + 1.0 / (3.0 + 2.0 * (3.0 / (n - 5) + 6.0 / (n - 2)))
-
-
-def metric_maximum_ratio(n: int) -> float:
-    """Closed-form maximum of the metric ratio over all triples at size n."""
-    if n < 6:
-        raise ValueError(f"need n >= 6, got {n}")
-    return _theorem_partition_ratio(n)

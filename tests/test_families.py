@@ -23,7 +23,6 @@ from tspgap.families import (
     closed_form_opt_I3,
     closed_form_ratio_I2,
     closed_form_ratio_metric,
-    family_ratios,
     fractional_xijk,
     gen_I2,
     gen_I3,
@@ -120,11 +119,11 @@ def test_plane_embedding_matches_closed_forms(trip):
 
 
 def test_family_ratios_bundle():
-    r = family_ratios(IJK(1, 2, 1))
-    assert r.rect_ratio == pytest.approx(28 / 25, rel=1e-12)
-    assert r.metric_ratio == pytest.approx(20 / 17, rel=1e-12)
-    assert r.opt_len_I2 == pytest.approx(5.6, rel=1e-12)
-    assert r.lp_cost_I2 == pytest.approx(5.0, rel=1e-12)
+    p = IJK(1, 2, 1)
+    assert closed_form_ratio_I2(p) == pytest.approx(28 / 25, rel=1e-12)
+    assert closed_form_ratio_metric(p) == pytest.approx(20 / 17, rel=1e-12)
+    assert closed_form_opt_I2(p) == pytest.approx(5.6, rel=1e-12)
+    assert closed_form_lp_I2(p) == pytest.approx(5.0, rel=1e-12)
 
 
 # --- space embedding ---------------------------------------------------------

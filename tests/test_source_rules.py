@@ -1,6 +1,7 @@
 """Rules every module under src/tspgap keeps."""
 
 import ast
+import importlib
 import pathlib
 
 import tspgap
@@ -49,3 +50,33 @@ def test_lapack_is_called_only_inside_lp_solve():
                 found.append(f"{name}:{node.lineno}")
     assert allowed > 0
     assert found == []
+
+
+def _benchmark_hooks():
+    # perfbench/tracer.py's SPANS and COUNTED tables, read without importing
+    # the benchmark: (module, "function" or "Class.method", span name).
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    tables = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id in ("SPANS", "COUNTED")
+    }
+    assert sorted(tables) == ["COUNTED", "SPANS"]
+    assert all(len(table) > 0 for table in tables.values())
+    return [hook for table in tables.values() for hook in table]
+
+
+def test_every_benchmark_hook_names_a_live_function():
+    # The traced benchmark run patches these by name, so deleting or
+    # renaming one breaks `perfbench/run.py --trace 1` and nothing else.
+    missing = []
+    for module, attr, _ in _benchmark_hooks():
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{module}:{attr}")
+    assert missing == []
