@@ -9,14 +9,8 @@ solid, weight-1/2 edges dashed).
 
 import os
 
-from tspgap.cli.formats import (
-    format_instance,
-    parse_instance,
-    write_instance,
-    write_tsplib,
-)
+from tspgap.cli.formats import atomic_write_text, format_instance, format_tsplib, parse_instance, write_instance
 from tspgap.cli.svg import render_svg
-from tspgap.cli.formats import atomic_write_text
 from tspgap.families import IJK, fractional_xijk, gen_I2, gen_I3, pseudo_tours, shortcut_tour
 
 OUT = "demo_out"
@@ -35,7 +29,7 @@ def main() -> None:
 
     bench = gen_I3(IJK(10, 9, 11))
     tsplib = os.path.join(OUT, "space_10_9_11.tsplib")
-    write_tsplib(tsplib, bench, name="space_10_9_11", comment="costs floor(1000 * distance)")
+    atomic_write_text(tsplib, format_tsplib(bench, name="space_10_9_11", comment="costs floor(1000 * distance)"))
     print(f"wrote {tsplib} (n={bench.n}, explicit FULL_MATRIX)")
 
     x = fractional_xijk(p)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import math
 import os
 import tempfile
 from typing import Sequence
@@ -106,13 +105,16 @@ def parse_instance(text: str) -> Instance:
         raise FormatError(f"invalid instance data: {exc}") from None
 
 
-def read_instance(path: str | os.PathLike) -> Instance:
+def read_text(path: str | os.PathLike) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise FormatError(f"cannot read {os.fspath(path)!r}: {exc}") from None
-    return parse_instance(text)
+
+
+def read_instance(path: str | os.PathLike) -> Instance:
+    return parse_instance(read_text(path))
 
 
 def write_instance(path: str | os.PathLike, inst: Instance, comment: str | None = None) -> None:
@@ -132,22 +134,12 @@ def parse_tour(text: str) -> Tour:
 
 
 def read_tour(path: str | os.PathLike) -> Tour:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise FormatError(f"cannot read {os.fspath(path)!r}: {exc}") from None
-    return parse_tour(text)
+    return parse_tour(read_text(path))
 
 
 def tsplib_cost_matrix(inst: Instance) -> np.ndarray:
     """Integer costs floor(1000 * distance), symmetric, zero diagonal."""
-    dmat = inst.distance_matrix()
-    out = np.empty(dmat.shape, dtype=np.int64)
-    for i in range(dmat.shape[0]):
-        for j in range(dmat.shape[1]):
-            out[i, j] = math.floor(1000.0 * dmat[i, j])
-    return out
+    return np.floor(1000.0 * inst.distance_matrix()).astype(np.int64)
 
 
 def format_tsplib(inst: Instance, name: str, comment: str = "") -> str:
@@ -165,10 +157,6 @@ def format_tsplib(inst: Instance, name: str, comment: str = "") -> str:
         lines.append(" ".join(str(int(v)) for v in row))
     lines.append("EOF")
     return "\n".join(lines) + "\n"
-
-
-def write_tsplib(path: str | os.PathLike, inst: Instance, name: str, comment: str = "") -> None:
-    atomic_write_text(path, format_tsplib(inst, name, comment))
 
 
 def parse_tsplib(text: str) -> tuple[str, np.ndarray]:

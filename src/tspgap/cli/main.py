@@ -11,18 +11,22 @@ commands are single threaded.  Output files are written atomically.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import time
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from ..core import Instance
 from ..ellipse import DEFAULT_EPS, EllipseConstructionError, ellipse_construct
 from ..exact import ENUM_MAX, HELD_KARP_MAX, held_karp, heuristic_tour
 from ..families import (
+    ANCHOR_TAGS,
     GAP_TAGS,
     IJK,
+    METRIC,
+    RECTILINEAR,
     CertificateError,
     SubdividedGraphSpec,
     best_partition,
@@ -113,11 +117,29 @@ def _emit(report: dict) -> None:
     sys.stdout.write("\n")
 
 
-# --- family recognition ------------------------------------------------------
-#
+# --- closed-form families ----------------------------------------------------
+
+
+class _Family(NamedTuple):
+    gen: Callable[[IJK], Instance]
+    lp: Callable[[IJK], float]
+    opt: Callable[[IJK], float]
+    ratio: Callable[[IJK], float]
+    partition: str  # best_partition's family
+    sweep: str  # sweep column name
+    embedding: tuple[int, float]  # (d, p) of the generated instances
+
+
+_FAMILIES = {
+    "i2": _Family(gen_I2, closed_form_lp_I2, closed_form_opt_I2, closed_form_ratio_I2, RECTILINEAR, "rect", (2, 1.0)),
+    "i3": _Family(gen_I3, closed_form_lp_I3, closed_form_opt_I3, closed_form_ratio_metric, METRIC, "metric", (3, 1.0)),
+}
+
 # Instances built by the structured generators carry labels X0..X_{i+1},
-# Y0..Y_{j+1}, Z0..Z_{k+1}.  Recognizing those labels lets `ratio` and `plot`
-# recover (i, j, k) and attach closed-form comparison columns.
+# Y0..Y_{j+1}, Z0..Z_{k+1}.  Recognizing those labels and the embedding lets
+# `ratio` and `plot` recover (i, j, k) and attach closed-form comparison
+# columns; ellipse instances share the labels but have no closed form.
+_EMBEDDINGS = {fam.embedding: name for name, fam in _FAMILIES.items()} | {(2, 2.0): "ellipse"}
 
 
 def _recognize_ijk(inst: Instance) -> tuple[str, IJK] | None:
@@ -134,33 +156,21 @@ def _recognize_ijk(inst: Instance) -> tuple[str, IJK] | None:
     p = IJK(counts["X"] - 2, counts["Y"] - 2, counts["Z"] - 2)
     if tuple(inst.labels) != tuple(labeled_vertices(p).labels):
         return None
-    if inst.dim == 2 and inst.norm.p == 1.0:
-        return ("i2", p)
-    if inst.dim == 3 and inst.norm.p == 1.0:
-        return ("i3", p)
-    if inst.dim == 2 and inst.norm.p == 2.0:
-        return ("ellipse", p)
-    return None
+    kind = _EMBEDDINGS.get((inst.dim, inst.norm.p))
+    return None if kind is None else (kind, p)
 
 
 def _closed_forms(kind: str, p: IJK) -> dict | None:
-    if kind == "i2":
-        return {
-            "family": "i2",
-            "i": p.i, "j": p.j, "k": p.k,
-            "lp_cost": closed_form_lp_I2(p),
-            "opt_length": closed_form_opt_I2(p),
-            "ratio": closed_form_ratio_I2(p),
-        }
-    if kind == "i3":
-        return {
-            "family": "i3",
-            "i": p.i, "j": p.j, "k": p.k,
-            "lp_cost": closed_form_lp_I3(p),
-            "opt_length": closed_form_opt_I3(p),
-            "ratio": closed_form_ratio_metric(p),
-        }
-    return None
+    fam = _FAMILIES.get(kind)
+    if fam is None:
+        return None
+    return {
+        "family": kind,
+        "i": p.i, "j": p.j, "k": p.k,
+        "lp_cost": fam.lp(p),
+        "opt_length": fam.opt(p),
+        "ratio": fam.ratio(p),
+    }
 
 
 # --- subcommands -------------------------------------------------------------
@@ -168,10 +178,7 @@ def _closed_forms(kind: str, p: IJK) -> dict | None:
 
 def _load_subdivided_spec(path: str) -> SubdividedGraphSpec:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise FormatError(f"cannot read {path!r}: {exc}") from None
+        raw = json.loads(formats.read_text(path))
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad JSON in {path!r}: {exc}") from None
     try:
@@ -190,12 +197,9 @@ def _subdivided(spec: SubdividedGraphSpec, source: str) -> tuple[Instance, str, 
 def _build_family(args: argparse.Namespace) -> tuple[Instance, str, dict]:
     """Returns (instance, source tag, extra report fields)."""
     fam = args.family
-    if fam == "i2":
+    if fam in _FAMILIES:
         p = IJK(args.i, args.j, args.k)
-        return gen_I2(p), f"i2_{p.i}_{p.j}_{p.k}", {"closed_form": _closed_forms("i2", p)}
-    if fam == "i3":
-        p = IJK(args.i, args.j, args.k)
-        return gen_I3(p), f"i3_{p.i}_{p.j}_{p.k}", {"closed_form": _closed_forms("i3", p)}
+        return _FAMILIES[fam].gen(p), f"{fam}_{p.i}_{p.j}_{p.k}", {"closed_form": _closed_forms(fam, p)}
     if fam == "tetrahedron":
         return _subdivided(tetrahedron_spec(args.a, args.b), f"tetrahedron_{args.a}_{args.b}")
     if fam == "hexagon":
@@ -221,10 +225,10 @@ def _build_family(args: argparse.Namespace) -> tuple[Instance, str, dict]:
 def cmd_gen(args: argparse.Namespace) -> dict:
     t0 = time.perf_counter()
     inst, source, extra = _build_family(args)
-    outputs = {}
-    formats.write_instance(args.output, inst, comment=f"tspgap gen {source}")
-    outputs["instance"] = args.output
-    hashes = {args.output: formats.sha256_of_text(formats.format_instance(inst, comment=f"tspgap gen {source}"))}
+    text = formats.format_instance(inst, comment=f"tspgap gen {source}")
+    formats.atomic_write_text(args.output, text)
+    outputs = {"instance": args.output}
+    hashes = {args.output: formats.sha256_of_text(text)}
     if args.export_tsplib is not None:
         text = formats.format_tsplib(inst, name=source, comment="costs floor(1000 * distance)")
         formats.atomic_write_text(args.export_tsplib, text)
@@ -271,14 +275,9 @@ def cmd_ratio(args: argparse.Namespace) -> dict:
     return report
 
 
-def _sweep_rect(n: int) -> dict:
-    p = best_partition(n, "rectilinear")
-    return {"i": p.i, "j": p.j, "k": p.k, "ratio": closed_form_ratio_I2(p)}
-
-
-def _sweep_metric(n: int) -> dict:
-    p = best_partition(n, "metric")
-    return {"i": p.i, "j": p.j, "k": p.k, "ratio": closed_form_ratio_metric(p)}
+def _sweep_closed(fam: _Family, n: int) -> dict:
+    p = best_partition(n, fam.partition)
+    return {"i": p.i, "j": p.j, "k": p.k, "ratio": fam.ratio(p)}
 
 
 def _sweep_ellipse(n: int) -> dict | None:
@@ -295,15 +294,16 @@ def _sweep_ellipse(n: int) -> dict | None:
     return best
 
 
+# Sweep column -> per-n best row, in report order.
+_SWEEPS = {fam.sweep: functools.partial(_sweep_closed, fam) for fam in _FAMILIES.values()} | {"ellipse": _sweep_ellipse}
+
+
 def _sweep_row(task: tuple[int, tuple[str, ...]]) -> dict:
     n, fams = task
     row: dict = {"n": n}
-    if "rect" in fams:
-        row["rect"] = _sweep_rect(n)
-    if "metric" in fams:
-        row["metric"] = _sweep_metric(n)
-    if "ellipse" in fams:
-        row["ellipse"] = _sweep_ellipse(n)
+    for name, best in _SWEEPS.items():
+        if name in fams:
+            row[name] = best(n)
     return row
 
 
@@ -311,8 +311,8 @@ def cmd_sweep(args: argparse.Namespace) -> dict:
     t0 = time.perf_counter()
     fams = tuple(f.strip() for f in args.families.split(",") if f.strip())
     for f in fams:
-        if f not in ("rect", "metric", "ellipse"):
-            raise FormatError(f"unknown sweep family {f!r} (choose from rect, metric, ellipse)")
+        if f not in _SWEEPS:
+            raise FormatError(f"unknown sweep family {f!r} (choose from {', '.join(_SWEEPS)})")
     if args.n_min < 6:
         raise FormatError("sweeps start at n = 6")
     if args.n_max < args.n_min:
@@ -447,11 +447,17 @@ def cmd_plot(args: argparse.Namespace) -> dict:
         if args.fractional:
             fractional = fractional_xijk(p)
         if args.shortcut:
-            tag, _, idx_text = args.shortcut.partition(":")
-            try:
-                idx = int(idx_text) if idx_text else 0
-            except ValueError:
-                raise FormatError(f"bad shortcut index {idx_text!r}") from None
+            tag, colon, idx_text = args.shortcut.partition(":")
+            if tag in ANCHOR_TAGS:
+                # Anchor pseudo-tours are one per tag and carry no index.
+                if colon:
+                    raise FormatError(f"anchor tag {tag!r} takes no index")
+                idx = None
+            else:
+                try:
+                    idx = int(idx_text) if idx_text else 0
+                except ValueError:
+                    raise FormatError(f"bad shortcut index {idx_text!r}") from None
             matches = [pt for pt in pseudo_tours(p) if pt.tag == tag and pt.index == idx]
             if not matches:
                 tags = sorted({pt.tag for pt in pseudo_tours(p)})
@@ -511,37 +517,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a family instance and write it to a file")
     gen_sub = gen.add_subparsers(dest="family", required=True)
-    for fam in ("i2", "i3"):
-        p = gen_sub.add_parser(fam)
-        add_ijk(p)
-        p.add_argument("-o", "--output", required=True)
-        p.add_argument("--export-tsplib", metavar="PATH", default=None)
-        p.set_defaults(func=cmd_gen)
+    for fam in _FAMILIES:
+        add_ijk(gen_sub.add_parser(fam))
     p = gen_sub.add_parser("tetrahedron")
     p.add_argument("--a", type=_nonneg_int, default=0, help="subdivision count on outer edges")
     p.add_argument("--b", type=_nonneg_int, default=0, help="subdivision count on spokes")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--export-tsplib", metavar="PATH", default=None)
-    p.set_defaults(func=cmd_gen)
     p = gen_sub.add_parser("hexagon")
     p.add_argument("--rows", type=_pos_int, required=True)
     p.add_argument("--cols", type=_pos_int, required=True)
     p.add_argument("--k", type=_nonneg_int, default=0, help="subdivision count per edge")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--export-tsplib", metavar="PATH", default=None)
-    p.set_defaults(func=cmd_gen)
     p = gen_sub.add_parser("subdivided")
     p.add_argument("--spec", required=True, help="JSON file with vertices/edges/counts")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--export-tsplib", metavar="PATH", default=None)
-    p.set_defaults(func=cmd_gen)
     p = gen_sub.add_parser("ellipse")
     p.add_argument("--i", type=_nonneg_int, required=True)
     p.add_argument("--j", type=_nonneg_int, required=True)
     p.add_argument("--eps", type=_pos_float, default=DEFAULT_EPS)
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--export-tsplib", metavar="PATH", default=None)
-    p.set_defaults(func=cmd_gen)
+    for p in gen_sub.choices.values():  # after each family's own flags
+        p.add_argument("-o", "--output", required=True)
+        p.add_argument("--export-tsplib", metavar="PATH", default=None)
+        p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("ratio", help="LP cost, exact or bounded tour length, integrality ratio")
     p.add_argument("instance")
@@ -592,7 +586,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--shortcut",
         default=None,
         metavar="TAG[:IDX]",
-        help=f"overlay a shortcut tour, e.g. {GAP_TAGS[0]}:1",
+        help=f"overlay a shortcut tour: a gap tag with an index (default 0), e.g. {GAP_TAGS[0]}:1, "
+        f"or a bare anchor tag, e.g. {ANCHOR_TAGS[0]}",
     )
     p.add_argument("--tour", default=None, help="overlay a tour read from a file")
     p.add_argument("--labels", action="store_true", help="draw vertex labels")
@@ -615,14 +610,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except FormatError as exc:
         _emit({"command": args.subcommand, "error": {"type": "parse", "message": str(exc)}})
         return EXIT_PARSE
-    except (EllipseConstructionError, CertificateError, LocalSearchError) as exc:
-        _emit({
-            "command": args.subcommand,
-            "error": {"type": "infeasible", "message": str(exc)},
-        })
-        return EXIT_INFEASIBLE
-    except ValueError as exc:
-        # Construction-time validation: crossing/bridged specs, bad geometry.
+    except (EllipseConstructionError, CertificateError, LocalSearchError, ValueError) as exc:
+        # ValueError: construction-time validation (crossing/bridged specs, bad geometry).
         _emit({
             "command": args.subcommand,
             "error": {"type": "infeasible", "message": str(exc)},

@@ -39,7 +39,9 @@ def _layer_steps(r: int) -> tuple[tuple[int, np.ndarray], ...]:
     them, so one size holds r * 2^(r-1) indices: 0.85 MB for every
     n = r + 1 <= 15 together, 20 MB at n = 20."""
     masks = np.arange(1 << r)
-    popcount = sum((masks >> v) & 1 for v in range(r))
+    popcount = np.zeros_like(masks)
+    for v in range(r):
+        popcount += (masks >> v) & 1
     steps = []
     for k in range(2, r + 1):
         layer = masks[popcount == k]

@@ -245,7 +245,8 @@ def tjoin_ratio_bound(spec: SubdividedGraphSpec) -> float:
     odd = spec.odd_vertices()
     if len(odd) > ODD_VERTEX_CAP:
         raise ValueError(f"{len(odd)} odd vertices exceeds matching cap {ODD_VERTEX_CAP}")
-    total = sum(spec.edge_lengths())
+    # cumsum adds in edge order, one term at a time, on every Python.
+    total = float(np.cumsum(spec.edge_lengths())[-1])
     if not odd:
         return 1.0
     D = _shortest_paths(spec)
@@ -258,18 +259,13 @@ def tjoin_ratio_bound(spec: SubdividedGraphSpec) -> float:
 
 def tetrahedron_spec(a: int = 0, b: int = 0) -> SubdividedGraphSpec:
     """Unit equilateral triangle with its center, sides subdivided by a,
-    center spokes by b."""
+    center spokes by b: 4 + 3a + 3b points."""
     if a < 0 or b < 0:
         raise ValueError("subdivision counts must be nonnegative")
     h = math.sqrt(3.0) / 2.0
     verts = ((0.0, 0.0), (1.0, 0.0), (0.5, h), (0.5, h / 3.0))
     edges = ((0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (2, 3))
     return SubdividedGraphSpec(verts, edges, (a, a, a, b, b, b))
-
-
-def gen_tetrahedron(a: int, b: int) -> Instance:
-    """4 + 3a + 3b points: subdivided triangle-with-center."""
-    return gen_subdivided(tetrahedron_spec(a, b))
 
 
 def hexagon_spec(rows: int, cols: int, k: int = 0) -> SubdividedGraphSpec:
@@ -304,8 +300,3 @@ def hexagon_spec(rows: int, cols: int, k: int = 0) -> SubdividedGraphSpec:
                 edges.add((min(u, v), max(u, v)))
     edge_list = tuple(sorted(edges))
     return SubdividedGraphSpec(tuple(verts), edge_list, (k,) * len(edge_list))
-
-
-def gen_hexagon(rows: int, cols: int, k: int) -> Instance:
-    """Hexagon-field instance with every wall subdivided by k points."""
-    return gen_subdivided(hexagon_spec(rows, cols, k))

@@ -225,16 +225,17 @@ def random_instance(n: int, p: float, rng: np.random.Generator) -> Instance:
     return Instance(rng.random((n, 2)), NormSpec(p))
 
 
-def _ratio_state(inst: Instance) -> tuple[float, float, EdgeWeightVector]:
+def _ratio_state(inst: Instance) -> tuple[float, float, EdgeWeightVector, Tour | None]:
+    """(ratio, optimal length, LP optimum, an optimal tour)."""
     lp = solve_subtour_lp(inst)
     values = lp.x.values
     if np.all(np.abs(values[values > 0] - 1.0) <= _INTEGRAL_TOL):
         # A 0/1 optimum that passed separation is a Hamiltonian cycle, so
         # OPT = LP and Held-Karp is not needed.  Such states have ratio 1
-        # and are never accepted.
-        return 1.0, lp.cost, lp.x
+        # and are never accepted, so they carry no tour.
+        return 1.0, lp.cost, lp.x, None
     exact = held_karp(inst)
-    return exact.length / lp.cost, exact.length, lp.x
+    return exact.length / lp.cost, exact.length, lp.x, exact.tour
 
 
 def local_search(n: int, params: LocalSearchParams) -> tuple[Instance, SearchTrace]:
@@ -257,7 +258,7 @@ def local_search(n: int, params: LocalSearchParams) -> tuple[Instance, SearchTra
     for _ in range(_RESTART_CAP):
         restarts += 1
         cand = random_instance(n, params.p, rng)
-        ratio, opt_len, x = _ratio_state(cand)
+        ratio, opt_len, x, opt_tour = _ratio_state(cand)
         if ratio > 1.0 + params.epsilon0:
             inst = cand
             break
@@ -274,8 +275,7 @@ def local_search(n: int, params: LocalSearchParams) -> tuple[Instance, SearchTra
         if n <= ENUM_MAX:
             pool = build_tour_pool(inst, window)
         else:
-            found = held_karp(inst).tour
-            tours = (pool.tours if pool else frozenset()) | {found}
+            tours = (pool.tours if pool else frozenset()) | {opt_tour}
             pool = TourPool(tours, opt_len, window).pruned(inst, opt_len, window)
         w, delta = improvement_lp(inst, pool, x, ratio)
         if delta <= params.epsilon1:
@@ -304,7 +304,7 @@ def local_search(n: int, params: LocalSearchParams) -> tuple[Instance, SearchTra
         if best is None:
             converged = True  # step floor reached with no exact improvement
             break
-        (ratio, opt_len, x), inst, eta = best
+        (ratio, opt_len, x, opt_tour), inst, eta = best
         records.append(TraceRecord(it, ratio, delta, eta))
 
     trace = SearchTrace(tuple(records), converged, restarts, ratio)

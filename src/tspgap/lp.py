@@ -393,8 +393,8 @@ def _crossing(n: int, S: Iterable[int]) -> np.ndarray:
 
 
 def _cut_value(x: EdgeWeightVector, S: frozenset[int]) -> float:
-    # Python's sum adds in edge order, one term at a time.
-    return sum(x.values[_crossing(x.n, S)].tolist())
+    # cumsum adds in edge order, one term at a time; np.sum would reassociate.
+    return float(np.cumsum(x.values[_crossing(x.n, S)])[-1])
 
 
 def _lex_side(S: Sequence[int], n: int) -> tuple[int, ...]:

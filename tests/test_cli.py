@@ -19,7 +19,7 @@ from tspgap.cli.formats import (
 from tspgap.cli.main import main
 from tspgap.core import Instance, NormSpec, Tour
 from tspgap.ellipse import ellipse_construct
-from tspgap.families import IJK, gen_I2, gen_I3
+from tspgap.families import ANCHOR_TAGS, IJK, gen_I2, gen_I3
 
 
 def run_cli(capsys, *argv):
@@ -265,6 +265,32 @@ def test_plot_deterministic_and_styled(tmp_path, capsys):
     assert "stroke-dasharray" in body  # half edges dashed
     assert body.count("<circle") == 10
     assert rep_a["sha256"][str(svg_a)] == rep_b["sha256"][str(svg_b)]
+
+
+@pytest.mark.parametrize("tag", ANCHOR_TAGS)
+def test_plot_every_anchor_shortcut(tag, tmp_path, capsys):
+    # A bare anchor tag selects the member with index None.
+    inst_path = tmp_path / "inst.txt"
+    run_cli(capsys, "gen", "i2", "--i", "1", "--j", "2", "--k", "1", "-o", str(inst_path))
+    out = tmp_path / "a.svg"
+    code, rep = run_cli(capsys, "plot", str(inst_path), "--shortcut", tag, "-o", str(out))
+    assert code == 0
+    assert rep["overlays"]["tour"] is True
+    assert out.read_text().count("<line") == 10
+
+
+def test_plot_shortcut_index_grammar(tmp_path, capsys):
+    inst_path = tmp_path / "inst.txt"
+    run_cli(capsys, "gen", "i2", "--i", "1", "--j", "2", "--k", "1", "-o", str(inst_path))
+    bare, first = tmp_path / "bare.svg", tmp_path / "first.svg"
+    assert run_cli(capsys, "plot", str(inst_path), "--shortcut", "bottom_gap", "-o", str(bare))[0] == 0
+    assert run_cli(capsys, "plot", str(inst_path), "--shortcut", "bottom_gap:0", "-o", str(first))[0] == 0
+    assert bare.read_bytes() == first.read_bytes()  # a gap tag's index defaults to 0
+    for bad in (f"{ANCHOR_TAGS[0]}:1", f"{ANCHOR_TAGS[0]}:0", f"{ANCHOR_TAGS[0]}:"):
+        code, rep = run_cli(capsys, "plot", str(inst_path), "--shortcut", bad, "-o", str(tmp_path / "x.svg"))
+        assert code == 2
+        assert rep["error"]["type"] == "parse"
+        assert "takes no index" in rep["error"]["message"]
 
 
 def test_plot_points_only(tmp_path, capsys):

@@ -26,9 +26,7 @@ from tspgap.families import (
     fractional_xijk,
     gen_I2,
     gen_I3,
-    gen_hexagon,
     gen_subdivided,
-    gen_tetrahedron,
     hexagon_spec,
     labeled_vertices,
     lambda_certificate,
@@ -247,7 +245,7 @@ def test_k4_bound_is_exactly_four_thirds():
 
 
 def test_tetrahedron_generator_counts():
-    inst = gen_tetrahedron(1, 2)
+    inst = gen_subdivided(tetrahedron_spec(1, 2))
     # 4 corners + 3 outer edges x1 + 3 spokes x2.
     assert inst.n == 4 + 3 * 1 + 3 * 2
     assert inst.labels is not None and "v0" in inst.labels
@@ -266,9 +264,9 @@ def test_hexagon_bounds():
 
 
 def test_hexagon_generator_subdivision_scales_n():
-    base = gen_hexagon(2, 2, 0)
-    sub = gen_hexagon(2, 2, 1)
     spec = hexagon_spec(2, 2, 0)
+    base = gen_subdivided(spec)
+    sub = gen_subdivided(hexagon_spec(2, 2, 1))
     assert sub.n == base.n + len(spec.edges)
 
 

@@ -243,7 +243,7 @@ def _held_karp_first_ratio_state(inst):
     # The evaluation order before the integral-LP shortcut: always solve OPT.
     exact = held_karp(inst)
     lp = solve_subtour_lp(inst)
-    return exact.length / lp.cost, exact.length, lp.x
+    return exact.length / lp.cost, exact.length, lp.x, exact.tour
 
 
 def test_ratio_state_skips_held_karp_on_integral_lp(monkeypatch):
@@ -255,12 +255,13 @@ def test_ratio_state_skips_held_karp_on_integral_lp(monkeypatch):
 
     monkeypatch.setattr(localsearch, "held_karp", counting_held_karp)
     square = Instance([(0, 0), (1, 0), (1, 1), (0, 1)])
-    ratio, opt_len, x = localsearch._ratio_state(square)
-    assert calls == []
+    ratio, opt_len, x, tour = localsearch._ratio_state(square)
+    assert calls == [] and tour is None
     assert (ratio, opt_len) == (1.0, 4.0)
     assert x == solve_subtour_lp(square).x
-    ratio, opt_len, _ = localsearch._ratio_state(gen_I2(IJK(0, 0, 0)))
+    ratio, opt_len, _, tour = localsearch._ratio_state(gen_I2(IJK(0, 0, 0)))
     assert calls == [6]
+    assert tour_length(gen_I2(IJK(0, 0, 0)), tour) == opt_len
     assert ratio == pytest.approx(18.0 / 17.0, abs=1e-7)
 
     params = dict(epsilon0=1e-6, epsilon1=5e-4, epsilon3=1e-2)
@@ -306,3 +307,34 @@ def test_local_search_golden_bit_exact(seed, restarts, n_records, final_hex, rec
     assert trace.final_ratio.hex() == final_hex
     assert hashlib.sha256(lines.encode()).hexdigest() == records_sha
     assert hashlib.sha256(np.ascontiguousarray(inst.points).tobytes()).hexdigest() == points_sha
+
+
+def test_search_above_enum_cap_runs_held_karp_once_per_state(monkeypatch):
+    # Above ENUM_MAX the pool grows from the accepted state's optimal tour,
+    # which _ratio_state already found; no Held-Karp call happens outside
+    # it.  The trace is the one recorded when the pool re-ran Held-Karp.
+    calls = {"held_karp": 0, "states": 0}
+    real_held_karp, real_ratio_state = localsearch.held_karp, localsearch._ratio_state
+
+    def counted_held_karp(inst):
+        calls["held_karp"] += 1
+        return real_held_karp(inst)
+
+    def counted_ratio_state(inst):
+        state = real_ratio_state(inst)
+        calls["states"] += state[3] is not None
+        return state
+
+    monkeypatch.setattr(localsearch, "held_karp", counted_held_karp)
+    monkeypatch.setattr(localsearch, "_ratio_state", counted_ratio_state)
+    n = ENUM_MAX + 1
+    params = LocalSearchParams(rng_seed=0, epsilon0=1e-6, epsilon1=5e-4, epsilon3=1e-2, max_iters=4)
+    inst, trace = local_search(n, params)
+    lines = "".join(f"{r.ratio.hex()} {r.delta.hex()} {r.eta.hex()}\n" for r in trace.records)
+    assert (trace.restarts, len(trace.records), trace.final_ratio.hex()) == (15, 5, "0x1.04d450eab0b59p+0")
+    assert hashlib.sha256(lines.encode()).hexdigest() == "eeb5f68f7b3639767c563fb20f36e4060b527b69ea6d6dc83cb4dbf6fb5a9c7b"
+    assert (
+        hashlib.sha256(np.ascontiguousarray(inst.points).tobytes()).hexdigest()
+        == "2b5c6d7a5633ff556a75a66f093f015fd95fef2b12756179d6dc3e17710ecfcf"
+    )
+    assert calls["held_karp"] == calls["states"] == 24  # 28 when the pool re-ran it

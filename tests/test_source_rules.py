@@ -80,3 +80,16 @@ def test_every_benchmark_hook_names_a_live_function():
         if not callable(obj):
             missing.append(f"{module}:{attr}")
     assert missing == []
+
+
+def test_no_builtin_sum_in_the_package():
+    # Python >= 3.12's builtin sum() of floats uses compensated summation,
+    # so its last bits depend on the interpreter; float sums in src/ add in
+    # a fixed order with np.cumsum instead.
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
+    ]
+    assert found == []
