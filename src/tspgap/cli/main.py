@@ -532,7 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i", type=_nonneg_int, required=True)
     p.add_argument("--j", type=_nonneg_int, required=True)
     p.add_argument("--eps", type=_pos_float, default=DEFAULT_EPS)
-    for p in gen_sub.choices.values():  # after each family's own flags
+    # Shared flags go last, so usage and error text list each family's own first.
+    for p in gen_sub.choices.values():
         p.add_argument("-o", "--output", required=True)
         p.add_argument("--export-tsplib", metavar="PATH", default=None)
         p.set_defaults(func=cmd_gen)

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: formats, reports, exit codes, plots."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -100,6 +101,16 @@ def test_tsplib_floors_scaled_distances():
     z0 = inst.index_of("Z0")
     assert m[0, z0] == 174
     assert np.array_equal(m, m.T)
+
+
+def test_tsplib_matrix_matches_scalar_floor():
+    rng = np.random.default_rng(3)
+    cases = (gen_I3(IJK(10, 9, 11)), Instance(rng.uniform(size=(9, 3)), NormSpec(1.5)), Instance(rng.uniform(-5, 5, (9, 2))))
+    for inst in cases:
+        dmat = inst.distance_matrix()
+        m = tsplib_cost_matrix(inst)
+        assert m.dtype == np.int64
+        assert m.tolist() == [[math.floor(1000.0 * dmat[i, j]) for j in range(inst.n)] for i in range(inst.n)]
 
 
 def test_tsplib_round_trip():

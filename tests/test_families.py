@@ -263,6 +263,19 @@ def test_hexagon_bounds():
         )
 
 
+def test_tjoin_bounds_bit_exact():
+    # Recorded with a left-to-right sum of the edge lengths; the bound must
+    # not depend on how the interpreter's builtin sum adds floats.
+    cases = [
+        (tetrahedron_spec(1, 2), "0x1.5555555555556p+0"),
+        (tetrahedron_spec(5, 3), "0x1.5555555555556p+0"),
+        (hexagon_spec(2, 2, 1), "0x1.435e50d7851c7p+0"),
+        (hexagon_spec(3, 3, 0), "0x1.35e50d7945b4ep+0"),
+        (hexagon_spec(2, 3, 2), "0x1.425ed097758b7p+0"),
+    ]
+    assert [tjoin_ratio_bound(spec).hex() for spec, _ in cases] == [want for _, want in cases]
+
+
 def test_hexagon_generator_subdivision_scales_n():
     spec = hexagon_spec(2, 2, 0)
     base = gen_subdivided(spec)
