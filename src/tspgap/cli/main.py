@@ -18,6 +18,8 @@ import sys
 import time
 from typing import Callable, NamedTuple, Sequence
 
+import numpy as np
+
 from ..core import Instance
 from ..ellipse import DEFAULT_EPS, EllipseConstructionError, ellipse_construct
 from ..exact import ENUM_MAX, HELD_KARP_MAX, held_karp, heuristic_tour
@@ -137,8 +139,9 @@ _FAMILIES = {
 
 # Instances built by the structured generators carry labels X0..X_{i+1},
 # Y0..Y_{j+1}, Z0..Z_{k+1}.  Recognizing those labels and the embedding lets
-# `ratio` and `plot` recover (i, j, k) and attach closed-form comparison
-# columns; ellipse instances share the labels but have no closed form.
+# `plot` recover (i, j, k); `ratio` attaches the closed-form comparison
+# columns only when the coordinates match too.  Ellipse instances share the
+# labels but have no closed form.
 _EMBEDDINGS = {fam.embedding: name for name, fam in _FAMILIES.items()} | {(2, 2.0): "ellipse"}
 
 
@@ -160,10 +163,22 @@ def _recognize_ijk(inst: Instance) -> tuple[str, IJK] | None:
     return None if kind is None else (kind, p)
 
 
-def _closed_forms(kind: str, p: IJK) -> dict | None:
-    fam = _FAMILIES.get(kind)
-    if fam is None:
+def _generated_closed_forms(inst: Instance) -> dict | None:
+    """The closed-form columns of an instance that `gen i2`/`gen i3` would
+    write: its labels and embedding are the family's and every coordinate
+    is the generator's to within 1e-9.  Labels alone do not do: a file
+    whose points were moved keeps them."""
+    recognized = _recognize_ijk(inst)
+    if recognized is None or recognized[0] not in _FAMILIES:
         return None
+    kind, p = recognized
+    if np.abs(_FAMILIES[kind].gen(p).points - inst.points).max() > 1e-9:
+        return None
+    return _closed_forms(kind, p)
+
+
+def _closed_forms(kind: str, p: IJK) -> dict:
+    fam = _FAMILIES[kind]
     return {
         "family": kind,
         "i": p.i, "j": p.j, "k": p.k,
@@ -256,8 +271,6 @@ def cmd_ratio(args: argparse.Namespace) -> dict:
     else:
         tour, opt_length = heuristic_tour(inst)
         method = "nearest_neighbor_2opt"
-    recognized = _recognize_ijk(inst)
-    closed = _closed_forms(*recognized) if recognized else None
     report = {
         "command": "ratio",
         "instance": _instance_summary(inst, args.instance),
@@ -269,7 +282,7 @@ def cmd_ratio(args: argparse.Namespace) -> dict:
             "tour": list(tour.order),
         },
         "ratio": opt_length / lp.cost,
-        "closed_form": closed,
+        "closed_form": _generated_closed_forms(inst),
         "wall_time_s": time.perf_counter() - t0,
     }
     return report

@@ -35,13 +35,27 @@ class NormSpec:
         object.__setattr__(self, "p", p)
 
 
-def _norm(diff: np.ndarray, p: float) -> float:
+def _row_norms(diff: np.ndarray, p: float) -> np.ndarray:
+    """The p-norm of each row of a 2-D array of coordinate differences.
+
+    This is the one edge length behind `Instance.dist`, `edge_costs` (so
+    every LP cost) and `tour_length`.  Each row has the bits of the scalar
+    norm of that row alone, which the tests keep as the oracle.  p = 2 takes each row's dot product through matmul, which reaches the
+    same BLAS `ddot` as `np.dot` (a row sum of squares or einsum would
+    round differently).  Other p take each root as a float pow, since
+    numpy's array power may take a SIMD path whose last bits differ.
+    `Instance.distance_matrix` rounds differently and is a separate path.
+    """
     a = np.abs(diff)
     if p == 1.0:
-        return float(a.sum())
+        return a.sum(axis=1)
     if p == 2.0:
-        return float(np.sqrt(np.dot(a, a)))
-    return float((a**p).sum() ** (1.0 / p))
+        return np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0])
+    return np.array([s ** (1.0 / p) for s in (a**p).sum(axis=1).tolist()])
+
+
+def _norm(diff: np.ndarray, p: float) -> float:
+    return float(_row_norms(diff[None, :], p)[0])
 
 
 def distance(norm: NormSpec, u: Sequence[float], v: Sequence[float]) -> float:
@@ -74,12 +88,17 @@ class Instance:
             raise ValueError("points need at least one coordinate")
         if not np.all(np.isfinite(pts)):
             raise ValueError("non-finite coordinate in instance")
-        # O(n^2) coincidence scan; fine at the solvable sizes (n <= a few hundred).
-        for i in range(n):
-            diffs = np.abs(pts[i + 1 :] - pts[i]).max(axis=1) if i + 1 < n else None
-            if diffs is not None and diffs.size and diffs.min() <= COINCIDENT_TOL:
-                j = i + 1 + int(diffs.argmin())
-                raise ValueError(f"coincident points {i} and {j}")
+        # Max-abs gap of every pair in edge order: O(n^2) time and memory,
+        # fine at the solvable sizes (n <= a few hundred).  The pair named is
+        # the first coincident point i and its closest later point j.
+        iu, iv = edge_index(n)
+        gaps = np.abs(pts[iu] - pts[iv]).max(axis=1)
+        close = gaps <= COINCIDENT_TOL
+        if close.any():
+            i = int(iu[close.argmax()])
+            first = edge_position(n, i, i + 1)
+            j = i + 1 + int(gaps[first : first + n - 1 - i].argmin())
+            raise ValueError(f"coincident points {i} and {j}")
         if labels is not None:
             labels = tuple(str(s) for s in labels)
             if len(labels) != n:
@@ -183,7 +202,7 @@ def edge_costs(inst: Instance, edges: np.ndarray | None = None) -> np.ndarray:
     iu, iv = edge_index(inst.n)
     if edges is not None:
         iu, iv = iu[edges], iv[edges]
-    return np.array([inst.dist(u, v) for u, v in zip(iu.tolist(), iv.tolist())])
+    return _row_norms(inst.points[iu] - inst.points[iv], inst.norm.p)
 
 
 class EdgeWeightVector:
@@ -263,13 +282,10 @@ class EdgeWeightVector:
 def tour_length(inst: Instance, tour: Tour) -> float:
     if tour.n != inst.n:
         raise ValueError(f"tour on {tour.n} vertices, instance has {inst.n}")
-    o = tour.order
-    pts = inst.points
-    p = inst.norm.p
-    total = 0.0
-    for i in range(len(o)):
-        total += _norm(pts[o[i]] - pts[o[(i + 1) % len(o)]], p)
-    return total
+    order = np.array(tour.order)
+    lengths = _row_norms(inst.points[order] - inst.points[np.roll(order, -1)], inst.norm.p)
+    # cumsum adds edge by edge along the tour; np.sum would reassociate.
+    return float(np.cumsum(lengths)[-1])
 
 
 def fractional_cost(inst: Instance, x: EdgeWeightVector) -> float:

@@ -164,7 +164,9 @@ def improvement_lp(
     """
     if not pool.tours:
         raise ValueError("empty tour pool")
-    grads = np.array([grad_g(inst, t, x, r) for t in sorted(pool.tours, key=lambda t: t.order)])
+    # grad_g of each pooled tour, with the fractional term computed once.
+    frac = r * grad_fractional(inst, x)
+    grads = np.array([grad_tour_length(inst, t) - frac for t in sorted(pool.tours, key=lambda t: t.order)])
     m, nd = grads.shape
     # Variables: w_0 .. w_{nd-1}, then delta (free); rows <g_T, w> - delta >= 0.
     lp = LinearProgram(

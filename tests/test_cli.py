@@ -139,6 +139,23 @@ def test_gen_and_ratio_closed_form_columns(tmp_path, capsys):
     assert rep["ratio"] == pytest.approx(rep["opt"]["length"] / rep["lp"]["cost"], abs=1e-12)
 
 
+@pytest.mark.parametrize("x, attached", [(0.3, False), (1e-12, True)])
+def test_ratio_attaches_closed_forms_only_to_the_generated_points(tmp_path, capsys, x, attached):
+    # Labels, dimension and norm still say i2 (0, 0, 0) once X0 moves; the
+    # closed form describes the generated points only (to within 1e-9).
+    path = tmp_path / "i2.txt"
+    run_cli(capsys, "gen", "i2", "--i", "0", "--j", "0", "--k", "0", "-o", str(path))
+    inst = read_instance(str(path))
+    pts = inst.points.copy()
+    pts[inst.index_of("X0"), 0] = x
+    path.write_text(format_instance(Instance(pts, inst.norm, inst.labels)))
+    code, rep = run_cli(capsys, "ratio", str(path))
+    assert code == 0
+    assert (rep["closed_form"] is not None) == attached
+    if attached:
+        assert rep["closed_form"]["ratio"] == pytest.approx(18 / 17, rel=1e-12)
+
+
 def test_ratio_on_space_family(tmp_path, capsys):
     out = tmp_path / "i3.txt"
     code, _ = run_cli(capsys, "gen", "i3", "--i", "0", "--j", "0", "--k", "0", "-o", str(out))

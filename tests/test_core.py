@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tspgap.core import (
+    COINCIDENT_TOL,
     EdgeWeightVector,
     Instance,
     NormSpec,
     Tour,
     degree_vector,
     distance,
+    edge_costs,
     edge_index,
     edge_position,
     fractional_cost,
@@ -81,6 +83,32 @@ def test_instance_rejects_degenerate_input():
         Instance([(0, 0), (1, 1), (2, 2)], labels=["a", "b"])
     with pytest.raises(ValueError):
         Instance([(0, 0), (1, 1), (2, 2)], labels=["a", "a", "b"])
+
+
+def _first_coincident_pair(pts):
+    # The per-row scan `Instance` replaced, kept as the oracle for the pair
+    # its error names.
+    n = len(pts)
+    for i in range(n):
+        diffs = np.abs(pts[i + 1 :] - pts[i]).max(axis=1) if i + 1 < n else None
+        if diffs is not None and diffs.size and diffs.min() <= COINCIDENT_TOL:
+            return i, i + 1 + int(diffs.argmin())
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(3, 12), st.integers(1, 3))
+def test_instance_names_the_coincident_pair_of_the_per_row_scan(seed, n, d):
+    # Points on a 3^d grid, offset by gaps inside and outside COINCIDENT_TOL,
+    # so a row may hold several coincident partners and the closest is named.
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, 3, size=(n, d)) + rng.choice([0.0, 0.0, 4e-13, 9e-13, 2e-12], size=(n, d))
+    want = _first_coincident_pair(pts)
+    if want is None:
+        assert Instance(pts).n == n
+    else:
+        with pytest.raises(ValueError, match=rf"^coincident points {want[0]} and {want[1]}$"):
+            Instance(pts)
 
 
 def test_instance_points_frozen():
@@ -209,6 +237,47 @@ def test_edge_arithmetic_matches_the_per_edge_loop_bit_for_bit(seed, p):
         deg[iv[k]] += x.values[k]
     assert fractional_cost(inst, x).hex() == total.hex()
     assert degree_vector(x).tobytes() == deg.tobytes()
+
+
+def _scalar_norm(diff, p):
+    # The per-edge norm `Instance.dist`, `edge_costs` and `tour_length`
+    # called before they shared one row-wise norm, kept as their oracle.
+    a = np.abs(diff)
+    if p == 1.0:
+        return float(a.sum())
+    if p == 2.0:
+        return float(np.sqrt(np.dot(a, a)))
+    return float((a**p).sum() ** (1.0 / p))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.sampled_from([1.0, 1.1, 1.5, 2.0, 2.5, 3.0]),
+    st.integers(1, 3),
+    st.floats(-6.0, 6.0),
+)
+def test_edge_lengths_match_the_scalar_norm_bit_for_bit(seed, p, d, log_scale):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 25))
+    inst = Instance(rng.standard_normal((n, d)) * 10.0**log_scale, NormSpec(p))
+    pts = inst.points
+    iu, iv = edge_index(n)
+    want = np.array([_scalar_norm(pts[u] - pts[v], p) for u, v in zip(iu.tolist(), iv.tolist())])
+    got = edge_costs(inst)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    edges = rng.permutation(len(iu))[: int(rng.integers(0, len(iu) + 1))]
+    got = edge_costs(inst, edges)
+    assert got.shape == edges.shape and got.tobytes() == want[edges].tobytes()
+    u, v = sorted(rng.choice(n, size=2, replace=False).tolist())
+    assert inst.dist(u, v).hex() == want[edge_position(n, u, v)].hex()
+    assert distance(inst.norm, pts[v], pts[u]).hex() == _scalar_norm(pts[v] - pts[u], p).hex()
+    tour = Tour(rng.permutation(n))
+    o = tour.order
+    total = 0.0
+    for a, b in zip(o, o[1:] + o[:1]):
+        total += _scalar_norm(pts[a] - pts[b], p)
+    assert tour_length(inst, tour).hex() == total.hex()
 
 
 def test_size_mismatch_rejected():

@@ -1,6 +1,7 @@
 """Exact solvers: Held-Karp against brute force, caps, ratio plumbing."""
 
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tspgap.core import Instance, NormSpec, Tour, tour_length
+from tspgap.core import COINCIDENT_TOL, Instance, NormSpec, Tour, tour_length
 from tspgap import exact
 from tspgap.exact import (
     ENUM_MAX,
@@ -250,9 +251,33 @@ def test_integrality_ratio_invariant_under_relabel_shift_and_scale(seed, n, p):
         pts + rng.uniform(-50.0, 50.0, size=2),
         pts * 1e3,
         pts * 1e-3,
+        pts * 1e6,
+        pts * 1e-6,
     ]
     for q in moved:
         assert integrality_ratio(Instance(q, NormSpec(p))) == pytest.approx(want, rel=1e-9)
+
+
+_NEAR_GAPS = [0.5 * COINCIDENT_TOL, COINCIDENT_TOL, math.nextafter(COINCIDENT_TOL, 1.0), 1.5 * COINCIDENT_TOL, 4 * COINCIDENT_TOL]
+
+
+@pytest.mark.parametrize("gap", _NEAR_GAPS)
+@pytest.mark.parametrize("seed, p", [(seed, p) for seed in range(4) for p in (1.0, 2.0)])
+def test_near_coincident_pair_solves_or_raises_a_clean_error(seed, p, gap):
+    # Point 0 sits at the origin and a copy of it at (gap, 0), so the stored
+    # gap is exact.  At or inside COINCIDENT_TOL the pair is rejected by
+    # name; outside it the ratio is that of the instance without the copy:
+    # a zero-length detour moves OPT and the subtour LP by at most 2 * gap.
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(size=(int(rng.integers(5, 10)), 2))
+    pts -= pts[0]
+    near = np.vstack([pts, [gap, 0.0]])
+    if gap <= COINCIDENT_TOL:
+        with pytest.raises(ValueError, match=rf"^coincident points 0 and {len(pts)}$"):
+            Instance(near, NormSpec(p))
+        return
+    want = integrality_ratio(Instance(pts, NormSpec(p)))
+    assert integrality_ratio(Instance(near, NormSpec(p))) == pytest.approx(want, rel=1e-9)
 
 
 def _python_brute_force(inst):

@@ -119,6 +119,23 @@ def test_grad_g_is_the_linear_combination():
     assert np.allclose(lhs, rhs, atol=1e-14)
 
 
+@pytest.mark.parametrize("seed, p", [(seed, p) for seed in range(3) for p in (1.5, 2.0, 3.0)])
+def test_improvement_lp_rows_are_the_stacked_grad_g_rows(monkeypatch, seed, p):
+    # improvement_lp computes the fractional gradient once per LP; its rows
+    # are still grad_g of each pooled tour in tour order, bit for bit.
+    inst = Instance(np.random.default_rng(seed).uniform(size=(7, 2)), NormSpec(p))
+    x = solve_subtour_lp(inst).x
+    pool = build_tour_pool(inst, 0.25 * held_karp(inst).length)
+    r = pool.reference / fractional_cost(inst, x)
+    programs = []
+    solve = localsearch.solve_lp
+    monkeypatch.setattr(localsearch, "solve_lp", lambda lp: programs.append(lp) or solve(lp))
+    improvement_lp(inst, pool, x, r)
+    want = np.array([grad_g(inst, t, x, r) for t in sorted(pool.tours, key=lambda t: t.order)])
+    assert len(pool.tours) > 1
+    assert programs[0].A[:, :-1].tobytes() == want.tobytes()
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         LocalSearchParams(epsilon0=0.0)

@@ -3,10 +3,12 @@ the final cut set, Bland's rule and the pivot cap on the re-optimisations,
 rows added to a live tableau, the cached per-n degree start, and the simplex
 loop against the plain loop it replaced, pivot for pivot."""
 
+import contextlib
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -130,13 +132,68 @@ def test_cap_and_infeasibility_on_a_re_optimisation():
     assert tab.optimise(np.ones(2), 100, 1e-9) == "infeasible"
 
 
-def test_singular_basis_raises_lp_error(monkeypatch):
-    def singular(*args, **kwargs):
-        raise np.linalg.LinAlgError("Singular matrix")
+def _raises_singular_basis(fn):
+    # LpError, and no numpy RuntimeWarning on the way to it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LpError, match="singular basis"):
+            fn()
 
-    monkeypatch.setattr(np.linalg, "solve", singular)
-    with pytest.raises(LpError, match="singular basis"):
-        solve_subtour_lp(_random(8, 2.0, 8))
+
+def test_singular_basis_raises_lp_error():
+    # Exactly singular systems: LU meets an exact zero pivot in each.
+    rank_deficient = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 1.0], [0.0, 0.0, 1.0]])  # column 1 = 2 * column 0
+    _raises_singular_basis(lambda: lp._solve(np.zeros((3, 3)), np.ones(3)))
+    _raises_singular_basis(lambda: lp._solve(rank_deficient, np.ones(3)))
+    _raises_singular_basis(lambda: lp._solve(rank_deficient.T, np.ones(3)))
+
+    def singular_tableau():
+        tab = lp._Tableau(np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([1.0, 0.0]), np.zeros(2), np.ones(2), ["="] * 2)
+        tab.basis = np.array([0, 0])  # one column twice
+        return tab
+
+    _raises_singular_basis(lambda: singular_tableau().solution())
+    _raises_singular_basis(lambda: singular_tableau().optimise(np.ones(2), 100, 1e-9))
+
+
+def _simplex_like(rng, m):
+    # 0/+-1 entries, mostly zero, with some unit (slack-like) columns: bases
+    # of this kind are singular now and then.
+    M = rng.choice([-1.0, 0.0, 1.0], size=(m, m), p=[0.2, 0.6, 0.2])
+    units = rng.random(m) < 0.3
+    M[:, units] = np.eye(m)[:, units]
+    return M
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 60),
+    st.sampled_from(["gaussian", "simplex"]),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_solve_matches_numpy_linalg_solve_bit_for_bit(m, kind, transpose, strided_rhs, raising, seed):
+    # `_solve` calls the LAPACK gufunc behind `np.linalg.solve` directly; a
+    # numpy whose wrapper and gufunc part ways fails here.
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((m, m)) if kind == "gaussian" else _simplex_like(rng, m)
+    if transpose:
+        M = M.T  # an F-ordered view, as `_minimize` passes for the duals
+    rhs = rng.standard_normal((m, 2))[:, 0] if strided_rhs else rng.standard_normal(m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise") if raising else contextlib.nullcontext():
+            try:
+                want = np.linalg.solve(M, rhs)
+            except np.linalg.LinAlgError:
+                with pytest.raises(LpError, match="singular basis"):
+                    lp._solve(M, rhs)
+                return
+            got = lp._solve(M, rhs)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -282,8 +339,10 @@ def test_bland_rule_from_the_first_phase_1_pivot(monkeypatch):
 
 
 _OPTIMIZED_SCRIPT = """
+import hashlib
 import numpy as np
 from tspgap.core import Instance, NormSpec
+from tspgap.localsearch import LocalSearchParams, local_search
 from tspgap.lp import solve_subtour_lp
 
 rng = np.random.default_rng(2021)
@@ -292,18 +351,28 @@ for n in (30, 35):
 inst = Instance(rng.random((40, 2)), NormSpec(2.0))
 res = solve_subtour_lp(inst)
 print("debug" if __debug__ else "optimized", res.cost.hex(), res.pivots)
+inst, trace = local_search(6, LocalSearchParams(rng_seed=19, epsilon0=1e-6, epsilon1=5e-4, epsilon3=1e-2))
+lines = "".join(f"{r.ratio.hex()} {r.delta.hex()} {r.eta.hex()}\\n" for r in trace.records)
+print(trace.restarts, len(trace.records), trace.final_ratio.hex(), hashlib.sha256(lines.encode()).hexdigest())
+print(hashlib.sha256(np.ascontiguousarray(inst.points).tobytes()).hexdigest())
 """
 
 
 def test_bound_instance_under_optimize_flag():
-    # The n = 40 `bound` instance's golden cost and pivots (tests/test_lp.py).
+    # Under -O (no assert runs) and -W error (any warning fails): the n = 40
+    # `bound` instance's golden cost and pivots (tests/test_lp.py), and the
+    # seed-19 search golden (tests/test_localsearch.py).
     src = os.path.dirname(os.path.dirname(lp.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
-        [sys.executable, "-O", "-c", _OPTIMIZED_SCRIPT],
+        [sys.executable, "-O", "-W", "error", "-c", _OPTIMIZED_SCRIPT],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.split() == ["optimized", "0x1.34a389b5dbb00p+2", "285"]
+    assert out.stdout.split() == [
+        "optimized", "0x1.34a389b5dbb00p+2", "285",
+        "259", "25", "0x1.0456983a7f132p+0", "ac4e9be11fd928a6eafa975996a1b104e0e937831effa654b6525b1adec32667",
+        "e1186a8261d2d0e8c5eaadc9de17928ae43120f2a7db0bc72afa3579176ed4f5",
+    ]
 
 
 class _ReferenceTableau(lp._Tableau):
