@@ -189,10 +189,20 @@ _GOLDEN = {
     ),
 }
 
-# At eps = 1e-15 the two smallest flat rows close to the same bits.
+# At eps = 1e-15 the two smallest flat rows close to the same bits.  The
+# rows with an outer chain have tie residuals at roundoff there, so golden
+# section meets an infeasible b and the best coarse sample stands.
 _GOLDEN_TIGHT = {
     (0, 0): _GOLDEN[(0, 0)],
     (0, 1): _GOLDEN[(0, 1)],
+    (1, 0): (
+        "0x1.0a48759172133p+0", "0x1.6e22222222222p+0", "0x1.4ed032a2632e5p+0",
+        "0x1.24f86d1916fc2p-2", "0x1.0000000000000p-51", "0x0.0p+0",
+    ),
+    (1, 1): (
+        "0x1.0f4c15deec449p+0", "0x1.6e22222222222p+0", "0x1.a41778fea361bp-1",
+        "0x1.c23db2258e7fap-2", "0x1.0000000000000p-51", "0x0.0p+0",
+    ),
 }
 
 
@@ -209,6 +219,25 @@ def test_constructions_are_bit_exact(ij):
 @pytest.mark.parametrize("ij", sorted(_GOLDEN_TIGHT))
 def test_tight_eps_constructions_are_bit_exact(ij):
     assert _hexes(ellipse_construct(*ij, 1e-15)) == _GOLDEN_TIGHT[ij]
+
+
+def test_fine_scan_retry_is_bit_exact():
+    # At eps = 1e-16 no b on the 72-sample grid is feasible for (1, 0); the
+    # 16x finer grid finds one.
+    assert _hexes(ellipse_construct(1, 0, 1e-16)) == (
+        "0x1.0a8c190e62decp+0", "0x1.85fbbbbbbbbbcp+0", "0x1.0f3e67afe8b6cp-1",
+        "0x1.3f26b3f62d71dp-2", "0x0.0p+0", "0x0.0p+0",
+    )
+
+
+def test_tight_eps_search_stays_cheap(monkeypatch):
+    # At eps = 1e-15 about half the b near the maximum are infeasible, so
+    # golden section breaks off; the b-search must not rescan densely.
+    calls = []
+    real = ellipse._evaluate
+    monkeypatch.setattr(ellipse, "_evaluate", lambda *a: calls.append(a[2]) or real(*a))
+    ellipse_construct(2, 2, 1e-15)
+    assert len(calls) <= 200
 
 
 def test_tight_eps_flat_failure_keeps_its_class():
