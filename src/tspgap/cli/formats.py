@@ -159,43 +159,6 @@ def format_tsplib(inst: Instance, name: str, comment: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_tsplib(text: str) -> tuple[str, np.ndarray]:
-    """Read back a FULL_MATRIX TSPLIB file; returns (name, integer matrix)."""
-    header: dict[str, str] = {}
-    body: list[str] = []
-    in_section = False
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line == "EOF":
-            continue
-        if in_section:
-            body.append(line)
-            continue
-        if line == "EDGE_WEIGHT_SECTION":
-            in_section = True
-            continue
-        if ":" not in line:
-            raise FormatError(f"bad TSPLIB header line {line!r}")
-        key, _, value = line.partition(":")
-        header[key.strip()] = value.strip()
-    if header.get("EDGE_WEIGHT_TYPE") != "EXPLICIT":
-        raise FormatError("only EDGE_WEIGHT_TYPE: EXPLICIT is supported")
-    if header.get("EDGE_WEIGHT_FORMAT") != "FULL_MATRIX":
-        raise FormatError("only EDGE_WEIGHT_FORMAT: FULL_MATRIX is supported")
-    try:
-        n = int(header["DIMENSION"])
-    except (KeyError, ValueError):
-        raise FormatError("missing or bad DIMENSION") from None
-    try:
-        flat = [int(t) for chunk in body for t in chunk.split()]
-    except ValueError as exc:
-        raise FormatError(f"bad matrix entry: {exc}") from None
-    if len(flat) != n * n:
-        raise FormatError(f"matrix has {len(flat)} entries, expected {n}*{n}")
-    matrix = np.array(flat, dtype=np.int64).reshape(n, n)
-    return header.get("NAME", ""), matrix
-
-
 def format_trace(records: Sequence) -> str:
     """Line-oriented iteration trace: iteration ratio delta eta."""
     lines = ["# iteration ratio delta eta"]

@@ -21,7 +21,6 @@ from .families.ijk import IJK, PseudoTour, fractional_xijk, labeled_vertices, ps
 DEFAULT_EPS = 1e-9
 
 _COARSE_SAMPLES = 72
-_FALLBACK_SAMPLES = 10_000
 _B_RANGE = (0.05, 8.0)
 
 
@@ -70,7 +69,7 @@ class ConstructionResult:
     outer_residual: float
 
 
-def _bisect(fn: Callable[[float], float], lo: float, hi: float, iters: int = 100) -> float:
+def _bisect(fn: Callable[[float], float], lo: float, hi: float) -> float:
     flo, fhi = fn(lo), fn(hi)
     if flo == 0.0:
         return lo
@@ -78,7 +77,7 @@ def _bisect(fn: Callable[[float], float], lo: float, hi: float, iters: int = 100
         return hi
     if (flo > 0) == (fhi > 0):
         raise _BracketError
-    for _ in range(iters):
+    for _ in range(100):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
@@ -154,25 +153,19 @@ def diff_inner(h: int, ys: Sequence[float], b: float) -> float:
 
 
 def _inner_attempt(j: int, b: float, f: float) -> tuple[float, list[float]]:
-    """Chain the left inner half for a trial f; return (closure residual,
-    full symmetric abscissa list)."""
-    xs: list[float | None] = [None] * (j + 2)
-    xs[0], xs[j + 1] = -f, f
+    """Chain the left inner half for a trial f, mirroring it as it goes;
+    return (closure residual, full symmetric abscissa list)."""
+    left, right = [-f], [f]
     c_right = math.hypot(b + f, 1.0) + 2.0 - math.hypot(b - f, 1.0)
     half = j // 2
-    for h in range(half):
-        y_h = xs[h]
+    for _ in range(half):
+        y_h = left[-1]
         c = c_right - math.hypot(b + y_h, 1.0)
-        t = _bisect(lambda t: c + (t - y_h) - math.hypot(b - t, 1.0), y_h, b)
-        xs[h + 1] = t
-    if j % 2 == 1:
-        xs[(j + 1) // 2] = 0.0
-    for s in range(1, j + 1):
-        if xs[j + 1 - s] is None:
-            xs[j + 1 - s] = -xs[s]
-    full = [float(v) for v in xs]
-    resid = diff_inner(half, full, b)
-    return resid, full
+        y_next = _bisect(lambda t: c + (t - y_h) - math.hypot(b - t, 1.0), y_h, b)
+        left.append(y_next)
+        right.append(-y_next)
+    full = left + [0.0] * (j % 2) + right[::-1]
+    return diff_inner(half, full, b), full
 
 
 def inner_vertices(i: int, j: int, b: float, eps: float = DEFAULT_EPS) -> list[tuple[float, float]]:
@@ -221,20 +214,19 @@ def diff_outer(h: int, zs: Sequence[tuple[float, float]], f: float, b: float) ->
 
 
 def _outer_attempt(i: int, b: float, f: float, e: float) -> tuple[float, list[tuple[float, float]]]:
-    """Chain the left outer half along the ellipse for a trial e; return
-    (closure residual, full top line).  Raises _BracketError when a tie has
-    no point on the arc or the last chained vertex is not left of the
-    y-axis.
+    """Chain the left outer half along the ellipse for a trial e, mirroring
+    it as it goes; return (closure residual, full top line).  Raises
+    _BracketError when a tie has no point on the arc or the last chained
+    vertex is not left of the y-axis.
     """
     A, B = _ellipse_axes(b, e)
     theta_corner = math.atan2(1.0 / B, b / A)
-    zs: list[tuple[float, float] | None] = [None] * (i + 2)
-    zs[0], zs[i + 1] = (-b, 1.0), (b, 1.0)
+    left, right = [(-b, 1.0)], [(b, 1.0)]
     c_left = math.hypot(b - f, 1.0) + math.hypot(b + f, 1.0) - 2.0
     theta_h = math.pi - theta_corner
     half = i // 2
-    for h in range(half):
-        z_h = zs[h]
+    for _ in range(half):
+        z_h = left[-1]
         c = c_left - math.hypot(z_h[0] + f, z_h[1])
 
         def tie(theta: float) -> float:
@@ -245,16 +237,11 @@ def _outer_attempt(i: int, b: float, f: float, e: float) -> tuple[float, list[tu
                 - math.hypot(px - f, py)
             )
 
-        theta = _bisect(tie, theta_corner, theta_h)
-        zs[h + 1] = (A * math.cos(theta), B * math.sin(theta))
-        theta_h = theta
-    if i % 2 == 1:
-        zs[(i + 1) // 2] = (0.0, B)
-    for s in range(1, i + 1):
-        if zs[i + 1 - s] is None:
-            x, y = zs[s]
-            zs[i + 1 - s] = (-x, y)
-    full = [(float(x), float(y)) for x, y in zs]
+        theta_h = _bisect(tie, theta_corner, theta_h)
+        x, y = A * math.cos(theta_h), B * math.sin(theta_h)
+        left.append((x, y))
+        right.append((-x, y))
+    full = left + [(0.0, B)] * (i % 2) + right[::-1]
     if full[half][0] >= 0:
         raise _BracketError
     return diff_outer(half, full, f, b), full
@@ -335,7 +322,10 @@ def ellipse_construct(i: int, j: int, eps: float = DEFAULT_EPS) -> ConstructionR
 
     The ratio is concave in b over the constructible window, so a coarse
     feasibility scan brackets the maximum and golden-section search closes
-    in; if the window's edges interfere, a dense grid scan substitutes.
+    in.  The scan retries on a 16x finer grid when the coarse one holds no
+    feasible b.  Below about eps = 1e-15 the tie residuals are at roundoff
+    and feasible b are scattered among infeasible ones; when golden section
+    meets an infeasible b the result is the best coarse sample.
     """
     if i < 0 or j < 0:
         raise ValueError("need i, j >= 0")
@@ -354,19 +344,15 @@ def ellipse_construct(i: int, j: int, eps: float = DEFAULT_EPS) -> ConstructionR
 
     lo, hi = _B_RANGE
     feasible: list[tuple[float, float]] = []
-    for s in range(_COARSE_SAMPLES):
-        b = lo + (hi - lo) * (s + 0.5) / _COARSE_SAMPLES
-        try:
-            feasible.append((b, ratio_at(b)))
-        except EllipseConstructionError:
-            continue
-    if not feasible:
-        for s in range(_COARSE_SAMPLES * 16):
-            b = lo + (hi - lo) * (s + 0.5) / (_COARSE_SAMPLES * 16)
+    for samples in (_COARSE_SAMPLES, 16 * _COARSE_SAMPLES):
+        for s in range(samples):
+            b = lo + (hi - lo) * (s + 0.5) / samples
             try:
                 feasible.append((b, ratio_at(b)))
             except EllipseConstructionError:
                 continue
+        if feasible:
+            break
     if not feasible:
         raise EllipseConstructionError(f"no feasible corner half-width for (i, j) = ({i}, {j})")
     k_best = max(range(len(feasible)), key=lambda k: feasible[k][1])
@@ -389,13 +375,5 @@ def ellipse_construct(i: int, j: int, eps: float = DEFAULT_EPS) -> ConstructionR
                 f1 = ratio_at(x1)
         b_star = x1 if f1 >= f2 else x2
     except EllipseConstructionError:
-        b_star, best_r = feasible[k_best]
-        for s in range(_FALLBACK_SAMPLES):
-            b = blo + (bhi - blo) * (s + 0.5) / _FALLBACK_SAMPLES
-            try:
-                r = ratio_at(b)
-            except EllipseConstructionError:
-                continue
-            if r > best_r:
-                best_r, b_star = r, b
+        b_star = feasible[k_best][0]
     return cache[b_star][1]

@@ -58,10 +58,8 @@ def held_karp(inst: Instance) -> ExactResult:
     Handles 3 <= n <= 20.  One numpy step per popcount layer and end vertex
     v extends every mask of the layer that holds v; the masks of each step
     are cached per size (`_layer_steps`).  The table holds 2^(n-1) * (n-1)
-    doubles.  On a 2-core x86 machine n = 6 takes about 0.25 ms, n = 15
-    about 20 ms, n = 18 about 0.3 s, and n = 20 about 1.5 s with a 76 MB
-    table.  Ties go to the smallest predecessor index and the returned Tour
-    is canonical.
+    doubles, 76 MB at n = 20.  Ties go to the smallest predecessor index
+    and the returned Tour is canonical.
     """
     n = inst.n
     if not 3 <= n <= HELD_KARP_MAX:
@@ -163,7 +161,8 @@ def integrality_ratio(inst: Instance) -> float:
     lp = solve_subtour_lp(inst)
     if lp.cost <= 0:
         raise ValueError(f"relaxation cost {lp.cost} is not positive")
-    # The relaxation can never exceed the optimum (beyond round-off).
-    if lp.cost > opt + 1e-6:
+    # The relaxation can never exceed the optimum (beyond round-off, which
+    # scales with the lengths).
+    if lp.cost > opt * (1 + 1e-9):
         raise LpError(f"relaxation cost {lp.cost} exceeds the optimal tour length {opt}")
     return opt / lp.cost

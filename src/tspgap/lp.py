@@ -33,6 +33,8 @@ from .core import EdgeWeightVector, Instance, degree_vector, edge_costs, edge_in
 FEAS_TOL = 1e-7
 # Pivot magnitude below which a column entry is treated as zero.
 PIVOT_TOL = 1e-10
+# Reduced-cost magnitude a column must exceed to enter the basis.
+PRICE_TOL = 1e-9
 # Dantzig pricing switches to Bland's rule after this many pivots of one
 # (re-)optimisation.
 BLAND_AFTER = 1000
@@ -99,8 +101,8 @@ def _solve(M: np.ndarray, rhs: np.ndarray, _gesv=np.linalg._umath_linalg.solve1)
     `_gesv`, bound once here, is the LAPACK gesv gufunc that
     `np.linalg.solve` itself calls for a vector right-hand side.  Calling it
     directly skips that wrapper's array conversion, type resolution and
-    shape checks: a solve on a 7x7 basis takes about 4.5 µs instead of 8.5
-    on a 2-core x86 machine, and the simplex makes three per iteration.
+    shape checks, which take about as long as the solve itself on a small
+    basis, and the simplex makes three solves per iteration.
     The floating-point policy is the wrapper's: gesv reports a singular
     matrix by raising the invalid flag, which raises here and becomes
     LpError, while overflow, division by zero and underflow are ignored
@@ -139,13 +141,12 @@ class _Tableau:
 
     The basic solution is recomputed from the nonbasic values every
     iteration (a dense solve), trading speed for drift-free arithmetic.
-    An iteration is three `_solve` calls plus a handful of numpy calls:
-    medians of about 36 µs at n = 6 (43 through `np.linalg.solve`) and
-    110-140 µs at n = 40, where LAPACK's own work dominates and the 12 µs
-    the three direct solves save is inside the run-to-run spread, on a
-    shared 2-core x86 machine.  Within one `_minimize` call those values and the pricing masks live in
-    per-call arrays updated by scalar writes at each pivot, not rebuilt
-    from `status`; the pivots are the same either way (see there).
+    An iteration is three `_solve` calls plus a handful of numpy calls.  At
+    n = 40 LAPACK's own work dominates it, and what the three direct solves
+    save is inside the run-to-run spread.  Within one `_minimize` call
+    those values and the pricing masks live in per-call arrays updated by
+    scalar writes at each pivot, not rebuilt from `status`; the pivots are
+    the same either way (see there).
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray, rels: Sequence[str]):
@@ -379,7 +380,7 @@ class _Tableau:
             # else: redundant row; the artificial stays basic, pinned at zero.
 
 
-def solve_lp(lp: LinearProgram, *, tol: float = 1e-9) -> LpSolution:
+def solve_lp(lp: LinearProgram) -> LpSolution:
     """Two-phase bounded-variable primal simplex.
 
     Dantzig pricing with a Bland's-rule fallback after BLAND_AFTER pivots;
@@ -387,7 +388,7 @@ def solve_lp(lp: LinearProgram, *, tol: float = 1e-9) -> LpSolution:
     """
     m, n = lp.A.shape
     tab = _Tableau(lp.A, lp.b, lp.lo, lp.hi, lp.rels)
-    outcome = tab.optimise(-lp.c if lp.maximize else lp.c, PIVOT_CAP * (m + n), tol)
+    outcome = tab.optimise(-lp.c if lp.maximize else lp.c, PIVOT_CAP * (m + n), PRICE_TOL)
     if outcome != "optimal":
         return LpSolution(outcome, None, None, tab.pivots)
     x = tab.solution()[:n]
@@ -539,7 +540,7 @@ def _degree_start(n: int, bland_after: int, pivot_cap: int) -> _Tableau:
     degree[iu, np.arange(num_edges)] = 1.0
     degree[iv, np.arange(num_edges)] = 1.0
     tab = _Tableau(degree, np.full(n, 2.0), np.zeros(num_edges), np.ones(num_edges), ["="] * n)
-    if not tab.make_feasible(pivot_cap * (n + num_edges), 1e-9, 0):
+    if not tab.make_feasible(pivot_cap * (n + num_edges), PRICE_TOL, 0):
         raise LpError("subtour relaxation came back infeasible")
     for arr in (tab.A, tab.b, tab.art, tab.lo, tab.hi, tab.status, tab.basis):
         arr.setflags(write=False)
@@ -569,7 +570,7 @@ def solve_subtour_lp(inst: Instance, *, cut_tol: float = FEAS_TOL) -> SubtourLpR
     cuts: list[Cut] = []
     while True:
         # The first round counts from 0, so the cached phase-1 pivots count.
-        outcome = tab.optimise(cost, PIVOT_CAP * (tab.m + num_edges), 1e-9, 0 if not cuts else None)
+        outcome = tab.optimise(cost, PIVOT_CAP * (tab.m + num_edges), PRICE_TOL, 0 if not cuts else None)
         if outcome != "optimal":
             raise LpError(f"subtour relaxation came back {outcome}")
         values = tab.solution()[:num_edges]

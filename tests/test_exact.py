@@ -1,5 +1,6 @@
 """Exact solvers: Held-Karp against brute force, caps, ratio plumbing."""
 
+import dataclasses
 import itertools
 import math
 import os
@@ -213,6 +214,22 @@ def test_integrality_ratio_rejects_opt_below_lp(monkeypatch):
     )
     with pytest.raises(LpError, match="exceeds the optimal tour length"):
         integrality_ratio(gen_I2(IJK(0, 0, 0)))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6])
+def test_integrality_ratio_rejects_an_inflated_lp_at_any_scale(monkeypatch, scale):
+    # A relaxation reported at 1.25x its cost lies above the optimum of an
+    # 8-point instance however small its coordinates are.
+    real = exact.solve_subtour_lp
+
+    def inflated(inst):
+        res = real(inst)
+        return dataclasses.replace(res, cost=1.25 * res.cost)
+
+    monkeypatch.setattr(exact, "solve_subtour_lp", inflated)
+    pts = np.random.default_rng(8).uniform(size=(8, 2)) * scale
+    with pytest.raises(LpError, match="exceeds the optimal tour length"):
+        integrality_ratio(Instance(pts))
 
 
 _BELOW_LP_SCRIPT = """

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pathlib
+import re
 
 import tspgap
 
@@ -91,5 +92,19 @@ def test_no_builtin_sum_in_the_package():
         for name, tree in _modules()
         for node in ast.walk(tree)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
+    ]
+    assert found == []
+
+
+def test_no_timing_figures_in_the_package():
+    # Timings belong to a machine and a moment; the README's module table
+    # holds them with the hardware they were measured on, so the source
+    # keeps only the reasons.
+    figure = re.compile(r"\d\s*(?:[µμ]s|ms)\b")
+    found = [
+        f"{path.relative_to(_SRC)}:{k}"
+        for path in sorted(_SRC.rglob("*.py"))
+        for k, line in enumerate(path.read_text().splitlines(), 1)
+        if figure.search(line)
     ]
     assert found == []
