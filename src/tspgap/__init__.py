@@ -1,9 +1,9 @@
 """tspgap: structured TSP instances with certified subtour-LP integrality gaps.
 
-Exact optimal tours (Held-Karp / brute force), an exact cutting-plane solver
-for the subtour relaxation, the plane/space instance families with their
-closed-form ratios and certificates, T-join lower bounds for subdivided
-graphs, gradient-based local search, and the ellipse construction.
+Exact optimal tours (Held-Karp), an exact cutting-plane solver for the
+subtour relaxation, the plane/space instance families with their closed-form
+ratios and certificates, T-join lower bounds for subdivided graphs,
+gradient-based local search, and the ellipse construction.
 """
 
 from .core import (
@@ -17,7 +17,7 @@ from .core import (
     fractional_cost,
     tour_length,
 )
-from .exact import ExactResult, brute_force, enumerate_tours, held_karp, heuristic_tour, integrality_ratio
+from .exact import ExactResult, enumerate_tours, held_karp, heuristic_tour, integrality_ratio
 from .lp import (
     Cut,
     LinearProgram,

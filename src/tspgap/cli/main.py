@@ -2,7 +2,8 @@
 
 Every run prints exactly one JSON report document to stdout (stable field
 names; see README).  Exit codes: 0 success, 2 parse/usage error, 3
-infeasible construction or failed certificate, 4 size cap exceeded.
+infeasible construction, failed certificate or failed subtour LP, 4 size cap
+exceeded.
 
 TSPGAP_WORKERS sets the sweep worker-pool size (default 1); all other
 commands are single threaded.  Output files are written atomically.
@@ -22,7 +23,7 @@ import numpy as np
 
 from ..core import Instance
 from ..ellipse import DEFAULT_EPS, EllipseConstructionError, ellipse_construct
-from ..exact import ENUM_MAX, HELD_KARP_MAX, held_karp, heuristic_tour
+from ..exact import ENUM_MAX, HELD_KARP_MAX, checked_ratio, held_karp, heuristic_tour
 from ..families import (
     ANCHOR_TAGS,
     GAP_TAGS,
@@ -57,7 +58,7 @@ from ..localsearch import (
     local_opt_certificate,
     local_search,
 )
-from ..lp import solve_subtour_lp
+from ..lp import LpError, solve_subtour_lp
 from . import formats
 from .formats import FormatError
 from .svg import render_svg
@@ -281,7 +282,7 @@ def cmd_ratio(args: argparse.Namespace) -> dict:
             "method": method,
             "tour": list(tour.order),
         },
-        "ratio": opt_length / lp.cost,
+        "ratio": checked_ratio(opt_length, lp.cost),
         "closed_form": _generated_closed_forms(inst),
         "wall_time_s": time.perf_counter() - t0,
     }
@@ -624,8 +625,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except FormatError as exc:
         _emit({"command": args.subcommand, "error": {"type": "parse", "message": str(exc)}})
         return EXIT_PARSE
-    except (EllipseConstructionError, CertificateError, LocalSearchError, ValueError) as exc:
+    except (EllipseConstructionError, CertificateError, LocalSearchError, LpError, ValueError) as exc:
         # ValueError: construction-time validation (crossing/bridged specs, bad geometry).
+        # LpError: a subtour LP that did not solve or lies above a tour.
         _emit({
             "command": args.subcommand,
             "error": {"type": "infeasible", "message": str(exc)},

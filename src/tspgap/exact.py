@@ -1,7 +1,6 @@
-"""Exact optimal tours: Held-Karp dynamic programming as the workhorse plus
-a factorial brute-force oracle over the one tour enumeration, and the
-integrality ratio; a 2-opt heuristic gives the upper bound beyond
-Held-Karp's range.
+"""Exact optimal tours by Held-Karp dynamic programming, the one tour
+enumeration behind the exhaustive tour pools, and the integrality ratio; a
+2-opt heuristic gives the upper bound beyond Held-Karp's range.
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ from .core import Instance, Tour, tour_length
 from .lp import LpError, solve_subtour_lp
 
 HELD_KARP_MAX = 20
-# Tour enumeration (brute force, exhaustive tour pools) stops here: the
-# (n-1)!/2 orders at n = 11 would take about 200 MB to enumerate and index.
+# Tour enumeration for the exhaustive tour pools stops here: the (n-1)!/2
+# orders at n = 11 would take about 200 MB to enumerate and index.
 ENUM_MAX = 10
 
 
@@ -28,7 +27,7 @@ class ExactResult:
 
     tour: Tour
     length: float
-    method: str  # "held_karp" | "brute_force"
+    method: str  # "held_karp"
 
 
 @functools.lru_cache(maxsize=8)
@@ -137,32 +136,18 @@ def enumerate_tours(n: int) -> np.ndarray:
     return orders
 
 
-def brute_force(inst: Instance) -> ExactResult:
-    """Optimal tour by scanning `enumerate_tours`; 3 <= n <= ENUM_MAX.
-
-    Each length adds the closing edges 0 - first and last - 0, then the
-    path edges in order; the first minimum wins.
-    """
-    n = inst.n
-    if not 3 <= n <= ENUM_MAX:
-        raise ValueError(f"brute_force handles 3 <= n <= {ENUM_MAX}, got {n}")
-    P = enumerate_tours(n)
-    D = inst.distance_matrix()
-    cost = D[0, P[:, 1]] + D[P[:, -1], 0]
-    for k in range(1, n - 1):
-        cost += D[P[:, k], P[:, k + 1]]
-    best = int(cost.argmin())
-    return ExactResult(Tour(P[best].tolist()), float(cost[best]), "brute_force")
+def checked_ratio(length: float, lp_cost: float) -> float:
+    """length / lp_cost for a tour of that length and the subtour-relaxation
+    optimum lp_cost, which must be positive and at most length."""
+    if lp_cost <= 0:
+        raise ValueError(f"relaxation cost {lp_cost} is not positive")
+    # LP <= OPT <= the length of any tour, up to round-off, which scales
+    # with the lengths.
+    if lp_cost > length * (1 + 1e-9):
+        raise LpError(f"relaxation cost {lp_cost} exceeds the optimal tour length, at most {length}")
+    return length / lp_cost
 
 
 def integrality_ratio(inst: Instance) -> float:
     """Optimal tour length divided by the subtour-relaxation optimum."""
-    opt = held_karp(inst).length
-    lp = solve_subtour_lp(inst)
-    if lp.cost <= 0:
-        raise ValueError(f"relaxation cost {lp.cost} is not positive")
-    # The relaxation can never exceed the optimum (beyond round-off, which
-    # scales with the lengths).
-    if lp.cost > opt * (1 + 1e-9):
-        raise LpError(f"relaxation cost {lp.cost} exceeds the optimal tour length {opt}")
-    return opt / lp.cost
+    return checked_ratio(held_karp(inst).length, solve_subtour_lp(inst).cost)

@@ -218,8 +218,6 @@ def _min_matching(W: np.ndarray) -> float:
     f[0] = 0.0
     for S in range(1, full + 1):
         i = (S & -S).bit_length() - 1  # lowest member pairs first
-        if not S >> i & 1:
-            continue
         rest = S ^ (1 << i)
         if rest == 0:
             continue

@@ -169,14 +169,14 @@ def improvement_lp(
     grads = np.array([grad_tour_length(inst, t) - frac for t in sorted(pool.tours, key=lambda t: t.order)])
     m, nd = grads.shape
     # Variables: w_0 .. w_{nd-1}, then delta (free); rows <g_T, w> - delta >= 0.
+    # Maximising delta is minimising -delta.
     lp = LinearProgram(
-        c=np.append(np.zeros(nd), 1.0),
+        c=-np.append(np.zeros(nd), 1.0),
         A=np.hstack([grads, np.full((m, 1), -1.0)]),
         rels=(">=",) * m,
         b=np.zeros(m),
         lo=np.append(np.full(nd, -1.0), -math.inf),
         hi=np.append(np.ones(nd), math.inf),
-        maximize=True,
     )
     sol = solve_lp(lp)
     return sol.values[:nd], float(sol.values[nd])

@@ -51,7 +51,7 @@ class LpError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """min/max c.x subject to the rows A x (rels) b and lo <= x <= hi.
+    """min c.x subject to the rows A x (rels) b and lo <= x <= hi.
 
     A is (rows, variables) and rels holds "<=", ">=" or "=" per row; lo and
     hi may hold -inf and inf.  The arrays are stored as read-only floats.
@@ -63,7 +63,6 @@ class LinearProgram:
     b: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    maximize: bool = False
 
     def __post_init__(self) -> None:
         rels = tuple(self.rels)
@@ -132,10 +131,9 @@ class _Tableau:
     slack and its artificial at the end.  A new row's artificial enters the
     basis at the row's residual (sign matched, so its value is >= 0) and the
     other basic values stay as they were, so the basis stays valid and the
-    next re-optimisation starts from it: the feasibility step (phase 1 on
-    the live artificials, then pivoting them out and pinning them at
-    [0, 0]) and then phase 2 on the objective.
+    next `optimise` starts from it.
 
+    The kernel is `optimise(c)`, `add_row`, `fork` and `solution`.
     `solve_subtour_lp` starts each solve from a `fork` of the cached,
     read-only degree tableau of `_degree_start`.
 
@@ -162,6 +160,8 @@ class _Tableau:
         ).astype(np.int8)
         self.art = np.zeros(n + m, dtype=bool)
         self.pivots = 0
+        # Bland's rule and phase 1's cap count pivots from here (see add_row).
+        self.start = 0
         # Phase-1 artificials matching the sign of each row's residual.
         resid = b - self.A @ self.nonbasic_values()
         self._append_columns(np.diag(np.where(resid >= 0, 1.0, -1.0)), 0.0, math.inf, _BASIC, True)
@@ -198,6 +198,7 @@ class _Tableau:
         self._append_columns(unit, lo, hi, _AT_UPPER if lo == -math.inf else _AT_LOWER, False)
         self._append_columns(unit if resid >= 0 else -unit, 0.0, math.inf, _BASIC, True)
         self.basis = np.append(self.basis, self.ncols - 1)
+        self.start = self.pivots
 
     def nonbasic_values(self) -> np.ndarray:
         """Each nonbasic column at its bound (free ones at 0), basic ones 0."""
@@ -205,8 +206,8 @@ class _Tableau:
         return np.where(st == _AT_LOWER, self.lo, np.where(st == _AT_UPPER, self.hi, 0.0))
 
     def fork(self) -> _Tableau:
-        """A copy with its own statuses, basis, bounds and pivot count that
-        shares A, b and the artificial mask (no pivot writes them)."""
+        """A copy with its own statuses, basis, bounds, pivot count and start
+        that shares A, b and the artificial mask (no pivot writes them)."""
         tab = copy.copy(self)
         for name in ("lo", "hi", "status", "basis"):
             setattr(tab, name, getattr(self, name).copy())
@@ -217,40 +218,30 @@ class _Tableau:
         x[self.basis] = _solve(self.A[:, self.basis], self.b - self.A @ x)
         return x
 
-    def optimise(self, c: np.ndarray, cap: int, tol: float, start: int | None = None) -> str:
+    def optimise(self, c: np.ndarray) -> str:
         """Minimise c . x_struct from the current basis.
 
-        The feasibility step (`make_feasible`), then phase 2 on c.  Each
-        phase may take up to cap pivots, and Bland's rule takes over after
-        BLAND_AFTER pivots counted from start (default: this call's first).
-        Returns "optimal", "infeasible" or "unbounded".
+        Phase 1 on the live (unpinned) artificials, if any: "infeasible" if
+        their sum stays above FEAS_TOL, else the basic ones are pivoted out
+        where possible and all are pinned at 0.  Then phase 2 on c.  Each
+        phase may take PIVOT_CAP * (rows + structural columns) pivots, phase
+        1's counted from `start`, and Bland's rule takes over BLAND_AFTER
+        pivots after `start`.  Returns "optimal", "infeasible" or "unbounded".
         """
-        start = self.pivots if start is None else start
-        if not self.make_feasible(cap, tol, start):
-            return "infeasible"
+        cap = PIVOT_CAP * (self.m + self.num_struct)
+        live = self.art & (self.hi > 0)
+        if live.any():
+            self._minimize(live.astype(float), self.start + cap)
+            if float(self.solution()[live].sum()) > FEAS_TOL:
+                return "infeasible"
+            self._drive_out_artificials()
+            self.lo[live] = 0.0
+            self.hi[live] = 0.0
         c2 = np.zeros(self.ncols)
         c2[: self.num_struct] = c
-        return self._minimize(c2, self.pivots + cap, start, tol)
+        return self._minimize(c2, self.pivots + cap)
 
-    def make_feasible(self, cap: int, tol: float, start: int) -> bool:
-        """Phase 1 on the live (unpinned) artificials, at most cap pivots.
-
-        Returns False if their sum stays above FEAS_TOL.  Otherwise the
-        basic ones are pivoted out where possible and all are pinned at 0.
-        With no live artificial this does nothing.
-        """
-        live = self.art & (self.hi > 0)
-        if not live.any():
-            return True
-        self._minimize(live.astype(float), start + cap, start, tol)
-        if float(self.solution()[live].sum()) > FEAS_TOL:
-            return False
-        self._drive_out_artificials()
-        self.lo[live] = 0.0
-        self.hi[live] = 0.0
-        return True
-
-    def _minimize(self, c: np.ndarray, limit: int, start: int, tol: float) -> str:
+    def _minimize(self, c: np.ndarray, limit: int) -> str:
         """Primal simplex on objective c until optimal, unbounded, or the
         pivot count reaches limit.  Returns "optimal" or "unbounded".
 
@@ -271,7 +262,7 @@ class _Tableau:
         same 1e-12 tie rules, in Python floats, which round exactly as
         numpy's elementwise float64 does.
         """
-        A, b, basis, status = self.A, self.b, self.basis, self.status
+        A, b, basis, status, start = self.A, self.b, self.basis, self.status, self.start
         lo, hi = self.lo.tolist(), self.hi.tolist()
         movable = self.lo != self.hi
         rise = (_CAN_RISE[status] & movable).astype(float)
@@ -285,7 +276,7 @@ class _Tableau:
             bland = self.pivots - start >= BLAND_AFTER
             Bmat = A[:, basis]
             y = _solve(Bmat.T, c[basis])
-            enter, direction = self._price(c - y @ A, tol, bland, rise, fall)
+            enter, direction = self._price(c - y @ A, bland, rise, fall)
             if enter is None:
                 return "optimal"
             xb = _solve(Bmat, b - A @ xn)
@@ -342,21 +333,20 @@ class _Tableau:
             rise[out] = 0.0 if up else movable[out]
             fall[out] = movable[out] if up else 0.0
 
-    def _price(
-        self, d: np.ndarray, tol: float, bland: bool, rise: np.ndarray, fall: np.ndarray
-    ) -> tuple[int | None, int]:
+    def _price(self, d: np.ndarray, bland: bool, rise: np.ndarray, fall: np.ndarray) -> tuple[int | None, int]:
         """Entering column and direction (+1 up, -1 down), or (None, 0).
 
-        A column improves if it may move against its reduced cost: rise
-        (1.0 where it may rise) and d_j < -tol, or fall and d_j > tol.
-        Its score max(-d_j * rise_j, d_j * fall_j) is then |d_j| > tol,
-        and every other column scores at most tol (0, or the reduced
-        cost's wrong-signed or sub-tolerance side).  So the first column
+        With tol = PRICE_TOL, a column improves if it may move against its
+        reduced cost: rise (1.0 where it may rise) and d_j < -tol, or fall
+        and d_j > tol.  Its score max(-d_j * rise_j, d_j * fall_j) is then
+        |d_j| > tol, and every other column scores at most tol (0, or the
+        reduced cost's wrong-signed or sub-tolerance side).  So the first column
         of largest score is Dantzig's first improving column of largest
         |d_j|, and the first with score > tol is Bland's first improving
         column (for finite d).  The direction is up exactly when the
         column may rise and d_j < -tol.
         """
+        tol = PRICE_TOL
         score = np.maximum(-d * rise, d * fall)
         j = int(np.argmax(score > tol if bland else score))
         if not score[j] > tol:
@@ -386,12 +376,11 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     Dantzig pricing with a Bland's-rule fallback after BLAND_AFTER pivots;
     raises LpError if a phase passes PIVOT_CAP * (rows + cols) pivots.
     """
-    m, n = lp.A.shape
     tab = _Tableau(lp.A, lp.b, lp.lo, lp.hi, lp.rels)
-    outcome = tab.optimise(-lp.c if lp.maximize else lp.c, PIVOT_CAP * (m + n), PRICE_TOL)
+    outcome = tab.optimise(lp.c)
     if outcome != "optimal":
         return LpSolution(outcome, None, None, tab.pivots)
-    x = tab.solution()[:n]
+    x = tab.solution()[: tab.num_struct]
     return LpSolution("optimal", x, float(np.dot(lp.c, x)), tab.pivots)
 
 
@@ -525,14 +514,15 @@ class SubtourLpResult:
 
 @functools.lru_cache(maxsize=32)
 def _degree_start(n: int, bland_after: int, pivot_cap: int) -> _Tableau:
-    """The degree tableau after `make_feasible`.
+    """The degree tableau after phase 1.
 
     The tableau holds x(delta(v)) = 2 for every vertex and 0 <= x_e <= 1
-    over the edges in edge order.  Its feasibility step reads no edge
-    costs, so it is the same for every instance on n points.  The simplex
-    reads BLAND_AFTER and PIVOT_CAP from this module; they are arguments
-    only to key the cache.  Every array of the tableau is read-only:
-    callers solve on a `fork()` of it.
+    over the edges in edge order.  Phase 1 reads no edge costs, so it is
+    the same for every instance on n points.  Phase 2 on zero costs stops
+    at its first pricing without a pivot, so `optimise` leaves the tableau
+    as phase 1 did.  The simplex reads BLAND_AFTER and PIVOT_CAP from this
+    module; they are arguments only to key the cache.  Every array of the
+    tableau is read-only: callers solve on a `fork()` of it.
     """
     iu, iv = edge_index(n)
     num_edges = len(iu)
@@ -540,7 +530,7 @@ def _degree_start(n: int, bland_after: int, pivot_cap: int) -> _Tableau:
     degree[iu, np.arange(num_edges)] = 1.0
     degree[iv, np.arange(num_edges)] = 1.0
     tab = _Tableau(degree, np.full(n, 2.0), np.zeros(num_edges), np.ones(num_edges), ["="] * n)
-    if not tab.make_feasible(pivot_cap * (n + num_edges), PRICE_TOL, 0):
+    if tab.optimise(np.zeros(num_edges)) != "optimal":
         raise LpError("subtour relaxation came back infeasible")
     for arr in (tab.A, tab.b, tab.art, tab.lo, tab.hi, tab.status, tab.basis):
         arr.setflags(write=False)
@@ -556,8 +546,8 @@ def solve_subtour_lp(inst: Instance, *, cut_tol: float = FEAS_TOL) -> SubtourLpR
     2 - cut_tol.  One simplex tableau lives for the whole loop.  It is a
     fork of the cached per-n start of `_degree_start`, which has already
     run the first round's phase 1, so the first round is phase 2 alone;
-    its pivots still count from 0, phase 1's included, against BLAND_AFTER
-    and the cap, as in a solve from scratch.  Each cut is appended as a row
+    its pivots still count from 0, phase 1's included, against BLAND_AFTER,
+    as in a solve from scratch.  Each cut is appended as a row
     x(delta(S)) >= 2 whose slack sits at 0 and whose artificial enters the
     basis at 2 - x(delta(S)); phase 1 on that artificial alone and then
     phase 2 re-optimise from the previous optimal basis.
@@ -569,8 +559,7 @@ def solve_subtour_lp(inst: Instance, *, cut_tol: float = FEAS_TOL) -> SubtourLpR
 
     cuts: list[Cut] = []
     while True:
-        # The first round counts from 0, so the cached phase-1 pivots count.
-        outcome = tab.optimise(cost, PIVOT_CAP * (tab.m + num_edges), PRICE_TOL, 0 if not cuts else None)
+        outcome = tab.optimise(cost)
         if outcome != "optimal":
             raise LpError(f"subtour relaxation came back {outcome}")
         values = tab.solution()[:num_edges]

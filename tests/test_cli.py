@@ -1,5 +1,7 @@
 """End-to-end command-line behavior: formats, reports, exit codes, plots."""
 
+import dataclasses
+import importlib
 import json
 import math
 import os
@@ -20,6 +22,11 @@ from tspgap.cli.main import main
 from tspgap.core import Instance, NormSpec, Tour
 from tspgap.ellipse import ellipse_construct
 from tspgap.families import ANCHOR_TAGS, IJK, gen_I2, gen_I3
+from tspgap.lp import LpError
+
+# The module, for monkeypatching: `tspgap.cli.main` as an attribute is the
+# `main` function that `tspgap.cli` re-exports.
+cli_main = importlib.import_module("tspgap.cli.main")
 
 
 def run_cli(capsys, *argv):
@@ -205,6 +212,41 @@ def test_infeasible_exit_code(tmp_path, capsys):
     )
     assert code == 3
     assert rep["error"]["type"] == "infeasible"
+
+
+def _i2_instance(tmp_path, capsys):
+    path = tmp_path / "i2.txt"
+    run_cli(capsys, "gen", "i2", "--i", "0", "--j", "0", "--k", "0", "-o", str(path))
+    return str(path)
+
+
+def test_lp_error_exit_code(tmp_path, capsys, monkeypatch):
+    path = _i2_instance(tmp_path, capsys)
+
+    def fail(inst):
+        raise LpError("subtour relaxation came back unbounded")
+
+    monkeypatch.setattr(cli_main, "solve_subtour_lp", fail)
+    code, rep = run_cli(capsys, "ratio", path)
+    assert code == 3
+    assert rep["error"] == {"type": "infeasible", "message": "subtour relaxation came back unbounded"}
+
+
+@pytest.mark.parametrize("bound_only", [False, True])
+def test_ratio_rejects_an_lp_above_the_tour(tmp_path, capsys, monkeypatch, bound_only):
+    # LP <= OPT <= any tour: a relaxation reported at 1.25x its cost lies
+    # above both the Held-Karp tour and the heuristic one.
+    path = _i2_instance(tmp_path, capsys)
+    real = cli_main.solve_subtour_lp
+
+    def inflated(inst):
+        res = real(inst)
+        return dataclasses.replace(res, cost=1.25 * res.cost)
+
+    monkeypatch.setattr(cli_main, "solve_subtour_lp", inflated)
+    code, rep = run_cli(capsys, "ratio", path, *(["--bound-only"] if bound_only else []))
+    assert code == 3
+    assert "exceeds the optimal tour length" in rep["error"]["message"]
 
 
 def test_size_cap_exit_code(tmp_path, capsys):

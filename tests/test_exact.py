@@ -18,7 +18,6 @@ from tspgap.exact import (
     ENUM_MAX,
     HELD_KARP_MAX,
     ExactResult,
-    brute_force,
     enumerate_tours,
     held_karp,
     heuristic_tour,
@@ -26,6 +25,25 @@ from tspgap.exact import (
 )
 from tspgap.families import IJK, gen_I2
 from tspgap.lp import LpError
+
+
+def brute_force(inst):
+    """Optimal tour by scanning `enumerate_tours`; 3 <= n <= ENUM_MAX.  The
+    oracle Held-Karp is checked against.
+
+    Each length adds the closing edges 0 - first and last - 0, then the
+    path edges in order; the first minimum wins.
+    """
+    n = inst.n
+    if not 3 <= n <= ENUM_MAX:
+        raise ValueError(f"brute_force handles 3 <= n <= {ENUM_MAX}, got {n}")
+    P = enumerate_tours(n)
+    D = inst.distance_matrix()
+    cost = D[0, P[:, 1]] + D[P[:, -1], 0]
+    for k in range(1, n - 1):
+        cost += D[P[:, k], P[:, k + 1]]
+    best = int(cost.argmin())
+    return ExactResult(Tour(P[best].tolist()), float(cost[best]), "brute_force")
 
 
 def test_unit_square_optimum():

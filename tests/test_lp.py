@@ -18,13 +18,12 @@ from tspgap.lp import (
 
 
 def _scipy_solve(lp: LinearProgram):
-    c = -lp.c if lp.maximize else lp.c
     rels = np.array(lp.rels, dtype=object)
     sign = np.where(rels == ">=", -1.0, 1.0)
     ub = rels != "="
     eq = rels == "="
     res = linprog(
-        c,
+        lp.c,
         A_ub=(sign[:, None] * lp.A)[ub] if ub.any() else None,
         b_ub=(sign * lp.b)[ub] if ub.any() else None,
         A_eq=lp.A[eq] if eq.any() else None,
@@ -44,19 +43,19 @@ def _assert_matches_scipy(lp: LinearProgram, tol: float = 1e-7):
         assert ours.status == "unbounded"
     else:
         assert ours.status == "optimal"
-        want = -ref.fun if lp.maximize else ref.fun
-        assert ours.objective_value == pytest.approx(want, abs=tol)
+        assert ours.objective_value == pytest.approx(ref.fun, abs=tol)
 
 
 def test_simple_maximization():
-    # max x+y, x+2y <= 4, 3x+y <= 6, x,y >= 0 -> (1.6, 1.2), value 2.8
+    # max x+y, x+2y <= 4, 3x+y <= 6, x,y >= 0 -> (1.6, 1.2), value 2.8,
+    # as min -x-y.
     lp = LinearProgram(
-        c=[1.0, 1.0], A=[[1.0, 2.0], [3.0, 1.0]], rels=["<=", "<="], b=[4.0, 6.0],
-        lo=[0.0, 0.0], hi=[np.inf, np.inf], maximize=True,
+        c=[-1.0, -1.0], A=[[1.0, 2.0], [3.0, 1.0]], rels=["<=", "<="], b=[4.0, 6.0],
+        lo=[0.0, 0.0], hi=[np.inf, np.inf],
     )
     sol = solve_lp(lp)
     assert sol.status == "optimal"
-    assert sol.objective_value == pytest.approx(2.8)
+    assert sol.objective_value == pytest.approx(-2.8)
     assert sol.values == pytest.approx([1.6, 1.2])
 
 
@@ -66,7 +65,7 @@ def test_infeasible_detected():
 
 
 def test_unbounded_detected():
-    lp = LinearProgram(c=[1.0], A=[[1.0]], rels=[">="], b=[0.0], lo=[0.0], hi=[np.inf], maximize=True)
+    lp = LinearProgram(c=[-1.0], A=[[1.0]], rels=[">="], b=[0.0], lo=[0.0], hi=[np.inf])
     assert solve_lp(lp).status == "unbounded"
 
 
@@ -110,10 +109,10 @@ def test_random_lps_match_scipy(seed):
         else:
             lo.append(float(rng.integers(-4, 0)))
             hi.append(float(rng.integers(0, 5)))
-    lp = LinearProgram(
-        c=rng.integers(-5, 6, size=n), A=A, rels=rels, b=b, lo=lo, hi=hi,
-        maximize=bool(rng.integers(0, 2)),
-    )
+    c = rng.integers(-5, 6, size=n)
+    if rng.integers(0, 2):
+        c = -c  # a maximisation, as minimising -c
+    lp = LinearProgram(c=c, A=A, rels=rels, b=b, lo=lo, hi=hi)
     _assert_matches_scipy(lp)
 
 

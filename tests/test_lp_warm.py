@@ -116,20 +116,22 @@ def test_zero_pivot_cap_raises_lp_error(monkeypatch):
         solve_lp(prog)
 
 
-def test_cap_and_infeasibility_on_a_re_optimisation():
+def test_cap_and_infeasibility_on_a_re_optimisation(monkeypatch):
     # min x0 + x1, x0 + x1 = 1, 0 <= x <= 1; then rows are added.
     def fresh():
         tab = lp._Tableau(np.array([[1.0, 1.0]]), np.array([1.0]), np.zeros(2), np.ones(2), ["="])
-        assert tab.optimise(np.ones(2), 100, 1e-9) == "optimal"
+        assert tab.optimise(np.ones(2)) == "optimal"
         return tab
 
     tab = fresh()
     tab.add_row(np.array([1.0, 0.0]), ">=", 0.75)
-    with pytest.raises(LpError, match="exceeded 0 pivots"):
-        tab.optimise(np.ones(2), 0, 1e-9)
+    with monkeypatch.context() as mp:
+        mp.setattr(lp, "PIVOT_CAP", 0)
+        with pytest.raises(LpError, match="exceeded 0 pivots"):
+            tab.optimise(np.ones(2))
     tab = fresh()
     tab.add_row(np.array([1.0, 1.0]), ">=", 3.0)
-    assert tab.optimise(np.ones(2), 100, 1e-9) == "infeasible"
+    assert tab.optimise(np.ones(2)) == "infeasible"
 
 
 def _raises_singular_basis(fn):
@@ -153,7 +155,7 @@ def test_singular_basis_raises_lp_error():
         return tab
 
     _raises_singular_basis(lambda: singular_tableau().solution())
-    _raises_singular_basis(lambda: singular_tableau().optimise(np.ones(2), 100, 1e-9))
+    _raises_singular_basis(lambda: singular_tableau().optimise(np.ones(2)))
 
 
 def _simplex_like(rng, m):
@@ -209,7 +211,7 @@ def test_rows_added_to_a_solved_tableau_match_highs(seed):
     c = rng.integers(-5, 6, size=n).astype(float)
     rows, rels, rhs = [rng.integers(-3, 4, size=n).astype(float)], ["="], [float(rng.integers(-3, 4))]
     tab = lp._Tableau(np.array(rows), np.array(rhs), lo, hi, rels)
-    outcome = tab.optimise(c, 1000, 1e-9)
+    outcome = tab.optimise(c)
     for k in range(4):
         a_ub = [(r if rel == "<=" else -r) for r, rel in zip(rows, rels) if rel != "="]
         b_ub = [(b if rel == "<=" else -b) for b, rel in zip(rhs, rels) if rel != "="]
@@ -236,7 +238,7 @@ def test_rows_added_to_a_solved_tableau_match_highs(seed):
         rels.append(("<=", "=", ">=")[int(rng.integers(0, 3))])
         rhs.append(float(rng.integers(-4, 5)))
         tab.add_row(rows[-1], rels[-1], rhs[-1])
-        outcome = tab.optimise(c, 1000, 1e-9)
+        outcome = tab.optimise(c)
 
 
 def _degree_rows(n):
@@ -270,7 +272,7 @@ def _outcome(inst):
 @pytest.mark.parametrize("n", range(3, 17))
 def test_cached_degree_start_matches_a_fresh_feasibility_step(n):
     fresh = _fresh_degree_start(n, lp.BLAND_AFTER, lp.PIVOT_CAP)
-    assert fresh.make_feasible(lp.PIVOT_CAP * (n + n * (n - 1) // 2), 1e-9, 0)
+    assert fresh.optimise(np.zeros(n * (n - 1) // 2)) == "optimal"
     cached = lp._degree_start(n, lp.BLAND_AFTER, lp.PIVOT_CAP)
     for name in ("A", "b", "art", "basis", "status", "lo", "hi"):
         assert np.array_equal(getattr(cached, name), getattr(fresh, name)), name
@@ -325,9 +327,9 @@ def test_bland_rule_from_the_first_phase_1_pivot(monkeypatch):
     seen = []
     price = lp._Tableau._price
 
-    def spy(self, d, tol, bland, rise, fall):
+    def spy(self, d, bland, rise, fall):
         seen.append((self.pivots, bland))
-        return price(self, d, tol, bland, rise, fall)
+        return price(self, d, bland, rise, fall)
 
     lp._degree_start.cache_clear()
     solve_subtour_lp(_certify_n13())  # caches the start under the default limits only
@@ -336,6 +338,43 @@ def test_bland_rule_from_the_first_phase_1_pivot(monkeypatch):
     solve_subtour_lp(_certify_n13())
     assert seen[0] == (0, True)
     assert all(bland for _, bland in seen)
+
+
+def test_bland_count_restarts_at_add_row_and_forks_keep_the_start(monkeypatch):
+    # With BLAND_AFTER = 1, Dantzig prices only at the count origin: 0 on a
+    # fresh tableau, the pivot count at the last `add_row` after one.
+    seen = []
+    price = lp._Tableau._price
+
+    def spy(self, d, bland, rise, fall):
+        seen.append((self.pivots, bland))
+        return price(self, d, bland, rise, fall)
+
+    monkeypatch.setattr(lp._Tableau, "_price", spy)
+    monkeypatch.setattr(lp, "BLAND_AFTER", 1)
+    inst = _two_clusters()
+    cost = edge_costs(inst)
+
+    def solve(tab, origin):
+        seen.clear()
+        assert tab.optimise(cost) == "optimal"
+        assert [bland for _, bland in seen] == [p - origin >= 1 for p, _ in seen]
+        return seen[0]
+
+    parent = lp._Tableau(*_degree_rows(inst.n))
+    assert solve(parent, 0) == (0, False)
+    # The cached degree start has pivoted from 0, so its fork, a first cut
+    # round, prices by Bland from its first call.
+    start = lp._degree_start(inst.n, lp.BLAND_AFTER, lp.PIVOT_CAP)
+    assert solve(start.fork(), 0) == (start.pivots, True)
+    x = EdgeWeightVector(inst.n, np.maximum(parent.solution()[: cost.size], 0.0))
+    parent.add_row(lp._crossing(inst.n, separate_subtour(x).vertices).astype(float), ">=", 2.0)
+    origin = parent.pivots
+    child = parent.fork()
+    assert solve(child, origin) == (origin, False)
+    assert child.pivots > origin + 1
+    # A fork made after pivots still counts from its parent's start.
+    assert solve(child.fork(), origin) == (child.pivots, True)
 
 
 _OPTIMIZED_SCRIPT = """
@@ -381,9 +420,10 @@ class _ReferenceTableau(lp._Tableau):
     ratio test on filtered arrays.  Copied verbatim, with the `lp` module's
     names qualified; kept as the oracle the loop must match pivot for pivot."""
 
-    def _minimize(self, c: np.ndarray, limit: int, start: int, tol: float) -> str:
+    def _minimize(self, c: np.ndarray, limit: int) -> str:
         """Primal simplex on objective c until optimal, unbounded, or the
         pivot count reaches limit.  Returns "optimal" or "unbounded"."""
+        start = self.start
         movable = self.lo != self.hi
         while True:
             if self.pivots >= limit:
@@ -392,7 +432,7 @@ class _ReferenceTableau(lp._Tableau):
             basis = self.basis
             Bmat = self.A[:, basis]
             y = lp._solve(Bmat.T, c[basis])
-            enter, direction = self._price(c - y @ self.A, tol, bland, movable)
+            enter, direction = self._price(c - y @ self.A, bland, movable)
             if enter is None:
                 return "optimal"
             xb = lp._solve(Bmat, self.b - self.A @ self.nonbasic_values())
@@ -439,13 +479,14 @@ class _ReferenceTableau(lp._Tableau):
             basis[leave] = enter
             self.status[enter] = lp._BASIC
 
-    def _price(self, d: np.ndarray, tol: float, bland: bool, movable: np.ndarray) -> tuple[int | None, int]:
+    def _price(self, d: np.ndarray, bland: bool, movable: np.ndarray) -> tuple[int | None, int]:
         """Entering column and direction (+1 up, -1 down), or (None, 0).
 
         A column improves if it is nonbasic, not fixed, and may move against
         its reduced cost.  Dantzig takes the first improving column of
         largest |d_j|, Bland the first improving column.
         """
+        tol = lp.PRICE_TOL
         st = self.status
         rise = lp._CAN_RISE[st] & (d < -tol)
         improving = (rise | (lp._CAN_FALL[st] & (d > tol))) & movable
@@ -460,9 +501,9 @@ def _pair(*args):
     return lp._Tableau(*args), _ReferenceTableau(*args)
 
 
-def _optimise(tab, c, cap):
+def _optimise(tab, c):
     try:
-        return tab.optimise(c, cap, 1e-9)
+        return tab.optimise(c)
     except LpError as exc:
         return str(exc)
 
@@ -475,8 +516,8 @@ def _state(tab, outcome):
     return outcome, tab.basis.tolist(), tab.status.tobytes(), tab.pivots, x
 
 
-def _optimise_both(tabs, c, cap):
-    new, ref = (_state(tab, _optimise(tab, c, cap)) for tab in tabs)
+def _optimise_both(tabs, c):
+    new, ref = (_state(tab, _optimise(tab, c)) for tab in tabs)
     assert new == ref
     return new[0]
 
@@ -510,7 +551,7 @@ def test_simplex_matches_the_reference_loop_on_random_programs(seed, bland_after
         mp.setattr(lp, "BLAND_AFTER", bland_after)
         tabs = _pair(A, b, lo, hi, rels)
         for k in range(4):
-            outcome = _optimise_both(tabs, c, lp.PIVOT_CAP * (tabs[0].m + n))
+            outcome = _optimise_both(tabs, c)
             if k == 3 or outcome not in ("optimal", "infeasible", "unbounded"):
                 return
             row = rng.integers(-3, 4, size=n).astype(float)
@@ -536,7 +577,7 @@ def test_cut_loop_matches_the_reference_loop(monkeypatch, make, bland_after):
     cost = edge_costs(inst)
     rounds = 0
     while True:
-        assert _optimise_both(tabs, cost, lp.PIVOT_CAP * (tabs[0].m + cost.size)) == "optimal"
+        assert _optimise_both(tabs, cost) == "optimal"
         values = tabs[0].solution()[: cost.size]
         cut = separate_subtour(EdgeWeightVector(n, np.maximum(values, 0.0)))
         if cut is None:
