@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EdgeWeightVector, Instance, NormSpec, Tour, edge_index, fractional_cost, tour_length
-from .exact import ENUM_MAX, enumerate_tours, held_karp
+from .exact import ENUM_MAX, checked_ratio, enumerate_tours, held_karp
 from .lp import LinearProgram, solve_lp, solve_subtour_lp
 
 # An LP optimum with every value this close to 1 is integral.
@@ -237,7 +237,7 @@ def _ratio_state(inst: Instance) -> tuple[float, float, EdgeWeightVector, Tour |
         # and are never accepted, so they carry no tour.
         return 1.0, lp.cost, lp.x, None
     exact = held_karp(inst)
-    return exact.length / lp.cost, exact.length, lp.x, exact.tour
+    return checked_ratio(exact.length, lp.cost), exact.length, lp.x, exact.tour
 
 
 def local_search(n: int, params: LocalSearchParams) -> tuple[Instance, SearchTrace]:

@@ -40,6 +40,8 @@ PRICE_TOL = 1e-9
 BLAND_AFTER = 1000
 # Each simplex phase may take PIVOT_CAP * (rows + structural columns) pivots.
 PIVOT_CAP = 50
+# Vertex count up to which `separate_subtour` scores every cut at once.
+ENUM_CUT_MAX = 10
 
 # Slack bounds that encode each row relation.
 _SLACK_BOUNDS = {"<=": (0.0, math.inf), ">=": (-math.inf, 0.0), "=": (0.0, 0.0)}
@@ -102,16 +104,24 @@ def _solve(M: np.ndarray, rhs: np.ndarray, _gesv=np.linalg._umath_linalg.solve1)
     directly skips that wrapper's array conversion, type resolution and
     shape checks, which take about as long as the solve itself on a small
     basis, and the simplex makes three solves per iteration.
-    The floating-point policy is the wrapper's: gesv reports a singular
-    matrix by raising the invalid flag, which raises here and becomes
-    LpError, while overflow, division by zero and underflow are ignored
-    whatever the caller's `np.errstate`.
+    Its callers run under `_kernel_policy`, which turns gesv's report of a
+    singular matrix into LpError.
     """
-    try:
-        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
-            return _gesv(M, rhs)
-    except FloatingPointError as exc:
-        raise LpError("singular basis: Singular matrix") from exc
+    return _gesv(M, rhs)
+
+
+def _kernel_policy(method):
+    """`method` under the simplex kernel's floating-point policy, set once per call, not per
+    `_solve`: the invalid flag (gesv's singular-matrix report) raises LpError; others are ignored."""
+    @functools.wraps(method)
+    def call(*args, **kwargs):
+        try:
+            with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+                return method(*args, **kwargs)
+        except FloatingPointError as exc:
+            raise LpError("singular basis: Singular matrix") from exc
+
+    return call
 
 
 # Variable statuses inside the simplex, and which of them may rise (at the
@@ -213,11 +223,13 @@ class _Tableau:
             setattr(tab, name, getattr(self, name).copy())
         return tab
 
+    @_kernel_policy
     def solution(self) -> np.ndarray:
         x = self.nonbasic_values()
         x[self.basis] = _solve(self.A[:, self.basis], self.b - self.A @ x)
         return x
 
+    @_kernel_policy
     def optimise(self, c: np.ndarray) -> str:
         """Minimise c . x_struct from the current basis.
 
@@ -400,15 +412,11 @@ def _crossing(n: int, S: Iterable[int]) -> np.ndarray:
     return inside[iu] != inside[iv]
 
 
-def _cut_value(x: EdgeWeightVector, S: frozenset[int]) -> float:
+def _cut_below(x: EdgeWeightVector, S: frozenset[int], tol: float) -> Cut | None:
+    """Cut(S, x(delta(S))) if that value is below 2 - tol, else None."""
     # cumsum adds in edge order, one term at a time; np.sum would reassociate.
-    return float(np.cumsum(x.values[_crossing(x.n, S)])[-1])
-
-
-def _lex_side(S: Sequence[int], n: int) -> tuple[int, ...]:
-    inside = tuple(sorted(S))
-    outside = tuple(sorted(set(range(n)) - set(S)))
-    return min(inside, outside)
+    value = float(np.cumsum(x.values[_crossing(x.n, S)])[-1])
+    return Cut(S, value) if value < 2.0 - tol else None
 
 
 def _stoer_wagner(weights: dict[int, dict[int, float]], vertices: list[int]) -> list[tuple[float, list[int]]]:
@@ -445,12 +453,26 @@ def _stoer_wagner(weights: dict[int, dict[int, float]], vertices: list[int]) -> 
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _cut_masks(n: int) -> np.ndarray:
+    """Read-only float crossing masks over edge order: row k is the subset {v : bit v of 2k + 1}."""
+    iu, iv = edge_index(n)
+    inside = (2 * np.arange(2 ** (n - 1) - 1)[:, None] + 1) >> np.arange(n) & 1
+    masks = (inside[:, iu] != inside[:, iv]).astype(float)
+    masks.setflags(write=False)
+    return masks
+
+
 def separate_subtour(x: EdgeWeightVector, *, tol: float = FEAS_TOL) -> Cut | None:
     """Most-violated subtour cut via a global minimum cut on the support graph.
 
     Requires fractional degree 2 everywhere (within 1e-6).  Returns the
-    minimum cut as a Cut when its value is below 2 - tol, else None.  Ties
-    are broken toward the lexicographically smallest vertex subset.
+    minimum cut, by its side holding vertex 0, when its value is below
+    2 - tol, else None.  Ties within 1e-12 among the components of a
+    disconnected support, else among Stoer-Wagner's cuts of the phase, go
+    to the lexicographically smallest side.  Up to ENUM_CUT_MAX vertices
+    the scores of all cuts (their round-off is far below 1e-9) settle it
+    unless the least is below 2 - tol + 1e-9 and within 1e-9 of another.
     """
     n = x.n
     if n < 3:
@@ -459,6 +481,13 @@ def separate_subtour(x: EdgeWeightVector, *, tol: float = FEAS_TOL) -> Cut | Non
     if np.abs(deg - 2.0).max() > 1e-6:
         worst = int(np.abs(deg - 2.0).argmax())
         raise ValueError(f"vertex {worst} has fractional degree {deg[worst]:.9f}, expected 2")
+    if n <= ENUM_CUT_MAX:
+        scores = _cut_masks(n) @ x.values
+        k = int(scores.argmin())
+        if scores[k] >= 2.0 - tol + 1e-9:
+            return None
+        if np.count_nonzero(scores <= scores[k] + 1e-9) == 1:
+            return _cut_below(x, frozenset(v for v in range(n) if (2 * k + 1) >> v & 1), tol)
 
     iu, iv = edge_index(n)
     support = np.flatnonzero(x.values)
@@ -489,12 +518,8 @@ def separate_subtour(x: EdgeWeightVector, *, tol: float = FEAS_TOL) -> Cut | Non
         candidates = _stoer_wagner(weights, list(range(n)))
 
     best_val = min(v for v, _ in candidates)
-    tied = [S for v, S in candidates if v <= best_val + 1e-12]
-    S = frozenset(min((_lex_side(S, n) for S in tied)))
-    value = _cut_value(x, S)
-    if value < 2.0 - tol:
-        return Cut(S, value)
-    return None
+    tied = [S if 0 in S else sorted(set(range(n)).difference(S)) for v, S in candidates if v <= best_val + 1e-12]
+    return _cut_below(x, frozenset(min(tied)), tol)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tspgap import localsearch
+from tspgap import localsearch, lp
 from tspgap.core import EdgeWeightVector, Instance, NormSpec, Tour, edge_index, fractional_cost, tour_length
 from tspgap.ellipse import ellipse_construct
 from tspgap.exact import ENUM_MAX, held_karp
@@ -25,7 +25,7 @@ from tspgap.localsearch import (
     local_search,
     random_instance,
 )
-from tspgap.lp import solve_subtour_lp
+from tspgap.lp import LpError, solve_subtour_lp
 
 
 def _fd_gradient(fn, pts, h=1e-6):
@@ -291,6 +291,18 @@ def test_ratio_state_skips_held_karp_on_integral_lp(monkeypatch):
         assert inst.points.tobytes() == ref_inst.points.tobytes()
 
 
+def test_ratio_state_checks_lp_at_most_opt(monkeypatch):
+    # A relaxation reported above the optimal tour length is an LP fault,
+    # not a ratio below 1.
+    def inflated(inst):
+        res = solve_subtour_lp(inst)
+        return lp.SubtourLpResult(res.x, 1.25 * res.cost, res.cuts, res.rounds, res.pivots)
+
+    monkeypatch.setattr(localsearch, "solve_subtour_lp", inflated)
+    with pytest.raises(LpError, match="exceeds the optimal tour length"):
+        localsearch._ratio_state(gen_I2(IJK(0, 0, 0)))
+
+
 # local_search(6) at the criterion-9 parameters, frozen bit for bit: draws
 # until the start, accepted records, the final ratio (float.hex), sha256 of
 # the records' "ratio delta eta" float.hex lines, and sha256 of the final
@@ -324,6 +336,16 @@ def test_local_search_golden_bit_exact(seed, restarts, n_records, final_hex, rec
     assert trace.final_ratio.hex() == final_hex
     assert hashlib.sha256(lines.encode()).hexdigest() == records_sha
     assert hashlib.sha256(np.ascontiguousarray(inst.points).tobytes()).hexdigest() == points_sha
+
+
+def test_search_separates_without_stoer_wagner(monkeypatch):
+    # At n = 6 every separation of the seed-19 search is settled by the
+    # scores of all cuts, and the golden above still holds.
+    calls = []
+    stoer_wagner = lp._stoer_wagner
+    monkeypatch.setattr(lp, "_stoer_wagner", lambda *args: calls.append(1) or stoer_wagner(*args))
+    test_local_search_golden_bit_exact(*_GOLDEN_SEARCH[0])
+    assert calls == []
 
 
 def test_search_above_enum_cap_runs_held_karp_once_per_state(monkeypatch):

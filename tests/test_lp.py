@@ -1,11 +1,14 @@
 """Simplex correctness against scipy, separation behavior, subtour LP values."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from tspgap import lp
 from tspgap.core import EdgeWeightVector, Instance, NormSpec, degree_vector, edge_index
 from tspgap.families import IJK, closed_form_lp_I2, fractional_xijk, gen_I2
 from tspgap.lp import (
@@ -254,3 +257,111 @@ def test_separation_matches_networkx_stoer_wagner(x):
     # tol = -1 reports the minimum cut whatever its value (at most 2 < 3).
     assert abs(separate_subtour(x, tol=-1.0).value - want) <= 1e-9
     assert (separate_subtour(x) is None) == (want >= 2.0 - FEAS_TOL)
+
+
+def _cycles(n, *cycles):
+    # The 0/1 vector of disjoint cycles (of 3 or more vertices) covering range(n).
+    w = np.zeros(n * (n - 1) // 2)
+    iu, iv = edge_index(n)
+    index = {(int(u), int(v)): k for k, (u, v) in enumerate(zip(iu, iv))}
+    for cyc in cycles:
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            w[index[min(a, b), max(a, b)]] = 1.0
+    return w
+
+
+def _lp_rounds(n):
+    # Every round's x of the cutting-plane loop on random instances, and
+    # more degree optima (cut_tol = 2.5 stops after the first round, with
+    # subtours left).
+    seen = []
+    separate = lp.separate_subtour
+
+    def recording(x, **kwargs):
+        seen.append(x)
+        return separate(x, **kwargs)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lp, "separate_subtour", recording)
+        for seed in range(30):
+            rng = np.random.default_rng(1000 * n + seed)
+            inst = Instance(rng.random((n, 2 + seed % 2)), NormSpec((1.0, 1.5, 2.0)[seed % 3]))
+            solve_subtour_lp(inst, cut_tol=FEAS_TOL if seed < 10 else 2.5)
+    return seen
+
+
+def _small_vectors():
+    """Degree-2 vectors on 3-10 points, by kind."""
+    rng = np.random.default_rng(5)
+    for n in range(3, 11):
+        yield f"lp-rounds-n{n}", _lp_rounds(n)
+        tours = [_cycles(n, [int(v) for v in rng.permutation(n)]) for _ in range(5)]
+        yield f"tours-n{n}", [EdgeWeightVector(n, t) for t in tours]
+    yield "xijk", [
+        fractional_xijk(IJK(i, j, k)) for i in range(5) for j in range(5) for k in range(5) if i + j + k <= 4
+    ]
+    yield "components", [
+        EdgeWeightVector(6, _cycles(6, [0, 1, 2], [3, 4, 5])),
+        EdgeWeightVector(6, _cycles(6, [0, 4, 2], [3, 1, 5])),
+        EdgeWeightVector(9, _cycles(9, [0, 1, 2], [3, 4, 5], [6, 7, 8])),
+        EdgeWeightVector(10, _cycles(10, [8, 1, 2], [3, 9, 5], [6, 7, 0, 4])),
+        EdgeWeightVector(7, 0.5 * _cycles(7, [0, 1, 2], [3, 4, 5, 6]) + 0.5 * _cycles(7, [0, 1, 2], [3, 5, 4, 6])),
+    ]
+    # Mixes a*C1 + b*C2 + c*C3 of the cycle covers A + BC, AB + C and a
+    # Hamiltonian cycle on A = {0, 1, 2}, B = {3, 4, 5}, C = {6, 7, 8}:
+    # cut(A) = 2 - 2a and cut(C) = 2 - 2b, the two smallest.  Their gap
+    # 2 |a - b| runs across the 1e-9 margin, and a alone puts cut(A) near
+    # 2 - FEAS_TOL.
+    covers = [
+        _cycles(9, [0, 1, 2], [3, 4, 5, 6, 7, 8]),
+        _cycles(9, [0, 1, 2, 3, 4, 5], [6, 7, 8]),
+        _cycles(9, list(range(9))),
+    ]
+    ties = []
+    for a, b in [(0.3 + d, 0.3) for d in (0.0, 1e-13, -1e-13, -4e-13, -1e-12, 2e-10, -4e-10, 6e-10, -6e-10, 2e-9, 1e-7)] + [
+        (FEAS_TOL / 2 + d, 0.0) for d in (-1e-9, -6e-10, -5e-10, -4e-10, -1e-12, 0.0, 1e-12, 4e-10, 1e-9)
+    ]:
+        ties.append(EdgeWeightVector(9, a * covers[0] + b * covers[1] + (1.0 - a - b) * covers[2]))
+    yield "near-ties", ties
+
+
+_SMALL = list(_small_vectors())
+
+
+@pytest.mark.parametrize("tol", [FEAS_TOL, -1.0, 2.5], ids=["feas-tol", "tol-minus-1", "tol-2.5"])
+@pytest.mark.parametrize("xs", [xs for _, xs in _SMALL], ids=[name for name, _ in _SMALL])
+def test_enumerated_separation_matches_stoer_wagner(monkeypatch, xs, tol):
+    # Up to ENUM_CUT_MAX points separation scores every cut and calls
+    # Stoer-Wagner only on near-ties; the cap at 0 sends every vector
+    # through Stoer-Wagner (or the components).  Same cut, bit for bit.
+    def digest(cut):
+        return None if cut is None else (tuple(sorted(cut.vertices)), cut.value.hex())
+
+    assert all(x.n <= lp.ENUM_CUT_MAX for x in xs)
+    got = [digest(separate_subtour(x, tol=tol)) for x in xs]
+    monkeypatch.setattr(lp, "ENUM_CUT_MAX", 0)
+    assert got == [digest(separate_subtour(x, tol=tol)) for x in xs]
+
+
+def test_enumerated_separation_takes_every_branch(monkeypatch):
+    # The near-tie corpus reaches all three outcomes of the scores: no cut,
+    # one cut settled by them, and Stoer-Wagner on a near-tie.
+    calls = []
+    stoer_wagner = lp._stoer_wagner
+    monkeypatch.setattr(lp, "_stoer_wagner", lambda *args: calls.append(1) or stoer_wagner(*args))
+    outcomes = set()
+    for x in dict(_SMALL)["near-ties"]:
+        before = len(calls)
+        cut = separate_subtour(x)
+        outcomes.add("sw" if len(calls) > before else "none" if cut is None else "cut")
+    assert outcomes == {"none", "cut", "sw"}
+
+
+def test_cut_masks_rows_are_the_subsets_holding_vertex_0():
+    for n in (3, 6, 10):
+        masks = lp._cut_masks(n)
+        assert masks.shape == (2 ** (n - 1) - 1, n * (n - 1) // 2) and not masks.flags.writeable
+        subsets = [[v for v in range(n) if (2 * k + 1) >> v & 1] for k in range(masks.shape[0])]
+        assert sorted(map(tuple, subsets)) == sorted({(0,) + S for r in range(n - 1) for S in combinations(range(1, n), r)})
+        want = np.array([lp._crossing(n, S) for S in subsets], dtype=float)
+        assert masks.tobytes() == want.tobytes()

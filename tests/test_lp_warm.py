@@ -142,20 +142,63 @@ def _raises_singular_basis(fn):
             fn()
 
 
+def _singular_tableau():
+    tab = lp._Tableau(np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([1.0, 0.0]), np.zeros(2), np.ones(2), ["="] * 2)
+    tab.basis = np.array([0, 0])  # one column twice
+    return tab
+
+
 def test_singular_basis_raises_lp_error():
-    # Exactly singular systems: LU meets an exact zero pivot in each.
+    # Exactly singular systems: LU meets an exact zero pivot in each.  The
+    # kernel calls `_solve` under its floating-point policy, so do these.
     rank_deficient = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 1.0], [0.0, 0.0, 1.0]])  # column 1 = 2 * column 0
-    _raises_singular_basis(lambda: lp._solve(np.zeros((3, 3)), np.ones(3)))
-    _raises_singular_basis(lambda: lp._solve(rank_deficient, np.ones(3)))
-    _raises_singular_basis(lambda: lp._solve(rank_deficient.T, np.ones(3)))
+    solve = lp._kernel_policy(lp._solve)
+    _raises_singular_basis(lambda: solve(np.zeros((3, 3)), np.ones(3)))
+    _raises_singular_basis(lambda: solve(rank_deficient, np.ones(3)))
+    _raises_singular_basis(lambda: solve(rank_deficient.T, np.ones(3)))
+    _raises_singular_basis(lambda: _singular_tableau().solution())
+    _raises_singular_basis(lambda: _singular_tableau().optimise(np.ones(2)))
 
-    def singular_tableau():
-        tab = lp._Tableau(np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([1.0, 0.0]), np.zeros(2), np.ones(2), ["="] * 2)
-        tab.basis = np.array([0, 0])  # one column twice
-        return tab
 
-    _raises_singular_basis(lambda: singular_tableau().solution())
-    _raises_singular_basis(lambda: singular_tableau().optimise(np.ones(2)))
+def test_a_basis_turning_singular_inside_minimize_raises_lp_error(monkeypatch):
+    # After the second pricing every row's basic column is the same one, so
+    # the next iteration's solve meets a singular basis midway through the
+    # simplex loop, after a pivot.
+    costs = edge_costs(_random(8, 2.0, 3))
+    tab = lp._degree_start(8, lp.BLAND_AFTER, lp.PIVOT_CAP).fork()
+    tab.optimise(costs)
+    assert tab.pivots - lp._degree_start(8, lp.BLAND_AFTER, lp.PIVOT_CAP).pivots >= 3
+    price, calls = lp._Tableau._price, []
+
+    def corrupting_price(self, *args):
+        calls.append(self.pivots)
+        if len(calls) == 2:
+            self.basis[:] = self.basis[0]
+        return price(self, *args)
+
+    monkeypatch.setattr(lp._Tableau, "_price", corrupting_price)
+    tab = lp._degree_start(8, lp.BLAND_AFTER, lp.PIVOT_CAP).fork()
+    before = np.geterr()
+    _raises_singular_basis(lambda: tab.optimise(costs))
+    assert len(calls) == 2 and calls[1] > calls[0]
+    assert np.geterr() == before
+
+
+@pytest.mark.parametrize("caller", [{}, {"all": "raise"}, {"all": "ignore"}, {"invalid": "ignore", "over": "raise"}])
+def test_the_kernel_policy_leaves_the_callers_errstate_as_it_was(caller):
+    # The policy is set for each `optimise` and `solution` call and undone
+    # after it, on return and on LpError alike.
+    with np.errstate(**caller):
+        before = np.geterr()
+        tab = lp._degree_start(7, lp.BLAND_AFTER, lp.PIVOT_CAP).fork()
+        assert tab.optimise(edge_costs(_random(7, 1.0, 4))) == "optimal"
+        assert np.geterr() == before
+        tab.solution()
+        assert np.geterr() == before
+        for call in (lambda: _singular_tableau().solution(), lambda: _singular_tableau().optimise(np.ones(2))):
+            with pytest.raises(LpError, match="singular basis"):
+                call()
+            assert np.geterr() == before
 
 
 def _simplex_like(rng, m):
@@ -184,6 +227,7 @@ def test_solve_matches_numpy_linalg_solve_bit_for_bit(m, kind, transpose, stride
     if transpose:
         M = M.T  # an F-ordered view, as `_minimize` passes for the duals
     rhs = rng.standard_normal((m, 2))[:, 0] if strided_rhs else rng.standard_normal(m)
+    solve = lp._kernel_policy(lp._solve)  # as the kernel calls it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(all="raise") if raising else contextlib.nullcontext():
@@ -191,9 +235,9 @@ def test_solve_matches_numpy_linalg_solve_bit_for_bit(m, kind, transpose, stride
                 want = np.linalg.solve(M, rhs)
             except np.linalg.LinAlgError:
                 with pytest.raises(LpError, match="singular basis"):
-                    lp._solve(M, rhs)
+                    solve(M, rhs)
                 return
-            got = lp._solve(M, rhs)
+            got = solve(M, rhs)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
