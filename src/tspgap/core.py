@@ -190,6 +190,15 @@ def edge_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     return iu, iv
 
 
+@functools.lru_cache(maxsize=64)
+def _edge_ends(n: int) -> np.ndarray:
+    """Both endpoints of each edge in edge order, u then v: the bins
+    `degree_vector` adds into.  Cached; read-only."""
+    ends = np.column_stack(edge_index(n)).ravel()
+    ends.setflags(write=False)
+    return ends
+
+
 def edge_position(n: int, u, v):
     """Position in edge order of the edge (u, v) with u < v; u and v may
     be equal-length integer arrays."""
@@ -301,6 +310,5 @@ def fractional_cost(inst: Instance, x: EdgeWeightVector) -> float:
 
 def degree_vector(x: EdgeWeightVector) -> np.ndarray:
     """Fractional degree sum(x_e, e incident to v) for each vertex."""
-    iu, iv = edge_index(x.n)
     # bincount adds in input order: each edge's weight to u, then to v.
-    return np.bincount(np.column_stack([iu, iv]).ravel(), np.repeat(x.values, 2), minlength=x.n)
+    return np.bincount(_edge_ends(x.n), np.repeat(x.values, 2), minlength=x.n)

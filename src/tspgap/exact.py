@@ -30,35 +30,37 @@ class ExactResult:
     method: str  # "held_karp"
 
 
+# Each step of the DP gathers at most this many (end vertex, mask) columns,
+# so its scratch arrays stay small beside the table.
+_BLOCK_COLUMNS = 1 << 11
+
+
 @functools.lru_cache(maxsize=8)
-def _layer_steps(r: int) -> tuple[tuple[int, np.ndarray], ...]:
-    """The DP steps over r vertices: (v, S) for each popcount layer k >= 2
-    in order and each v < r, where S (int32, read-only) lists the masks of
-    layer k that hold v, ascending.  Every mask of popcount k sits in k of
-    them, so one size holds r * 2^(r-1) indices: 0.85 MB for every
-    n = r + 1 <= 15 together, 20 MB at n = 20."""
-    masks = np.arange(1 << r)
+def _layers(r: int) -> tuple[np.ndarray, ...]:
+    """The DP layers over r vertices: for each popcount layer k >= 2 in
+    order, an int32 array T of shape (r, C(r-1, k-1)) whose row v lists the
+    masks of layer k-1 that do not hold v, ascending.  Cached; read-only."""
+    masks = np.arange(1 << r, dtype=np.int32)
     popcount = np.zeros_like(masks)
     for v in range(r):
         popcount += (masks >> v) & 1
-    steps = []
+    layers = []
     for k in range(2, r + 1):
-        layer = masks[popcount == k]
-        for v in range(r):
-            S = layer[layer & (1 << v) != 0].astype(np.int32)
-            S.setflags(write=False)
-            steps.append((v, S))
-    return tuple(steps)
+        below = masks[popcount == k - 1]
+        T = np.stack([below[below & (1 << v) == 0] for v in range(r)])
+        T.setflags(write=False)
+        layers.append(T)
+    return tuple(layers)
 
 
 def held_karp(inst: Instance) -> ExactResult:
     """Optimal tour by the classic subset DP, anchored at vertex 0.
 
-    Handles 3 <= n <= 20.  One numpy step per popcount layer and end vertex
-    v extends every mask of the layer that holds v; the masks of each step
-    are cached per size (`_layer_steps`).  The table holds 2^(n-1) * (n-1)
-    doubles, 76 MB at n = 20.  Ties go to the smallest predecessor index
-    and the returned Tour is canonical.
+    Handles 3 <= n <= 20.  The table is vertex-major, dp[v, S] for the
+    vertices 1..n-1 and their masks.  Each popcount layer extends the masks
+    of the layer below by every vertex they do not hold (`_layers`), in
+    blocks of at most _BLOCK_COLUMNS gathered columns.  Ties go to the
+    smallest predecessor index and the returned Tour is canonical.
     """
     n = inst.n
     if not 3 <= n <= HELD_KARP_MAX:
@@ -69,13 +71,26 @@ def held_karp(inst: Instance) -> ExactResult:
     d0 = D[0, 1:]
     full = (1 << r) - 1
 
-    # dp[S, v]: shortest path from 0 through the vertices of S, ending at v.
-    dp = np.full((full + 1, r), np.inf)
-    dp[1 << np.arange(r), np.arange(r)] = d0  # singletons are the DP base
-    for v, S in _layer_steps(r):
-        dp[S, v] = (dp[S ^ (1 << v)] + Dr[:, v]).min(axis=1)
+    # dp[v, S]: shortest path from 0 through the vertices of S, ending at v.
+    # Entries with v outside S stay inf, so they never win a min.
+    dp = np.full((r, full + 1), np.inf)
+    dp[np.arange(r), 1 << np.arange(r)] = d0  # singletons are the DP base
+    flat = dp.reshape(-1)
+    vs = np.arange(r, dtype=np.int32)
+    tag = (1 << vs) + (vs << r)  # T | tag[v] is the flat index of dp[v, T | 1 << v]
+    for T in _layers(r):
+        cols = min(T.shape[1], _BLOCK_COLUMNS)
+        rows = _BLOCK_COLUMNS // cols
+        for v0 in range(0, r, rows):
+            block = slice(v0, v0 + rows)
+            for j0 in range(0, T.shape[1], cols):
+                Tb = T[block, j0 : j0 + cols]
+                # g[u, i, j] = dp[u, Tb[i, j]] + Dr[u, v0 + i]: one add per candidate.
+                g = dp.take(Tb, axis=1)
+                g += Dr[:, block, None]
+                flat.put(Tb | tag[block, None], g.min(axis=0))
 
-    closing = dp[full] + d0
+    closing = dp[:, full] + d0
     v = int(closing.argmin())
     cost = float(closing[v])
 
@@ -84,7 +99,7 @@ def held_karp(inst: Instance) -> ExactResult:
     s = full
     while s != 1 << v:
         s ^= 1 << v
-        v = int((dp[s] + Dr[:, v]).argmin())
+        v = int((dp[:, s] + Dr[:, v]).argmin())
         path.append(v + 1)
     path.reverse()
     return ExactResult(Tour([0] + path), cost, "held_karp")

@@ -193,10 +193,10 @@ class _Tableau:
         self.status = np.concatenate([self.status, np.full(k, status, dtype=np.int8)])
         self.art = np.concatenate([self.art, np.full(k, art)])
 
-    def add_row(self, coeffs: np.ndarray, rel: str, rhs: float) -> None:
+    def add_row(self, coeffs: np.ndarray, rel: str, rhs: float, x: np.ndarray) -> None:
         """Append the row coeffs . x_struct (rel) rhs with its slack at 0 and
-        a basic artificial at the residual rhs - coeffs . x."""
-        x = self.solution()
+        a basic artificial at the residual rhs - coeffs . x, where x is the
+        current `solution()`."""
         row = np.zeros(self.ncols)
         row[: self.num_struct] = coeffs
         resid = rhs - float(row @ x)
@@ -587,7 +587,8 @@ def solve_subtour_lp(inst: Instance, *, cut_tol: float = FEAS_TOL) -> SubtourLpR
         outcome = tab.optimise(cost)
         if outcome != "optimal":
             raise LpError(f"subtour relaxation came back {outcome}")
-        values = tab.solution()[:num_edges]
+        sol = tab.solution()
+        values = sol[:num_edges]
         x = EdgeWeightVector(n, np.maximum(values, 0.0))
         cut = separate_subtour(x, tol=cut_tol)
         if cut is None:
@@ -595,4 +596,4 @@ def solve_subtour_lp(inst: Instance, *, cut_tol: float = FEAS_TOL) -> SubtourLpR
         if len(cuts) == 1000:
             raise LpError("cutting-plane loop failed to converge after 1000 rounds")
         cuts.append(cut)
-        tab.add_row(_crossing(n, cut.vertices).astype(float), ">=", 2.0)
+        tab.add_row(_crossing(n, cut.vertices).astype(float), ">=", 2.0, sol)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tspgap import core
 from tspgap.core import (
     COINCIDENT_TOL,
     EdgeWeightVector,
@@ -62,7 +63,11 @@ def test_edge_index_order_and_positions():
         (0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
     ]
     assert edge_index(5) is edge_index(5)
-    for arr in (iu, iv):
+    # degree_vector's bins: each edge's u, then its v.
+    ends = core._edge_ends(5)
+    assert core._edge_ends(5) is ends
+    assert ends.tolist() == [w for pair in zip(iu.tolist(), iv.tolist()) for w in pair]
+    for arr in (iu, iv, ends):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
     for n in (3, 4, 9, 20):

@@ -1,11 +1,13 @@
 """Exact solvers: Held-Karp against brute force, caps, ratio plumbing."""
 
 import dataclasses
+import functools
 import itertools
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -358,12 +360,92 @@ def test_brute_force_matches_the_python_scan_bit_for_bit(seed, n, grid):
     assert (res.tour.order, res.length.hex()) == (order, cost.hex())
 
 
-def test_layer_steps_are_cached_read_only_int32():
-    steps = exact._layer_steps(5)
-    assert exact._layer_steps(5) is steps
-    assert [v for v, _ in steps] == list(range(5)) * 4
-    for v, S in steps:
-        assert S.dtype == np.int32 and not S.flags.writeable
-        assert all(s >> v & 1 for s in S.tolist())
-    # Every mask of popcount k appears in k steps.
-    assert sum(S.size for _, S in steps) == 5 * 2**4 - 5
+def test_layers_are_cached_read_only_int32_rows_without_v():
+    for r in (2, 5, 9):
+        layers = exact._layers(r)
+        assert exact._layers(r) is layers
+        assert [T.shape for T in layers] == [(r, math.comb(r - 1, k - 1)) for k in range(2, r + 1)]
+        for k, T in enumerate(layers, start=2):
+            assert T.dtype == np.int32 and not T.flags.writeable
+            for v, row in enumerate(T.tolist()):
+                assert all(bin(t).count("1") == k - 1 and not t >> v & 1 for t in row)
+                assert row == sorted(set(row))
+        # The same r * 2^(r-1) indices as one per (end vertex, mask) pair,
+        # less the r singletons of the DP base.
+        assert sum(T.size for T in layers) == r * 2 ** (r - 1) - r
+
+
+@functools.lru_cache(maxsize=None)
+def _layer_steps(r):
+    # (v, S) for each popcount layer k >= 2 and each v < r, where S lists
+    # the masks of layer k that hold v, ascending.
+    masks = np.arange(1 << r)
+    popcount = np.zeros_like(masks)
+    for v in range(r):
+        popcount += (masks >> v) & 1
+    steps = []
+    for k in range(2, r + 1):
+        layer = masks[popcount == k]
+        for v in range(r):
+            steps.append((v, layer[layer & (1 << v) != 0]))
+    return steps
+
+
+def _held_karp_per_layer_step(inst):
+    """Reference: the mask-major table, one numpy step per popcount layer
+    and end vertex, as held_karp ran before its vertex-major table."""
+    D = inst.distance_matrix()
+    r = inst.n - 1
+    Dr, d0, full = D[1:, 1:], D[0, 1:], (1 << r) - 1
+    dp = np.full((full + 1, r), np.inf)
+    dp[1 << np.arange(r), np.arange(r)] = d0
+    for v, S in _layer_steps(r):
+        dp[S, v] = (dp[S ^ (1 << v)] + Dr[:, v]).min(axis=1)
+    closing = dp[full] + d0
+    v = int(closing.argmin())
+    length = float(closing[v])
+    path, s = [v + 1], full
+    while s != 1 << v:
+        s ^= 1 << v
+        v = int((dp[s] + Dr[:, v]).argmin())
+        path.append(v + 1)
+    return length, Tour([0] + path[::-1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(3, 13), st.booleans())
+def test_held_karp_matches_the_per_layer_step_table_bit_exact(seed, n, grid):
+    # Grid cases run under L1, where many tours tie.
+    rng = np.random.default_rng(seed)
+    pts = _grid_points(rng, n) if grid else rng.uniform(size=(n, 2))
+    inst = Instance(pts, NormSpec(1.0 if grid else (1.0, 2.0, 3.0)[seed % 3]))
+    res = held_karp(inst)
+    length, tour = _held_karp_per_layer_step(inst)
+    assert (res.length.hex(), res.tour) == (length.hex(), tour)
+
+
+@pytest.mark.parametrize("block", [1, 7, 2**20])
+@pytest.mark.parametrize("n", range(12, 16))
+def test_held_karp_bits_do_not_depend_on_the_block_size(monkeypatch, n, block):
+    # 1 and 7 split layers inside rows and leave partial last blocks; 2**20
+    # takes each layer in one gather.
+    rng = np.random.default_rng(n)
+    cases = [Instance(rng.uniform(size=(n, 2)), NormSpec(2.0)), Instance(_grid_points(rng, n), NormSpec(1.0))]
+    want = [held_karp(inst) for inst in cases]
+    monkeypatch.setattr(exact, "_BLOCK_COLUMNS", block)
+    for inst, ref in zip(cases, want):
+        res = held_karp(inst)
+        assert (res.length.hex(), res.tour) == (ref.length.hex(), ref.tour)
+
+
+def test_held_karp_peak_memory_is_the_table_plus_a_block():
+    n = 16
+    inst = Instance(np.random.default_rng(16).uniform(size=(n, 2)))
+    held_karp(inst)  # builds the cached layers and the distance matrix
+    tracemalloc.start()
+    try:
+        held_karp(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (n - 1) * 2 ** (n - 1) * 8 + 2**20

@@ -124,13 +124,13 @@ def test_cap_and_infeasibility_on_a_re_optimisation(monkeypatch):
         return tab
 
     tab = fresh()
-    tab.add_row(np.array([1.0, 0.0]), ">=", 0.75)
+    tab.add_row(np.array([1.0, 0.0]), ">=", 0.75, tab.solution())
     with monkeypatch.context() as mp:
         mp.setattr(lp, "PIVOT_CAP", 0)
         with pytest.raises(LpError, match="exceeded 0 pivots"):
             tab.optimise(np.ones(2))
     tab = fresh()
-    tab.add_row(np.array([1.0, 1.0]), ">=", 3.0)
+    tab.add_row(np.array([1.0, 1.0]), ">=", 3.0, tab.solution())
     assert tab.optimise(np.ones(2)) == "infeasible"
 
 
@@ -281,7 +281,7 @@ def test_rows_added_to_a_solved_tableau_match_highs(seed):
         rows.append(rng.integers(-3, 4, size=n).astype(float))
         rels.append(("<=", "=", ">=")[int(rng.integers(0, 3))])
         rhs.append(float(rng.integers(-4, 5)))
-        tab.add_row(rows[-1], rels[-1], rhs[-1])
+        tab.add_row(rows[-1], rels[-1], rhs[-1], tab.solution())
         outcome = tab.optimise(c)
 
 
@@ -412,7 +412,7 @@ def test_bland_count_restarts_at_add_row_and_forks_keep_the_start(monkeypatch):
     start = lp._degree_start(inst.n, lp.BLAND_AFTER, lp.PIVOT_CAP)
     assert solve(start.fork(), 0) == (start.pivots, True)
     x = EdgeWeightVector(inst.n, np.maximum(parent.solution()[: cost.size], 0.0))
-    parent.add_row(lp._crossing(inst.n, separate_subtour(x).vertices).astype(float), ">=", 2.0)
+    parent.add_row(lp._crossing(inst.n, separate_subtour(x).vertices).astype(float), ">=", 2.0, parent.solution())
     origin = parent.pivots
     child = parent.fork()
     assert solve(child, origin) == (origin, False)
@@ -601,7 +601,7 @@ def test_simplex_matches_the_reference_loop_on_random_programs(seed, bland_after
             row = rng.integers(-3, 4, size=n).astype(float)
             rel, rhs = ("<=", "=", ">=")[int(rng.integers(0, 3))], float(rng.integers(-4, 5))
             for tab in tabs:
-                tab.add_row(row, rel, rhs)
+                tab.add_row(row, rel, rhs, tab.solution())
 
 
 @pytest.mark.parametrize("bland_after", [0, lp.BLAND_AFTER])
@@ -628,6 +628,6 @@ def test_cut_loop_matches_the_reference_loop(monkeypatch, make, bland_after):
             break
         rounds += 1
         for tab in tabs:
-            tab.add_row(lp._crossing(n, cut.vertices).astype(float), ">=", 2.0)
+            tab.add_row(lp._crossing(n, cut.vertices).astype(float), ">=", 2.0, tab.solution())
     want = solve_subtour_lp(inst)
     assert (float(np.dot(cost, values)).hex(), rounds, tabs[0].pivots) == (want.cost.hex(), want.rounds, want.pivots)
