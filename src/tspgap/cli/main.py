@@ -515,7 +515,10 @@ def cmd_export(args: argparse.Namespace) -> dict:
 # --- parser ------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The tspgap parser, built on the first call and shared by every later
+    one in the process: callers must not mutate it."""
     parser = argparse.ArgumentParser(
         prog="tspgap",
         description="Structured TSP instances with large subtour-LP integrality ratios.",

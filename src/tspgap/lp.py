@@ -430,7 +430,8 @@ def _stoer_wagner(weights: dict[int, dict[int, float]], vertices: list[int]) -> 
         conn = {v: W[start].get(v, 0.0) for v in active if v != start}
         prev, last = start, start
         while conn:
-            last = max(conn.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+            # conn's keys stay ascending (built from sorted active, only popped): ties go to the smallest.
+            last = max(conn, key=conn.__getitem__)
             cut_val = conn.pop(last)
             for v, wt in W[last].items():
                 if v in conn:

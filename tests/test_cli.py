@@ -1,10 +1,15 @@
 """End-to-end command-line behavior: formats, reports, exit codes, plots."""
 
+import argparse
 import dataclasses
 import importlib
 import json
 import math
 import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -410,3 +415,70 @@ def test_gen_with_tsplib_export_writes_both(tmp_path, capsys):
     assert os.path.exists(inst_path) and os.path.exists(tsp_path)
     assert rep["instance"]["n"] == 36
     assert str(tsp_path) in rep["sha256"]
+
+
+# --- parser reuse ------------------------------------------------------------
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys, monkeypatch):
+    cli_main.build_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+
+    def cli_text(*argv):
+        code = main(list(argv))
+        return code, capsys.readouterr().out
+
+    def help_text(columns):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    def without_wall_time(text):
+        return re.sub(r'"wall_time_s": [^,\n]+', '"wall_time_s": _', text)
+
+    inst_path = tmp_path / "i2.txt"
+    inst_path.write_text(format_instance(gen_I2(IJK(1, 0, 1))))
+    path = str(inst_path)
+    wide_first = help_text(200)
+    first = cli_text("ratio", path)
+    with pytest.raises(SystemExit) as exc:
+        main(["ratio", path, "--no-such-flag"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert cli_text("gen", "i2", "--i", "0", "--j", "1", "--k", "0", "-o", str(tmp_path / "g.txt"))[0] == 0
+    code, bound = cli_text("ratio", "--bound-only", path)
+    assert code == 0 and json.loads(bound)["opt"]["certified"] is False
+    last = cli_text("ratio", path)
+    assert first[0] == last[0] == 0
+    assert without_wall_time(first[1]) == without_wall_time(last[1])
+    narrow_later = help_text(60)
+    assert built.count("tspgap") == 1
+
+    # A parser first built under the other width prints the same help:
+    # COLUMNS is read when help is printed, not when the parser is built.
+    cli_main.build_parser.cache_clear()
+    narrow_first = help_text(60)
+    wide_later = help_text(200)
+    assert built.count("tspgap") == 2
+    assert narrow_first == narrow_later and wide_first == wide_later
+    assert narrow_first != wide_first
+
+
+def test_parser_is_not_built_at_import():
+    code = (
+        "import importlib; "
+        "print(importlib.import_module('tspgap.cli.main').build_parser.cache_info().currsize)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"

@@ -365,3 +365,85 @@ def test_cut_masks_rows_are_the_subsets_holding_vertex_0():
         assert sorted(map(tuple, subsets)) == sorted({(0,) + S for r in range(n - 1) for S in combinations(range(1, n), r)})
         want = np.array([lp._crossing(n, S) for S in subsets], dtype=float)
         assert masks.tobytes() == want.tobytes()
+
+
+def _stoer_wagner_tuple_key(weights, vertices):
+    # Oracle: lp._stoer_wagner with the phase pick's tie-break spelled out
+    # by the key (weight, -vertex) instead of read off conn's key order.
+    active = sorted(vertices)
+    groups = {v: [v] for v in active}
+    W = {u: dict(weights[u]) for u in active}
+    out = []
+    while len(active) > 1:
+        start = active[0]
+        conn = {v: W[start].get(v, 0.0) for v in active if v != start}
+        prev, last = start, start
+        while conn:
+            last = max(conn.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+            cut_val = conn.pop(last)
+            for v, wt in W[last].items():
+                if v in conn:
+                    conn[v] += wt
+            if conn:
+                prev = last
+        out.append((cut_val, sorted(groups[last])))
+        groups[prev].extend(groups.pop(last))
+        for v, wt in W.pop(last).items():
+            if v == prev:
+                continue
+            W[prev][v] = W[prev].get(v, 0.0) + wt
+            W[v][prev] = W[v].get(prev, 0.0) + wt
+            W[v].pop(last, None)
+        W[prev].pop(last, None)
+        for v in W:
+            W[v].pop(last, None)
+        active.remove(last)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(2, 30),
+    st.sampled_from(["ties", "floats"]),
+    st.sampled_from([0.1, 0.3, 1.0]),
+    st.integers(0, 2**31 - 1),
+)
+def test_stoer_wagner_matches_tuple_key_pick(n, kind, density, seed):
+    # Density 1 draws complete graphs, 0.1 mostly disconnected ones; weights
+    # from {0.25, 0.5, 1} tie often.  Edges and vertices come in shuffled order.
+    rng = np.random.default_rng(seed)
+    weights = {v: {} for v in rng.permutation(n).tolist()}
+    for u, v in combinations(rng.permutation(n).tolist(), 2):
+        if rng.random() < density:
+            w = float(rng.choice([0.25, 0.5, 1.0])) if kind == "ties" else float(rng.random())
+            weights[u][v] = weights[v][u] = w
+    vertices = rng.permutation(n).tolist()
+    assert lp._stoer_wagner(weights, vertices) == _stoer_wagner_tuple_key(weights, vertices)
+
+
+def _bound_supports():
+    # The support graphs solve_subtour_lp hands Stoer-Wagner on the random
+    # L2 instances of the `bound` benchmark workload (seed 2021, n = 30, 35, 40).
+    seen = []
+    stoer_wagner = lp._stoer_wagner
+
+    def recording(weights, vertices):
+        seen.append((weights, vertices))
+        return stoer_wagner(weights, vertices)
+
+    base = np.random.default_rng(2021)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lp, "_stoer_wagner", recording)
+        for n in (30, 35, 40):
+            solve_subtour_lp(Instance(base.random((n, 2)), NormSpec(2.0)))
+    return seen
+
+
+def test_stoer_wagner_matches_tuple_key_pick_on_lp_supports():
+    supports = _bound_supports()
+    assert len(supports) >= 3
+    rng = np.random.default_rng(7)
+    for weights, vertices in supports:
+        shuffled = rng.permutation(vertices).tolist()
+        assert lp._stoer_wagner(weights, vertices) == _stoer_wagner_tuple_key(weights, vertices)
+        assert lp._stoer_wagner(weights, shuffled) == _stoer_wagner_tuple_key(weights, shuffled)
