@@ -131,14 +131,6 @@ class Instance:
             return np.sqrt((diff * diff).sum(axis=2))
         return (diff**p).sum(axis=2) ** (1.0 / p)
 
-    def index_of(self, label: str) -> int:
-        if self.labels is None:
-            raise ValueError("instance has no labels")
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(label) from None
-
     def __repr__(self) -> str:
         return f"Instance(n={self.n}, d={self.dim}, p={self.norm.p})"
 
@@ -268,14 +260,6 @@ class EdgeWeightVector:
             given[k] = True
             values[k] = w
         return cls(n, values)
-
-    @classmethod
-    def from_tour(cls, tour: Tour) -> "EdgeWeightVector":
-        order = np.array(tour.order)
-        values = np.zeros(tour.n * (tour.n - 1) // 2)
-        succ = np.roll(order, -1)
-        values[edge_position(tour.n, np.minimum(order, succ), np.maximum(order, succ))] = 1.0
-        return cls(tour.n, values)
 
     def __eq__(self, other: object) -> bool:
         return (

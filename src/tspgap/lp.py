@@ -1,20 +1,11 @@
-"""Self-contained LP layer: bounded-variable primal simplex, global min-cut
-separation, and the degree-constrained cutting-plane loop for the subtour
-relaxation.
+"""Self-contained LP layer: bounded-variable primal simplex on a tableau that
+rows can be added to, global min-cut separation, and the subtour relaxation.
 
-One simplex tableau serves both entry points.  `solve_lp` builds it for a
-whole `LinearProgram` and runs two-phase simplex once.  `solve_subtour_lp`
-keeps one tableau alive for the whole cutting-plane loop.  Phase 1 on the
-degree rows reads neither the costs nor the points, so its outcome (basis,
-column statuses, pinned bounds, pivot count) is computed once per n, cached,
-and copied into every solve, whose first round goes straight to phase 2.
-Each subtour cut is then appended as a row whose artificial enters the
-basis at the cut's violation, and phase 1 on that artificial alone followed
-by phase 2 re-optimise from the previous optimal basis instead of starting
-over.
-
-No external solver is used; the simplex below is exact enough for the desk
-scale this package targets (hundreds of variables, tens of rows).
+Both entry points run the one lazy-row loop `_reoptimise`: `solve_lp` with no
+separator, `solve_subtour_lp` with the subtour separator on a fork of the
+cached degree start.  No external solver is used; the simplex below is exact
+enough for the desk scale this package targets (hundreds of variables, tens
+of rows).
 """
 
 from __future__ import annotations
@@ -23,7 +14,7 @@ import copy
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -33,13 +24,17 @@ from .core import EdgeWeightVector, Instance, degree_vector, edge_costs, edge_in
 FEAS_TOL = 1e-7
 # Pivot magnitude below which a column entry is treated as zero.
 PIVOT_TOL = 1e-10
-# Reduced-cost magnitude a column must exceed to enter the basis.
+# Reduced-cost magnitude a column must exceed to enter the basis.  It is
+# absolute for `solve_lp`; `solve_subtour_lp` prices on its costs scaled by a
+# power of two into [0.5, 1), so there it is relative to the largest cost.
 PRICE_TOL = 1e-9
 # Dantzig pricing switches to Bland's rule after this many pivots of one
 # (re-)optimisation.
 BLAND_AFTER = 1000
 # Each simplex phase may take PIVOT_CAP * (rows + structural columns) pivots.
 PIVOT_CAP = 50
+# `_reoptimise` adds at most this many rows.
+ROUND_CAP = 1000
 # Vertex count up to which `separate_subtour` scores every cut at once.
 ENUM_CUT_MAX = 10
 
@@ -48,7 +43,7 @@ _SLACK_BOUNDS = {"<=": (0.0, math.inf), ">=": (-math.inf, 0.0), "=": (0.0, 0.0)}
 
 
 class LpError(RuntimeError):
-    """Simplex stalled or the cutting-plane loop failed to converge."""
+    """Simplex stalled or the lazy-row loop failed to converge."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,9 +138,8 @@ class _Tableau:
     other basic values stay as they were, so the basis stays valid and the
     next `optimise` starts from it.
 
-    The kernel is `optimise(c)`, `add_row`, `fork` and `solution`.
-    `solve_subtour_lp` starts each solve from a `fork` of the cached,
-    read-only degree tableau of `_degree_start`.
+    The kernel is `optimise(c)`, `add_row`, `fork` and `solution`, and
+    `_reoptimise` is the one loop over them.
 
     The basic solution is recomputed from the nonbasic values every
     iteration (a dense solve), trading speed for drift-free arithmetic.
@@ -382,6 +376,25 @@ class _Tableau:
             # else: redundant row; the artificial stays basic, pinned at zero.
 
 
+def _reoptimise(tab: _Tableau, c: np.ndarray, separate: Callable | None = None) -> tuple[str, np.ndarray | None]:
+    """Optimise c on `tab`; then, while `separate` maps the structural part
+    of the optimum to a row (coeffs, rel, rhs), `add_row` it and re-optimise
+    from the same basis.  Returns the outcome and, if "optimal", the last
+    `solution()`.  Raises LpError when a row past ROUND_CAP is asked for.
+    """
+    added = 0
+    while (outcome := tab.optimise(c)) == "optimal":
+        sol = tab.solution()
+        row = None if separate is None else separate(sol[: tab.num_struct])
+        if row is None:
+            return outcome, sol
+        if added == ROUND_CAP:
+            raise LpError(f"lazy-row loop failed to converge after {ROUND_CAP} rounds")
+        added += 1
+        tab.add_row(*row, sol)
+    return outcome, None
+
+
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Two-phase bounded-variable primal simplex.
 
@@ -389,11 +402,11 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     raises LpError if a phase passes PIVOT_CAP * (rows + cols) pivots.
     """
     tab = _Tableau(lp.A, lp.b, lp.lo, lp.hi, lp.rels)
-    outcome = tab.optimise(lp.c)
-    if outcome != "optimal":
+    outcome, sol = _reoptimise(tab, lp.c)
+    if sol is None:
         return LpSolution(outcome, None, None, tab.pivots)
-    x = tab.solution()[: tab.num_struct]
-    return LpSolution("optimal", x, float(np.dot(lp.c, x)), tab.pivots)
+    x = sol[: tab.num_struct]
+    return LpSolution(outcome, x, float(np.dot(lp.c, x)), tab.pivots)
 
 
 @dataclass(frozen=True)
@@ -563,38 +576,33 @@ def _degree_start(n: int, bland_after: int, pivot_cap: int) -> _Tableau:
     return tab
 
 
-def solve_subtour_lp(inst: Instance, *, cut_tol: float = FEAS_TOL) -> SubtourLpResult:
-    """Cutting-plane solve of the subtour relaxation.
+def solve_subtour_lp(inst: Instance) -> SubtourLpResult:
+    """The subtour relaxation over the edges in edge order (`edge_index`):
+    degree rows, 0 <= x_e <= 1, and one most violated cut x(delta(S)) >= 2
+    per round until `separate_subtour` finds none.
 
-    Starts from degree constraints and 0 <= x_e <= 1 over the edges in
-    edge order (`edge_index`), adds the single most violated subtour cut
-    per round, and stops when a full separation pass finds no cut below
-    2 - cut_tol.  One simplex tableau lives for the whole loop.  It is a
-    fork of the cached per-n start of `_degree_start`, which has already
-    run the first round's phase 1, so the first round is phase 2 alone;
-    its pivots still count from 0, phase 1's included, against BLAND_AFTER,
-    as in a solve from scratch.  Each cut is appended as a row
-    x(delta(S)) >= 2 whose slack sits at 0 and whose artificial enters the
-    basis at 2 - x(delta(S)); phase 1 on that artificial alone and then
-    phase 2 re-optimise from the previous optimal basis.
+    The loop prices on the costs scaled by an exact power of two into
+    [0.5, 1), which scales every reduced cost exactly and makes PRICE_TOL
+    relative; `cost` is the unscaled c . x.  The first round is phase 2
+    alone, since the cached start has run phase 1; its pivots still count
+    from 0 against BLAND_AFTER, as in a solve from scratch.
     """
     n = inst.n
-    tab = _degree_start(n, BLAND_AFTER, PIVOT_CAP).fork()
     cost = edge_costs(inst)
-    num_edges = cost.size
-
     cuts: list[Cut] = []
-    while True:
-        outcome = tab.optimise(cost)
-        if outcome != "optimal":
-            raise LpError(f"subtour relaxation came back {outcome}")
-        sol = tab.solution()
-        values = sol[:num_edges]
+    x = None
+
+    def subtour_row(values):
+        nonlocal x
         x = EdgeWeightVector(n, np.maximum(values, 0.0))
-        cut = separate_subtour(x, tol=cut_tol)
+        cut = separate_subtour(x)
         if cut is None:
-            return SubtourLpResult(x, float(np.dot(cost, values)), tuple(cuts), len(cuts), tab.pivots)
-        if len(cuts) == 1000:
-            raise LpError("cutting-plane loop failed to converge after 1000 rounds")
+            return None
         cuts.append(cut)
-        tab.add_row(_crossing(n, cut.vertices).astype(float), ">=", 2.0, sol)
+        return _crossing(n, cut.vertices).astype(float), ">=", 2.0
+
+    tab = _degree_start(n, BLAND_AFTER, PIVOT_CAP).fork()
+    outcome, sol = _reoptimise(tab, np.ldexp(cost, -math.frexp(cost.max())[1]), subtour_row)
+    if sol is None:
+        raise LpError(f"subtour relaxation came back {outcome}")
+    return SubtourLpResult(x, float(np.dot(cost, sol[: cost.size])), tuple(cuts), len(cuts), tab.pivots)

@@ -312,7 +312,7 @@ def test_criterion_10_bit_exact_benchmark_exports():
     m = tsplib_cost_matrix(gen_I3(IJK(10, 9, 11)))
     assert m[0, 1] == 90  # floor(1000/11)
     inst = gen_I3(IJK(10, 9, 11))
-    assert m[0, inst.index_of("Y0")] == 190  # floor(1000 * (1/11 + 1/10))
-    assert m[0, inst.index_of("Z0")] == 174  # floor(1000 * (1/11 + 1/12))
+    assert m[0, inst.labels.index("Y0")] == 190  # floor(1000 * (1/11 + 1/10))
+    assert m[0, inst.labels.index("Z0")] == 174  # floor(1000 * (1/11 + 1/12))
     dt = time.perf_counter() - t0
     print(f"criterion 10 (benchmark exports): PASS 3 frozen hashes in {dt:.1f}s")

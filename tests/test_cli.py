@@ -106,10 +106,10 @@ def test_tsplib_floors_scaled_distances():
     # Successive points on the first path are 1/11 apart: floor(1000/11) = 90.
     assert m[0, 1] == 90
     # First-path start to second-path start: 1/11 + 1/10 -> floor(190.9...) = 190.
-    y0 = inst.index_of("Y0")
+    y0 = inst.labels.index("Y0")
     assert m[0, y0] == 190
     # To the third path: 1/11 + 1/12 -> floor(174.24...) = 174.
-    z0 = inst.index_of("Z0")
+    z0 = inst.labels.index("Z0")
     assert m[0, z0] == 174
     assert np.array_equal(m, m.T)
 
@@ -161,7 +161,7 @@ def test_ratio_attaches_closed_forms_only_to_the_generated_points(tmp_path, caps
     run_cli(capsys, "gen", "i2", "--i", "0", "--j", "0", "--k", "0", "-o", str(path))
     inst = read_instance(str(path))
     pts = inst.points.copy()
-    pts[inst.index_of("X0"), 0] = x
+    pts[inst.labels.index("X0"), 0] = x
     path.write_text(format_instance(Instance(pts, inst.norm, inst.labels)))
     code, rep = run_cli(capsys, "ratio", str(path))
     assert code == 0

@@ -193,9 +193,13 @@ def test_edge_weight_vector_array_form():
         EdgeWeightVector(4, np.zeros((2, 3)))
 
 
-def test_edge_weight_vector_from_tour_and_degrees():
+def _tour_vector(t):
+    return EdgeWeightVector.from_pairs(t.n, {(a, b): 1.0 for a, b in zip(t.order, t.order[1:] + t.order[:1])})
+
+
+def test_edge_weight_vector_of_a_tour_and_degrees():
     t = Tour([0, 1, 2, 3])
-    x = EdgeWeightVector.from_tour(t)
+    x = _tour_vector(t)
     assert _edges(x) == [(0, 1), (0, 3), (1, 2), (2, 3)]
     assert np.allclose(degree_vector(x), 2.0)
 
@@ -211,7 +215,7 @@ def test_fractional_cost_matches_tour_length_on_incidence_vectors():
     rng = np.random.default_rng(3)
     inst = Instance(rng.uniform(size=(8, 2)), NormSpec(1.5))
     t = Tour(rng.permutation(8))
-    x = EdgeWeightVector.from_tour(t)
+    x = _tour_vector(t)
     assert fractional_cost(inst, x) == pytest.approx(tour_length(inst, t), rel=1e-14)
 
 

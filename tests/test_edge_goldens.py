@@ -2,12 +2,14 @@
 minimum cuts at subtour-LP optima, the convex-combination certificate, and
 the `plot --fractional` SVG."""
 
+import functools
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from tspgap import lp
 from tspgap.cli.main import main
 from tspgap.core import Instance, NormSpec, fractional_cost
 from tspgap.exact import held_karp
@@ -36,7 +38,7 @@ def _random_case(p, d, n, seed):
 # sha256 of grad_fractional(x) and of grad_tour_length(optimal tour), the
 # minimum cut's vertices and value.hex(); then the same cut digest at the
 # degree-constrained optimum (no cut is ever violated by more than 2.5, so
-# cut_tol = 2.5 stops after the first round), which has subtours.
+# separating with tol = 2.5 stops after the first round), which has subtours.
 _GOLDEN_LP = {
     (1.5, 2, 8, 163): (
         '0x1.60b9a0cb0c4bap+1',
@@ -173,12 +175,15 @@ _GOLDEN_SVG = {
 def _lp_digest(inst):
     x = solve_subtour_lp(inst).x
     tour = held_karp(inst).tour
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lp, "separate_subtour", functools.partial(separate_subtour, tol=2.5))
+        first_round = solve_subtour_lp(inst).x
     return (
         fractional_cost(inst, x).hex(),
         _sha(grad_fractional(inst, x)),
         _sha(grad_tour_length(inst, tour)),
         *_min_cut(x),
-        *_min_cut(solve_subtour_lp(inst, cut_tol=2.5).x),
+        *_min_cut(first_round),
     )
 
 

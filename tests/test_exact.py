@@ -11,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tspgap.core import COINCIDENT_TOL, Instance, NormSpec, Tour, tour_length
@@ -279,6 +279,9 @@ def test_integrality_ratio_check_survives_optimize_flag():
 
 @settings(max_examples=12, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.integers(6, 10), st.sampled_from([1.0, 2.0]))
+# With an absolute pricing tolerance this draw's subtour LP stopped one pivot
+# short of its optimum at scale 1e-6.
+@example(seed=3182, n=6, p=1.0)
 def test_integrality_ratio_invariant_under_relabel_shift_and_scale(seed, n, p):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(size=(n, 2))

@@ -320,7 +320,7 @@ def test_subdivided_generator_geometry():
     # Subdivision points sit on their host segment at even spacing.
     a = np.array(spec.vertices[0])
     b = np.array(spec.vertices[1])
-    mid = inst.points[inst.index_of("e0-1.1")]
+    mid = inst.points[inst.labels.index("e0-1.1")]
     assert np.allclose(mid, (a + b) / 2.0, atol=1e-12)
 
 

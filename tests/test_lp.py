@@ -1,5 +1,6 @@
 """Simplex correctness against scipy, separation behavior, subtour LP values."""
 
+import functools
 from itertools import combinations
 
 import numpy as np
@@ -64,12 +65,14 @@ def test_simple_maximization():
 
 def test_infeasible_detected():
     lp = LinearProgram(c=[1.0], A=[[1.0], [1.0]], rels=[">=", "<="], b=[2.0, 1.0], lo=[0.0], hi=[np.inf])
-    assert solve_lp(lp).status == "infeasible"
+    sol = solve_lp(lp)
+    assert (sol.status, sol.values, sol.objective_value) == ("infeasible", None, None)
 
 
 def test_unbounded_detected():
     lp = LinearProgram(c=[-1.0], A=[[1.0]], rels=[">="], b=[0.0], lo=[0.0], hi=[np.inf])
-    assert solve_lp(lp).status == "unbounded"
+    sol = solve_lp(lp)
+    assert (sol.status, sol.values, sol.objective_value) == ("unbounded", None, None)
 
 
 def test_free_and_upper_bounded_variables():
@@ -229,15 +232,22 @@ def test_subtour_lp_golden_bit_exact(k):
     assert (res.cost.hex(), res.rounds, len(res.cuts), res.pivots) == (cost_hex, rounds, cuts, pivots)
 
 
+def _solve_separating_with(inst, tol):
+    # The cutting-plane loop stopped once no cut lies below 2 - tol.
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lp, "separate_subtour", functools.partial(lp.separate_subtour, tol=tol))
+        return solve_subtour_lp(inst)
+
+
 def _degree_two_vectors():
     """LP optima of random L1/L2 instances, n = 6-30, stopped after the
-    first round (cut_tol = 2.5: subtours left), at a partial cut set
-    (cut_tol = 1) and at the optimum; then the family vectors x_ijk."""
+    first round (tol = 2.5: subtours left), at a partial cut set (tol = 1)
+    and at the optimum; then the family vectors x_ijk."""
     for n in (6, 9, 14, 20, 30):
         for p in (1.0, 2.0):
             inst = Instance(np.random.default_rng(100 * n + int(p)).random((n, 2)), NormSpec(p))
-            for cut_tol in (2.5, 1.0, FEAS_TOL):
-                yield f"n{n}-L{p:g}-tol{cut_tol:g}", solve_subtour_lp(inst, cut_tol=cut_tol).x
+            for tol in (2.5, 1.0, FEAS_TOL):
+                yield f"n{n}-L{p:g}-tol{tol:g}", _solve_separating_with(inst, tol).x
     for trip in [(0, 0, 0), (1, 2, 1), (3, 0, 2), (2, 5, 4)]:
         yield f"xijk-{trip}", fractional_xijk(IJK(*trip))
 
@@ -272,21 +282,22 @@ def _cycles(n, *cycles):
 
 def _lp_rounds(n):
     # Every round's x of the cutting-plane loop on random instances, and
-    # more degree optima (cut_tol = 2.5 stops after the first round, with
+    # more degree optima (tol = 2.5 stops after the first round, with
     # subtours left).
     seen = []
     separate = lp.separate_subtour
 
-    def recording(x, **kwargs):
+    def recording(x):
         seen.append(x)
-        return separate(x, **kwargs)
+        return separate(x, tol=tol)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(lp, "separate_subtour", recording)
         for seed in range(30):
             rng = np.random.default_rng(1000 * n + seed)
             inst = Instance(rng.random((n, 2 + seed % 2)), NormSpec((1.0, 1.5, 2.0)[seed % 3]))
-            solve_subtour_lp(inst, cut_tol=FEAS_TOL if seed < 10 else 2.5)
+            tol = FEAS_TOL if seed < 10 else 2.5
+            solve_subtour_lp(inst)
     return seen
 
 

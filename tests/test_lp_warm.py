@@ -1,7 +1,8 @@
 """The warm-started cutting-plane loop: pivot counts, agreement with HiGHS on
 the final cut set, Bland's rule and the pivot cap on the re-optimisations,
-rows added to a live tableau, the cached per-n degree start, and the simplex
-loop against the plain loop it replaced, pivot for pivot."""
+rows added to a live tableau, the cached per-n degree start, the simplex
+loop against the plain loop it replaced, pivot for pivot, the one lazy-row
+loop both solvers share and its round cap, and invariance under scale."""
 
 import contextlib
 import math
@@ -631,3 +632,59 @@ def test_cut_loop_matches_the_reference_loop(monkeypatch, make, bland_after):
             tab.add_row(lp._crossing(n, cut.vertices).astype(float), ">=", 2.0, tab.solution())
     want = solve_subtour_lp(inst)
     assert (float(np.dot(cost, values)).hex(), rounds, tabs[0].pivots) == (want.cost.hex(), want.rounds, want.pivots)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("n", range(6, 11))
+def test_subtour_lp_is_invariant_under_coordinate_scale(n, p):
+    # The loop prices on costs scaled by a power of two into [0.5, 1), so
+    # PRICE_TOL is relative to the largest cost.  At the powers of two next
+    # to 1e-9 and 1e9 every cost scales exactly, and so does the whole solve.
+    # At 1e-9 and 1e9 the scaled coordinates round, which can reorder tied L1
+    # reduced costs (as at 1e-3), so there the pivot count may move but the
+    # cuts and the cost may not.
+    def cuts(res):
+        return res.rounds, [cut.vertices for cut in res.cuts]
+
+    for seed in range(4):
+        pts = np.random.default_rng(100 * n + seed).random((n, 2))
+        want = solve_subtour_lp(Instance(pts, NormSpec(p)))
+        for scale in (2.0**-30, 2.0**30):
+            got = solve_subtour_lp(Instance(pts * scale, NormSpec(p)))
+            assert (got.pivots, got.x, got.cost, *cuts(got)) == (want.pivots, want.x, want.cost * scale, *cuts(want))
+        for scale in (1e-9, 1e9):
+            got = solve_subtour_lp(Instance(pts * scale, NormSpec(p)))
+            assert cuts(got) == cuts(want)
+            assert got.cost / scale == pytest.approx(want.cost, rel=1e-12)
+
+
+def test_both_solvers_run_the_one_loop(monkeypatch):
+    seen = []
+    loop = lp._reoptimise
+
+    def spy(tab, c, separate=None):
+        seen.append(separate is None)
+        return loop(tab, c, separate)
+
+    monkeypatch.setattr(lp, "_reoptimise", spy)
+    solve_lp(LinearProgram(c=[-1.0], A=[[1.0]], rels=["<="], b=[1.0], lo=[0.0], hi=[np.inf]))
+    solve_subtour_lp(_random(8, 1.0, 8))
+    assert seen == [True, False]
+
+
+def test_a_separator_that_never_stops_hits_the_round_cap(monkeypatch):
+    # Each round adds a row the optimum already satisfies.  A tableau of
+    # 1,000 added rows takes over a minute of dense solves, so the cap is lowered.
+    assert lp.ROUND_CAP == 1000
+    monkeypatch.setattr(lp, "ROUND_CAP", 20)
+    tab = lp._Tableau(np.ones((1, 1)), np.ones(1), np.zeros(1), np.full(1, np.inf), ["<="])
+    calls = []
+
+    def satisfied(x):
+        calls.append(x[0])
+        return np.ones(1), "<=", 2.0
+
+    with pytest.raises(LpError, match="after 20 rounds"):
+        lp._reoptimise(tab, -np.ones(1), satisfied)
+    assert (calls, tab.m) == ([1.0] * 21, 21)
+

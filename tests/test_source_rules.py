@@ -35,21 +35,46 @@ def _linalg_uses(tree):
                 yield node
 
 
+def _inside_lp_functions(name, tree, *functions):
+    # The ids of every node within the named module-level functions of lp.py.
+    if name != "lp.py":
+        return set()
+    return {
+        id(sub)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in functions
+        for sub in ast.walk(node)
+    }
+
+
 def test_lapack_is_called_only_inside_lp_solve():
     # Every dense solve goes through `lp._solve`, which turns a singular
     # basis into LpError instead of numpy's LinAlgError.
     allowed, found = 0, []
     for name, tree in _modules():
-        inside = set()
-        if name == "lp.py":
-            solve = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_solve")
-            inside = {id(node) for node in ast.walk(solve)}
+        inside = _inside_lp_functions(name, tree, "_solve")
         for node in _linalg_uses(tree):
             if id(node) in inside:
                 allowed += 1
             else:
                 found.append(f"{name}:{node.lineno}")
     assert allowed > 0
+    assert found == []
+
+
+def test_the_simplex_is_optimised_only_inside_the_lazy_row_loop():
+    # Every LP runs through `lp._reoptimise`, the one optimise -> separate
+    # -> add_row loop; only the cached degree start runs its phase 1 alone.
+    allowed, found = 0, []
+    for name, tree in _modules():
+        inside = _inside_lp_functions(name, tree, "_reoptimise", "_degree_start")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "optimise":
+                if id(node) in inside:
+                    allowed += 1
+                else:
+                    found.append(f"{name}:{node.lineno}")
+    assert allowed == 2
     assert found == []
 
 
