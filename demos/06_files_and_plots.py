@@ -29,7 +29,7 @@ def main() -> None:
 
     bench = gen_I3(IJK(10, 9, 11))
     tsplib = os.path.join(OUT, "space_10_9_11.tsplib")
-    atomic_write_text(tsplib, format_tsplib(bench, name="space_10_9_11", comment="costs floor(1000 * distance)"))
+    atomic_write_text(tsplib, format_tsplib(bench, name="space_10_9_11"))
     print(f"wrote {tsplib} (n={bench.n}, explicit FULL_MATRIX)")
 
     x = fractional_xijk(p)

@@ -33,18 +33,22 @@ class FormatError(ValueError):
 
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
-    """Write text to path via a temp file in the same directory + rename."""
+    """Write text to path via a temp file in the same directory + rename.
+    An OSError, after the temp file is removed, becomes a FormatError."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tspgap-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tspgap-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise FormatError(f"cannot write {path!r}: {exc}") from None
 
 
 def sha256_of_text(text: str) -> str:
@@ -109,7 +113,7 @@ def read_text(path: str | os.PathLike) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {os.fspath(path)!r}: {exc}") from None
 
 
@@ -138,16 +142,17 @@ def read_tour(path: str | os.PathLike) -> Tour:
 
 
 def tsplib_cost_matrix(inst: Instance) -> np.ndarray:
-    """Integer costs floor(1000 * distance), symmetric, zero diagonal."""
+    """Integer costs, 1000 times each distance rounded down; symmetric, zero diagonal."""
     return np.floor(1000.0 * inst.distance_matrix()).astype(np.int64)
 
 
-def format_tsplib(inst: Instance, name: str, comment: str = "") -> str:
+def format_tsplib(inst: Instance, name: str) -> str:
+    """TSPLIB text of `tsplib_cost_matrix`, whose rule the COMMENT line states."""
     costs = tsplib_cost_matrix(inst)
     lines = [
         f"NAME: {name}",
         "TYPE: TSP",
-        f"COMMENT: {comment}",
+        "COMMENT: costs floor(1000 * distance)",
         f"DIMENSION: {inst.n}",
         "EDGE_WEIGHT_TYPE: EXPLICIT",
         "EDGE_WEIGHT_FORMAT: FULL_MATRIX",

@@ -246,7 +246,7 @@ def cmd_gen(args: argparse.Namespace) -> dict:
     outputs = {"instance": args.output}
     hashes = {args.output: formats.sha256_of_text(text)}
     if args.export_tsplib is not None:
-        text = formats.format_tsplib(inst, name=source, comment="costs floor(1000 * distance)")
+        text = formats.format_tsplib(inst, name=source)
         formats.atomic_write_text(args.export_tsplib, text)
         outputs["tsplib"] = args.export_tsplib
         hashes[args.export_tsplib] = formats.sha256_of_text(text)
@@ -324,6 +324,8 @@ def _sweep_row(task: tuple[int, tuple[str, ...]]) -> dict:
 def cmd_sweep(args: argparse.Namespace) -> dict:
     t0 = time.perf_counter()
     fams = tuple(f.strip() for f in args.families.split(",") if f.strip())
+    if not fams:
+        raise FormatError(f"no sweep family given (choose from {', '.join(_SWEEPS)})")
     for f in fams:
         if f not in _SWEEPS:
             raise FormatError(f"unknown sweep family {f!r} (choose from {', '.join(_SWEEPS)})")
@@ -501,7 +503,7 @@ def cmd_export(args: argparse.Namespace) -> dict:
     t0 = time.perf_counter()
     inst = formats.read_instance(args.instance)
     name = args.name or os.path.splitext(os.path.basename(args.instance))[0]
-    text = formats.format_tsplib(inst, name=name, comment="costs floor(1000 * distance)")
+    text = formats.format_tsplib(inst, name=name)
     formats.atomic_write_text(args.output, text)
     return {
         "command": "export",
@@ -572,15 +574,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("localsearch", help="gradient-ascent search for high-ratio instances")
+    defaults = LocalSearchParams()
     p.add_argument("--n", type=_pos_int, required=True)
     p.add_argument("--seed", type=_nonneg_int, default=0)
     p.add_argument("--restarts", type=_pos_int, default=1)
-    p.add_argument("--epsilon0", type=_pos_float, default=0.01)
-    p.add_argument("--epsilon1", type=_pos_float, default=1e-6)
-    p.add_argument("--epsilon2", type=_pos_float, default=1e-7)
-    p.add_argument("--epsilon3", type=_pos_float, default=1e-4)
-    p.add_argument("--p", type=_pos_float, default=2.0)
-    p.add_argument("--max-iters", type=_pos_int, default=500)
+    p.add_argument("--epsilon0", type=_pos_float, default=defaults.epsilon0)
+    p.add_argument("--epsilon1", type=_pos_float, default=defaults.epsilon1)
+    p.add_argument("--epsilon2", type=_pos_float, default=defaults.epsilon2)
+    p.add_argument("--epsilon3", type=_pos_float, default=defaults.epsilon3)
+    p.add_argument("--p", type=_pos_float, default=defaults.p)
+    p.add_argument("--max-iters", type=_pos_int, default=defaults.max_iters)
     p.add_argument("-o", "--output", required=True, help="final instance file")
     p.add_argument("--trace", default=None, help="iteration trace file")
     p.set_defaults(func=cmd_localsearch)

@@ -168,15 +168,15 @@ def _inner_attempt(j: int, b: float, f: float) -> tuple[float, list[float]]:
     return diff_inner(half, full, b), full
 
 
-def inner_vertices(i: int, j: int, b: float, eps: float = DEFAULT_EPS) -> list[tuple[float, float]]:
+def inner_vertices(j: int, b: float, eps: float = DEFAULT_EPS) -> list[tuple[float, float]]:
     """Place the inner vertices on the x-axis, symmetric about 0, so every
-    middle-gap tie equation closes within eps.
+    middle-gap tie equation closes within eps.  The inner chain sees only
+    the corners (±b, ±1), so the outer count does not enter.
 
     The outermost abscissa f is bracketed by a coarse scan of the closure
     residual over (0, b) and bisected; a residual without a sign change, or
     a bisected root above eps, raises InnerPlacementError.
     """
-    del i  # the inner chain sees only the corners (±b, ±1)
     if eps <= 0:
         raise ValueError("eps must be positive")
     f = _find_root(
@@ -248,20 +248,20 @@ def _outer_attempt(i: int, b: float, f: float, e: float) -> tuple[float, list[tu
 
 
 def outer_vertices(
-    i: int, j: int, b: float, inner: Sequence[tuple[float, float]], eps: float = DEFAULT_EPS
+    i: int, b: float, f: float, eps: float = DEFAULT_EPS
 ) -> tuple[float, list[tuple[float, float]]]:
     """Place the top-line vertices on the ellipse through the corners so
     every top-gap tie equation closes within eps; returns (e, top line).
+    The outer chain sees the inner line only through the abscissa f of its
+    outermost vertices.
 
     The focal abscissa e is bracketed by a coarse scan over configurations
     whose last chained vertex stays left of the y-axis, then bisected; a
     residual without a sign change, or a bisected root above eps, reports
     the half-width b as outside the constructible window.
     """
-    del j  # the outer chain sees the inner line only through f = inner[-1]
     if eps <= 0:
         raise ValueError("eps must be positive")
-    f = float(inner[-1][0])
     if i == 0:
         return 0.0, [(-b, 1.0), (b, 1.0)]
     e_star = _find_root(
@@ -291,17 +291,17 @@ def _shortcut_parts(i: int, j: int) -> tuple[EdgeWeightVector, PseudoTour]:
 
 def _evaluate(
     i: int, j: int, b: float, eps: float, parts: tuple[EdgeWeightVector, PseudoTour]
-) -> tuple[float, ConstructionResult]:
-    inner = inner_vertices(i, j, b, eps)
-    e, zline = outer_vertices(i, j, b, inner, eps)
+) -> ConstructionResult:
+    inner = inner_vertices(j, b, eps)
+    ys = [pt[0] for pt in inner]
+    e, zline = outer_vertices(i, b, ys[-1], eps)
     inst = _assemble(i, j, inner, zline)
     x, anchor = parts
     ratio = tour_length(inst, shortcut_tour(anchor, inst)) / fractional_cost(inst, x)
-    ys = [pt[0] for pt in inner]
     inner_res = max(abs(diff_inner(h, ys, b)) for h in range(j // 2 + 1))
     outer_res = max(abs(diff_outer(h, zline, ys[-1], b)) for h in range(i // 2 + 1))
     params = EllipseParams(b, e, ys[-1])
-    return ratio, ConstructionResult(inst, params, ratio, inner_res, outer_res)
+    return ConstructionResult(inst, params, ratio, inner_res, outer_res)
 
 
 def _construct_flat(j: int, eps: float) -> ConstructionResult:
@@ -309,11 +309,11 @@ def _construct_flat(j: int, eps: float) -> ConstructionResult:
     the single outer tie equation, so root-find it instead of optimizing."""
 
     def resid(b: float) -> float:
-        inner = inner_vertices(0, j, b, eps)
+        inner = inner_vertices(j, b, eps)
         return diff_outer(0, [(-b, 1.0), (b, 1.0)], inner[-1][0], b)
 
     b_star = _find_root(resid, *_B_RANGE, _COARSE_SAMPLES * 4, eps, EllipseConstructionError)
-    return _evaluate(0, j, b_star, eps, _shortcut_parts(0, j))[1]
+    return _evaluate(0, j, b_star, eps, _shortcut_parts(0, j))
 
 
 def ellipse_construct(i: int, j: int, eps: float = DEFAULT_EPS) -> ConstructionResult:
@@ -334,13 +334,13 @@ def ellipse_construct(i: int, j: int, eps: float = DEFAULT_EPS) -> ConstructionR
     if i == 0:
         return _construct_flat(j, eps)
 
-    cache: dict[float, tuple[float, ConstructionResult]] = {}
+    cache: dict[float, ConstructionResult] = {}
     parts = _shortcut_parts(i, j)
 
     def ratio_at(b: float) -> float:
         if b not in cache:
             cache[b] = _evaluate(i, j, b, eps, parts)
-        return cache[b][0]
+        return cache[b].ratio
 
     lo, hi = _B_RANGE
     feasible: list[tuple[float, float]] = []
@@ -376,4 +376,4 @@ def ellipse_construct(i: int, j: int, eps: float = DEFAULT_EPS) -> ConstructionR
         b_star = x1 if f1 >= f2 else x2
     except EllipseConstructionError:
         b_star = feasible[k_best][0]
-    return cache[b_star][1]
+    return cache[b_star]

@@ -33,37 +33,3 @@ from .subdivision import (
     tetrahedron_spec,
     tjoin_ratio_bound,
 )
-
-__all__ = [
-    "ANCHOR_TAGS",
-    "ODD_VERTEX_CAP",
-    "SubdividedGraphSpec",
-    "GAP_TAGS",
-    "METRIC",
-    "RECTILINEAR",
-    "CertificateError",
-    "CertificateReport",
-    "IJK",
-    "LabeledVertexSet",
-    "PseudoTour",
-    "best_partition",
-    "closed_form_lp_I2",
-    "closed_form_lp_I3",
-    "closed_form_opt_I2",
-    "closed_form_opt_I3",
-    "closed_form_ratio_I2",
-    "closed_form_ratio_metric",
-    "fractional_xijk",
-    "gen_I2",
-    "gen_I3",
-    "gen_subdivided",
-    "hexagon_spec",
-    "labeled_vertices",
-    "lambda_certificate",
-    "line_gaps",
-    "metric_maximum_ratio",
-    "pseudo_tours",
-    "shortcut_tour",
-    "tetrahedron_spec",
-    "tjoin_ratio_bound",
-]

@@ -60,34 +60,24 @@ class LocalSearchParams:
 
 @dataclass(frozen=True)
 class TourPool:
-    """Optimal and near-optimal tours: every member's length is within
-    `window` of `reference` (the optimum length it was built against)."""
+    """Optimal and near-optimal tours, sorted by `Tour.order`, and the
+    optimum length `reference` the pool was built against."""
 
-    tours: frozenset[Tour]
+    tours: tuple[Tour, ...]
     reference: float
-    window: float
 
     def __post_init__(self) -> None:
         if not self.tours:
             raise ValueError("empty tour pool")
-        if self.window < 0:
-            raise ValueError("negative pool window")
-
-    def check(self, inst: Instance) -> None:
-        for t in self.tours:
-            if tour_length(inst, t) > self.reference + self.window + 1e-12:
-                raise ValueError(f"pooled tour {t!r} exceeds reference + window")
-
-    def pruned(self, inst: Instance, reference: float, window: float) -> "TourPool":
-        keep = frozenset(t for t in self.tours if tour_length(inst, t) <= reference + window)
-        return TourPool(keep, reference, window)
 
 
 def build_tour_pool(inst: Instance, window: float) -> TourPool:
     """Exhaustive pool of all tours within `window` of the optimum.
 
     Only for n <= ENUM_MAX, which keeps the pool provably complete; larger
-    instances grow a pool from tours discovered during the search.
+    instances grow a pool from tours discovered during the search.  The
+    enumerated rows are canonical and in lexicographic order, so the pool
+    comes out sorted.
     """
     n = inst.n
     if n > ENUM_MAX:
@@ -97,8 +87,8 @@ def build_tour_pool(inst: Instance, window: float) -> TourPool:
     lengths = D[P, np.roll(P, -1, axis=1)].sum(axis=1)
     opt = float(lengths.min())
     mask = lengths <= opt + window
-    tours = frozenset(Tour(tuple(int(v) for v in row)) for row in P[mask])
-    return TourPool(tours, opt, window)
+    tours = tuple(Tour(tuple(int(v) for v in row)) for row in P[mask])
+    return TourPool(tours, opt)
 
 
 # -- gradients -------------------------------------------------------------
@@ -162,11 +152,9 @@ def improvement_lp(
     tour and w in [-1, 1]^(n*d).  delta > 0 certifies a common ascent
     direction; the zero direction is always feasible, so delta >= 0.
     """
-    if not pool.tours:
-        raise ValueError("empty tour pool")
     # grad_g of each pooled tour, with the fractional term computed once.
     frac = r * grad_fractional(inst, x)
-    grads = np.array([grad_tour_length(inst, t) - frac for t in sorted(pool.tours, key=lambda t: t.order)])
+    grads = np.array([grad_tour_length(inst, t) - frac for t in pool.tours])
     m, nd = grads.shape
     # Variables: w_0 .. w_{nd-1}, then delta (free); rows <g_T, w> - delta >= 0.
     # Maximising delta is minimising -delta.
@@ -187,7 +175,7 @@ def local_opt_certificate(
     pool: TourPool,
     x: EdgeWeightVector,
     *,
-    epsilon1: float = 1e-6,
+    epsilon1: float,
 ) -> bool:
     """True iff the improvement LP finds no common ascent direction of
     value above epsilon1.  Valid as a certificate only when the pool holds
@@ -215,7 +203,10 @@ class SearchTrace:
     records: tuple[TraceRecord, ...]
     converged: bool
     restarts: int
-    final_ratio: float
+
+    @property
+    def final_ratio(self) -> float:
+        return self.records[-1].ratio
 
 
 _RESTART_CAP = 20000
@@ -277,8 +268,9 @@ def local_search(n: int, params: LocalSearchParams) -> tuple[Instance, SearchTra
         if n <= ENUM_MAX:
             pool = build_tour_pool(inst, window)
         else:
-            tours = (pool.tours if pool else frozenset()) | {opt_tour}
-            pool = TourPool(tours, opt_len, window).pruned(inst, opt_len, window)
+            grown = {opt_tour, *(pool.tours if pool else ())}
+            near = [t for t in grown if tour_length(inst, t) <= opt_len + window]
+            pool = TourPool(tuple(sorted(near, key=lambda t: t.order)), opt_len)
         w, delta = improvement_lp(inst, pool, x, ratio)
         if delta <= params.epsilon1:
             converged = True
@@ -309,5 +301,5 @@ def local_search(n: int, params: LocalSearchParams) -> tuple[Instance, SearchTra
         (ratio, opt_len, x, opt_tour), inst, eta = best
         records.append(TraceRecord(it, ratio, delta, eta))
 
-    trace = SearchTrace(tuple(records), converged, restarts, ratio)
+    trace = SearchTrace(tuple(records), converged, restarts)
     return inst, trace

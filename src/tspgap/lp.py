@@ -461,8 +461,6 @@ def _stoer_wagner(weights: dict[int, dict[int, float]], vertices: list[int]) -> 
             W[v][prev] = W[v].get(prev, 0.0) + wt
             W[v].pop(last, None)
         W[prev].pop(last, None)
-        for v in W:
-            W[v].pop(last, None)
         active.remove(last)
     return out
 
@@ -547,8 +545,12 @@ class SubtourLpResult:
     x: EdgeWeightVector
     cost: float
     cuts: tuple[Cut, ...]
-    rounds: int
     pivots: int
+
+    @property
+    def rounds(self) -> int:
+        """Cut rounds: each adds one cut."""
+        return len(self.cuts)
 
 
 @functools.lru_cache(maxsize=32)
@@ -569,7 +571,7 @@ def _degree_start(n: int, bland_after: int, pivot_cap: int) -> _Tableau:
     degree[iu, np.arange(num_edges)] = 1.0
     degree[iv, np.arange(num_edges)] = 1.0
     tab = _Tableau(degree, np.full(n, 2.0), np.zeros(num_edges), np.ones(num_edges), ["="] * n)
-    if tab.optimise(np.zeros(num_edges)) != "optimal":
+    if _reoptimise(tab, np.zeros(num_edges))[0] != "optimal":
         raise LpError("subtour relaxation came back infeasible")
     for arr in (tab.A, tab.b, tab.art, tab.lo, tab.hi, tab.status, tab.basis):
         arr.setflags(write=False)
@@ -605,4 +607,4 @@ def solve_subtour_lp(inst: Instance) -> SubtourLpResult:
     outcome, sol = _reoptimise(tab, np.ldexp(cost, -math.frexp(cost.max())[1]), subtour_row)
     if sol is None:
         raise LpError(f"subtour relaxation came back {outcome}")
-    return SubtourLpResult(x, float(np.dot(cost, sol[: cost.size])), tuple(cuts), len(cuts), tab.pivots)
+    return SubtourLpResult(x, float(np.dot(cost, sol[: cost.size])), tuple(cuts), tab.pivots)

@@ -302,11 +302,7 @@ def test_criterion_10_bit_exact_benchmark_exports():
     t0 = time.perf_counter()
     for trip, want in CRITERION_10_HASHES.items():
         inst = gen_I3(IJK(*trip))
-        text = format_tsplib(
-            inst,
-            name=f"i3_{trip[0]}_{trip[1]}_{trip[2]}",
-            comment="costs floor(1000 * distance)",
-        )
+        text = format_tsplib(inst, name=f"i3_{trip[0]}_{trip[1]}_{trip[2]}")
         assert sha256_of_text(text) == want, trip
     # Spot checks tie the frozen bytes back to hand arithmetic.
     m = tsplib_cost_matrix(gen_I3(IJK(10, 9, 11)))

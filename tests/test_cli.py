@@ -27,6 +27,7 @@ from tspgap.cli.main import main
 from tspgap.core import Instance, NormSpec, Tour
 from tspgap.ellipse import ellipse_construct
 from tspgap.families import ANCHOR_TAGS, IJK, gen_I2, gen_I3
+from tspgap.localsearch import LocalSearchParams
 from tspgap.lp import LpError
 
 # The module, for monkeypatching: `tspgap.cli.main` as an attribute is the
@@ -132,7 +133,7 @@ def _tsplib_name_and_rows(text):
 
 def test_tsplib_round_trip():
     inst = gen_I2(IJK(1, 0, 1))
-    name, rows = _tsplib_name_and_rows(format_tsplib(inst, name="demo", comment="x"))
+    name, rows = _tsplib_name_and_rows(format_tsplib(inst, name="demo"))
     assert name == "NAME: demo"
     assert rows == tsplib_cost_matrix(inst).tolist()
 
@@ -206,6 +207,36 @@ def test_parse_error_exit_code(tmp_path, capsys):
     code, rep = run_cli(capsys, "ratio", str(path))
     assert code == 2
     assert rep["error"]["type"] == "parse"
+
+
+def _parse_error(capsys, tmp_path, *argv):
+    code, rep = run_cli(capsys, *argv)
+    assert code == 2
+    assert rep["error"]["type"] == "parse"
+    assert list(tmp_path.rglob(".tspgap-*.tmp")) == []
+    return rep["error"]["message"]
+
+
+def test_undecodable_file_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "bin.txt"
+    path.write_bytes(b"\xff\xfe 3 2 2.0\n")
+    assert "cannot read" in _parse_error(capsys, tmp_path, "ratio", str(path))
+
+
+def test_unwritable_output_is_a_parse_error(tmp_path, capsys):
+    gen = ("gen", "i2", "--i", "0", "--j", "0", "--k", "0", "-o")
+    # No directory to make the temp file in.
+    assert "cannot write" in _parse_error(capsys, tmp_path, *gen, str(tmp_path / "nodir" / "x.txt"))
+    # The temp file is written, then cannot replace a directory.
+    (tmp_path / "taken").mkdir()
+    assert "cannot write" in _parse_error(capsys, tmp_path, *gen, str(tmp_path / "taken"))
+
+
+def test_sweep_rejects_an_empty_family_list(tmp_path, capsys):
+    out = tmp_path / "sweep.json"
+    argv = ("sweep", "--n-min", "6", "--n-max", "6", "--families", ",", "-o", str(out))
+    assert "no sweep family" in _parse_error(capsys, tmp_path, *argv)
+    assert not out.exists()
 
 
 def test_infeasible_exit_code(tmp_path, capsys):
@@ -324,6 +355,14 @@ def test_localsearch_subcommand(tmp_path, capsys):
     ratios = [float(ln.split()[1]) for ln in lines[1:]]
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
     assert read_instance(out).n == 6
+
+
+def test_localsearch_defaults_are_the_params_defaults():
+    args = cli_main.build_parser().parse_args(["localsearch", "--n", "6", "-o", "x.txt"])
+    names = [f.name for f in dataclasses.fields(LocalSearchParams) if f.name != "rng_seed"]
+    assert len(names) == 6
+    defaults = LocalSearchParams()
+    assert {name: getattr(args, name) for name in names} == {name: getattr(defaults, name) for name in names}
 
 
 def test_plot_deterministic_and_styled(tmp_path, capsys):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from tspgap import localsearch, lp
 from tspgap.core import EdgeWeightVector, Instance, NormSpec, Tour, edge_index, fractional_cost, tour_length
 from tspgap.ellipse import ellipse_construct
-from tspgap.exact import ENUM_MAX, held_karp
+from tspgap.exact import ENUM_MAX, enumerate_tours, held_karp
 from tspgap.families import IJK, gen_I2
 from tspgap.localsearch import (
     LocalSearchParams,
@@ -153,22 +153,77 @@ def test_tour_pool_window_enforced():
     inst = Instance([(0, 0), (1, 0), (1, 1), (0, 1)])
     short = Tour([0, 1, 2, 3])  # length 4
     crossing = Tour([0, 2, 1, 3])  # length 2 + 2*sqrt(2)
-    pool = TourPool(tours=frozenset({short}), reference=4.0, window=0.1)
-    pool.check(inst)
-    bad = TourPool(tours=frozenset({short, crossing}), reference=4.0, window=0.1)
-    with pytest.raises(ValueError):
-        bad.check(inst)
-    pruned = bad.pruned(inst, 4.0, 0.1)
-    assert pruned.tours == frozenset({short})
+    # The window lives in build_tour_pool; a pool holds what it is given.
+    assert build_tour_pool(inst, 0.1).tours == (short,)
+    assert crossing in build_tour_pool(inst, 1.0).tours
+    with pytest.raises(ValueError, match="empty tour pool"):
+        TourPool(tours=(), reference=4.0)
 
 
 def test_build_tour_pool_square():
     inst = Instance([(0, 0), (1, 0), (1, 1), (0, 1)])
     tight = build_tour_pool(inst, 1e-6)
-    assert tight.tours == frozenset({Tour([0, 1, 2, 3])})
+    assert tight.tours == (Tour([0, 1, 2, 3]),)
     # Window wide enough for the two crossing tours as well.
     wide = build_tour_pool(inst, 10.0)
     assert len(wide.tours) == 3
+
+
+def _frozenset_pool(inst, window):
+    # The pool's tours as a set, computed as build_tour_pool did when pools
+    # were unordered and improvement_lp sorted them on every call.
+    P = enumerate_tours(inst.n)
+    lengths = inst.distance_matrix()[P, np.roll(P, -1, axis=1)].sum(axis=1)
+    return frozenset(Tour(row) for row in P[lengths <= lengths.min() + window])
+
+
+def test_build_tour_pool_comes_out_sorted_by_order():
+    sizes = []
+    for n in range(5, ENUM_MAX + 1):
+        for seed in range(3):
+            inst = random_instance(n, 2.0, np.random.default_rng(100 * n + seed))
+            window = 2e-2 * held_karp(inst).length
+            pool = build_tour_pool(inst, window)
+            assert pool.tours == tuple(sorted(_frozenset_pool(inst, window), key=lambda t: t.order)), (n, seed)
+            sizes.append(len(pool.tours))
+    assert max(sizes) > 1
+
+
+@pytest.mark.parametrize(
+    "epsilon3, sizes",
+    [(1e-2, [1, 2, 3, 3, 4, 5, 5, 5, 5, 6]), (1e-3, [1, 2, 1, 1, 1, 2, 1, 1, 1, 2])],
+)
+def test_grown_pool_is_the_pruned_union(monkeypatch, epsilon3, sizes):
+    # Above ENUM_MAX each iteration's pool is the last one plus the current
+    # optimal tour, less the tours outside the window, sorted by order.  The
+    # narrower window drops tours along the way.
+    params = LocalSearchParams(rng_seed=0, epsilon0=1e-6, epsilon1=5e-4, epsilon3=epsilon3, max_iters=10)
+    seen = []
+    real = localsearch.improvement_lp
+
+    def spy(inst, pool, x, r):
+        seen.append((inst, pool))
+        return real(inst, pool, x, r)
+
+    monkeypatch.setattr(localsearch, "improvement_lp", spy)
+    local_search(ENUM_MAX + 1, params)
+    last = frozenset()
+    for inst, pool in seen:
+        ex = held_karp(inst)
+        window = params.epsilon3 * ex.length
+        last = frozenset(t for t in last | {ex.tour} if tour_length(inst, t) <= ex.length + window)
+        assert pool.reference == ex.length
+        assert pool.tours == tuple(sorted(last, key=lambda t: t.order))
+    assert [len(pool.tours) for _, pool in seen] == sizes
+
+
+def test_derived_fields_read_their_source():
+    res = solve_subtour_lp(random_instance(12, 2.0, np.random.default_rng(0)))
+    assert res.rounds == len(res.cuts) > 0
+    params = LocalSearchParams(rng_seed=19, epsilon0=1e-6, epsilon1=5e-4, epsilon3=1e-2)
+    _, trace = local_search(6, params)
+    assert len(trace.records) > 1
+    assert trace.final_ratio == trace.records[-1].ratio
 
 
 def test_build_tour_pool_size_cap():
@@ -203,7 +258,7 @@ def test_improvement_lp_at_curved_optimum():
     _, delta_full = improvement_lp(inst, full, x, r)
     assert delta_full <= 1e-9
     assert local_opt_certificate(inst, full, x, epsilon1=1e-6)
-    single = TourPool(tours=frozenset({ex.tour}), reference=ex.length, window=1e-4 * ex.length)
+    single = TourPool(tours=(ex.tour,), reference=ex.length)
     _, delta_single = improvement_lp(inst, single, x, r)
     assert delta_single > 1.0
     assert not local_opt_certificate(inst, single, x, epsilon1=1e-6)
@@ -217,7 +272,7 @@ def test_improvement_direction_raises_g_and_ratio():
     ex = held_karp(inst)
     x = solve_subtour_lp(inst).x
     r = ex.length / fractional_cost(inst, x)
-    single = TourPool(tours=frozenset({ex.tour}), reference=ex.length, window=1e-4 * ex.length)
+    single = TourPool(tours=(ex.tour,), reference=ex.length)
     w, delta = improvement_lp(inst, single, x, r)
     assert delta > 0
     eta = 1e-7
@@ -296,7 +351,7 @@ def test_ratio_state_checks_lp_at_most_opt(monkeypatch):
     # not a ratio below 1.
     def inflated(inst):
         res = solve_subtour_lp(inst)
-        return lp.SubtourLpResult(res.x, 1.25 * res.cost, res.cuts, res.rounds, res.pivots)
+        return lp.SubtourLpResult(res.x, 1.25 * res.cost, res.cuts, res.pivots)
 
     monkeypatch.setattr(localsearch, "solve_subtour_lp", inflated)
     with pytest.raises(LpError, match="exceeds the optimal tour length"):

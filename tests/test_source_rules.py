@@ -64,17 +64,17 @@ def test_lapack_is_called_only_inside_lp_solve():
 
 def test_the_simplex_is_optimised_only_inside_the_lazy_row_loop():
     # Every LP runs through `lp._reoptimise`, the one optimise -> separate
-    # -> add_row loop; only the cached degree start runs its phase 1 alone.
+    # -> add_row loop, the cached degree start's phase 1 included.
     allowed, found = 0, []
     for name, tree in _modules():
-        inside = _inside_lp_functions(name, tree, "_reoptimise", "_degree_start")
+        inside = _inside_lp_functions(name, tree, "_reoptimise")
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "optimise":
                 if id(node) in inside:
                     allowed += 1
                 else:
                     found.append(f"{name}:{node.lineno}")
-    assert allowed == 2
+    assert allowed == 1
     assert found == []
 
 
