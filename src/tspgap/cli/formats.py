@@ -21,7 +21,7 @@ import contextlib
 import hashlib
 import os
 import tempfile
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -32,23 +32,30 @@ class FormatError(ValueError):
     """Raised for unreadable or invalid instance/tour/TSPLIB text."""
 
 
-def atomic_write_text(path: str | os.PathLike, text: str) -> None:
-    """Write text to path via a temp file in the same directory + rename.
-    An OSError, after the temp file is removed, becomes a FormatError."""
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
+def atomic_write_texts(texts: Mapping[str, str]) -> None:
+    """Write each text to its path via a temp file in the same directory,
+    all temp files before the first rename, so a failed write changes no
+    path.  An OSError, after the temp files left are removed, becomes a
+    FormatError.  A rename that fails does not undo earlier renames."""
+    tmps: dict[str, str] = {}
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tspgap-", suffix=".tmp")
-        try:
+        for path, text in texts.items():
+            fd, tmps[path] = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tspgap-", suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
+        for path, tmp in list(tmps.items()):
             os.replace(tmp, path)
-        except BaseException:
+            del tmps[path]
+    except OSError as exc:
+        raise FormatError(f"cannot write {path!r}: {exc.strerror}") from None
+    finally:
+        for tmp in tmps.values():
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
-            raise
-    except OSError as exc:
-        raise FormatError(f"cannot write {path!r}: {exc}") from None
+
+
+def atomic_write_text(path: str | os.PathLike, text: str) -> None:
+    atomic_write_texts({os.fspath(path): text})
 
 
 def sha256_of_text(text: str) -> str:

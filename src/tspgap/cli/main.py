@@ -12,6 +12,7 @@ commands are single threaded.  Output files are written atomically.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -43,19 +44,18 @@ from ..families import (
     gen_I3,
     gen_subdivided,
     fractional_xijk,
-    labeled_vertices,
     lambda_certificate,
     pseudo_tours,
     shortcut_tour,
     tjoin_ratio_bound,
     hexagon_spec,
+    ijk_of_labels,
     tetrahedron_spec,
 )
 from ..localsearch import (
     LocalSearchError,
     LocalSearchParams,
-    build_tour_pool,
-    local_opt_certificate,
+    exact_pool_certificate,
     local_search,
 )
 from ..lp import LpError, solve_subtour_lp
@@ -138,30 +138,22 @@ _FAMILIES = {
     "i3": _Family(gen_I3, closed_form_lp_I3, closed_form_opt_I3, closed_form_ratio_metric, METRIC, "metric", (3, 1.0)),
 }
 
-# Instances built by the structured generators carry labels X0..X_{i+1},
-# Y0..Y_{j+1}, Z0..Z_{k+1}.  Recognizing those labels and the embedding lets
+# Instances built by the structured generators carry the family labels of
+# `labeled_vertices`.  Recognizing those labels and the embedding lets
 # `plot` recover (i, j, k); `ratio` attaches the closed-form comparison
 # columns only when the coordinates match too.  Ellipse instances share the
 # labels but have no closed form.
 _EMBEDDINGS = {fam.embedding: name for name, fam in _FAMILIES.items()} | {(2, 2.0): "ellipse"}
 
+# LocalSearchParams field -> default, in field order: one `localsearch` flag
+# each, the seed aside (it has --seed and --restarts).
+_SEARCH_DEFAULTS = {f.name: f.default for f in dataclasses.fields(LocalSearchParams) if f.name != "rng_seed"}
+
 
 def _recognize_ijk(inst: Instance) -> tuple[str, IJK] | None:
-    if inst.labels is None:
-        return None
-    counts = {"X": 0, "Y": 0, "Z": 0}
-    for label in inst.labels:
-        head, tail = label[:1], label[1:]
-        if head not in counts or not tail.isdigit():
-            return None
-        counts[head] += 1
-    if min(counts.values()) < 2:
-        return None
-    p = IJK(counts["X"] - 2, counts["Y"] - 2, counts["Z"] - 2)
-    if tuple(inst.labels) != tuple(labeled_vertices(p).labels):
-        return None
+    p = ijk_of_labels(inst.labels or ())
     kind = _EMBEDDINGS.get((inst.dim, inst.norm.p))
-    return None if kind is None else (kind, p)
+    return None if p is None or kind is None else (kind, p)
 
 
 def _generated_closed_forms(inst: Instance) -> dict | None:
@@ -226,9 +218,7 @@ def _build_family(args: argparse.Namespace) -> tuple[Instance, str, dict]:
         result = ellipse_construct(args.i, args.j, args.eps)
         extra = {
             "ellipse": {
-                "b": result.params.b,
-                "e": result.params.e,
-                "f": result.params.f,
+                **dataclasses.asdict(result.params),
                 "ratio": result.ratio,
                 "inner_residual": result.inner_residual,
                 "outer_residual": result.outer_residual,
@@ -241,20 +231,17 @@ def _build_family(args: argparse.Namespace) -> tuple[Instance, str, dict]:
 def cmd_gen(args: argparse.Namespace) -> dict:
     t0 = time.perf_counter()
     inst, source, extra = _build_family(args)
-    text = formats.format_instance(inst, comment=f"tspgap gen {source}")
-    formats.atomic_write_text(args.output, text)
+    texts = {args.output: formats.format_instance(inst, comment=f"tspgap gen {source}")}
     outputs = {"instance": args.output}
-    hashes = {args.output: formats.sha256_of_text(text)}
     if args.export_tsplib is not None:
-        text = formats.format_tsplib(inst, name=source)
-        formats.atomic_write_text(args.export_tsplib, text)
+        texts[args.export_tsplib] = formats.format_tsplib(inst, name=source)
         outputs["tsplib"] = args.export_tsplib
-        hashes[args.export_tsplib] = formats.sha256_of_text(text)
+    formats.atomic_write_texts(texts)
     report = {
         "command": "gen",
         "instance": _instance_summary(inst, source),
         "outputs": outputs,
-        "sha256": hashes,
+        "sha256": {path: formats.sha256_of_text(text) for path, text in texts.items()},
         "wall_time_s": time.perf_counter() - t0,
     }
     report.update(extra)
@@ -360,44 +347,32 @@ def cmd_localsearch(args: argparse.Namespace) -> dict:
     t0 = time.perf_counter()
     if args.n > HELD_KARP_MAX:
         raise SizeCapError(f"local search needs exact baselines; n <= {HELD_KARP_MAX}")
-    params_kwargs = dict(
-        epsilon0=args.epsilon0,
-        epsilon1=args.epsilon1,
-        epsilon2=args.epsilon2,
-        epsilon3=args.epsilon3,
-        p=args.p,
-        max_iters=args.max_iters,
-    )
+    params_kwargs = {name: getattr(args, name) for name in _SEARCH_DEFAULTS}
     runs = []
-    best_idx = -1
     for r in range(args.restarts):
-        seed = args.seed + r
-        inst, trace = local_search(args.n, LocalSearchParams(rng_seed=seed, **params_kwargs))
-        runs.append((seed, inst, trace))
-        if best_idx < 0 or trace.final_ratio > runs[best_idx][2].final_ratio:
-            best_idx = r
-    seed, inst, trace = runs[best_idx]
+        params = LocalSearchParams(rng_seed=args.seed + r, **params_kwargs)
+        runs.append((params, *local_search(args.n, params)))
+    # The first run of the highest final ratio.
+    params, inst, trace = max(runs, key=lambda run: run[2].final_ratio)
     if args.n <= ENUM_MAX:
-        exact = held_karp(inst)
-        lp = solve_subtour_lp(inst)
-        pool = build_tour_pool(inst, args.epsilon3 * exact.length)
-        certificate = local_opt_certificate(inst, pool, lp.x, epsilon1=args.epsilon1)
+        certificate = exact_pool_certificate(inst, params)
         certificate_mode = "exact_pool"
     else:
         certificate = trace.converged
         certificate_mode = "search_pool"
-    formats.write_instance(args.output, inst, comment=f"tspgap localsearch n={args.n} seed={seed}")
+    texts = {args.output: formats.format_instance(inst, comment=f"tspgap localsearch n={args.n} seed={params.rng_seed}")}
     outputs = {"instance": args.output}
     if args.trace is not None:
-        formats.atomic_write_text(args.trace, formats.format_trace(trace.records))
+        texts[args.trace] = formats.format_trace(trace.records)
         outputs["trace"] = args.trace
+    formats.atomic_write_texts(texts)
     report = {
         "command": "localsearch",
         "n": args.n,
         "params": {**params_kwargs, "rng_seed": args.seed, "restarts": args.restarts},
         "restart_summary": [
             {
-                "seed": s,
+                "seed": s.rng_seed,
                 "final_ratio": tr.final_ratio,
                 "iterations": len(tr.records) - 1,
                 "converged": tr.converged,
@@ -405,7 +380,7 @@ def cmd_localsearch(args: argparse.Namespace) -> dict:
             }
             for s, _, tr in runs
         ],
-        "best": {"seed": seed, "final_ratio": trace.final_ratio},
+        "best": {"seed": params.rng_seed, "final_ratio": trace.final_ratio},
         "certificate": certificate,
         "certificate_mode": certificate_mode,
         "outputs": outputs,
@@ -425,7 +400,7 @@ def cmd_ellipse(args: argparse.Namespace) -> dict:
         "command": "ellipse",
         "ijk": {"i": args.i, "j": args.j, "k": args.i},
         "instance": _instance_summary(result.instance, f"ellipse_{args.i}_{args.j}"),
-        "params": {"b": result.params.b, "e": result.params.e, "f": result.params.f},
+        "params": dataclasses.asdict(result.params),
         "ratio": result.ratio,
         "residuals": {"inner": result.inner_residual, "outer": result.outer_residual},
         "outputs": outputs,
@@ -574,16 +549,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("localsearch", help="gradient-ascent search for high-ratio instances")
-    defaults = LocalSearchParams()
     p.add_argument("--n", type=_pos_int, required=True)
     p.add_argument("--seed", type=_nonneg_int, default=0)
     p.add_argument("--restarts", type=_pos_int, default=1)
-    p.add_argument("--epsilon0", type=_pos_float, default=defaults.epsilon0)
-    p.add_argument("--epsilon1", type=_pos_float, default=defaults.epsilon1)
-    p.add_argument("--epsilon2", type=_pos_float, default=defaults.epsilon2)
-    p.add_argument("--epsilon3", type=_pos_float, default=defaults.epsilon3)
-    p.add_argument("--p", type=_pos_float, default=defaults.p)
-    p.add_argument("--max-iters", type=_pos_int, default=defaults.max_iters)
+    for name, default in _SEARCH_DEFAULTS.items():
+        kind = _pos_int if isinstance(default, int) else _pos_float
+        p.add_argument("--" + name.replace("_", "-"), type=kind, default=default)
     p.add_argument("-o", "--output", required=True, help="final instance file")
     p.add_argument("--trace", default=None, help="iteration trace file")
     p.set_defaults(func=cmd_localsearch)

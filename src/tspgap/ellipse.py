@@ -168,10 +168,11 @@ def _inner_attempt(j: int, b: float, f: float) -> tuple[float, list[float]]:
     return diff_inner(half, full, b), full
 
 
-def inner_vertices(j: int, b: float, eps: float = DEFAULT_EPS) -> list[tuple[float, float]]:
-    """Place the inner vertices on the x-axis, symmetric about 0, so every
-    middle-gap tie equation closes within eps.  The inner chain sees only
-    the corners (±b, ±1), so the outer count does not enter.
+def inner_vertices(j: int, b: float, eps: float = DEFAULT_EPS) -> list[float]:
+    """Abscissas of the inner vertices on the x-axis, left to right and
+    symmetric about 0, placed so every middle-gap tie equation closes
+    within eps.  The inner chain sees only the corners (±b, ±1), so the
+    outer count does not enter.
 
     The outermost abscissa f is bracketed by a coarse scan of the closure
     residual over (0, b) and bisected; a residual without a sign change, or
@@ -182,7 +183,7 @@ def inner_vertices(j: int, b: float, eps: float = DEFAULT_EPS) -> list[tuple[flo
     f = _find_root(
         lambda f: _inner_attempt(j, b, f)[0], b * 1e-9, b * (1 - 1e-9), _COARSE_SAMPLES, eps, InnerPlacementError
     )
-    return [(x, 0.0) for x in _inner_attempt(j, b, f)[1]]
+    return _inner_attempt(j, b, f)[1]
 
 
 # -- outer vertices --------------------------------------------------------
@@ -274,13 +275,12 @@ def outer_vertices(
 
 
 def _assemble(
-    i: int, j: int, inner: Sequence[tuple[float, float]], zline: Sequence[tuple[float, float]]
+    i: int, j: int, ys: Sequence[float], zline: Sequence[tuple[float, float]]
 ) -> Instance:
     points = [(x, -y) for x, y in zline]          # bottom line mirrors the top
-    points += [(x, y) for x, y in inner]
+    points += [(y, 0.0) for y in ys]
     points += [(x, y) for x, y in zline]
-    lv = labeled_vertices(IJK(i, j, i))
-    return Instance(points, NormSpec(2.0), labels=lv.labels)
+    return Instance(points, NormSpec(2.0), labels=labeled_vertices(IJK(i, j, i)))
 
 
 def _shortcut_parts(i: int, j: int) -> tuple[EdgeWeightVector, PseudoTour]:
@@ -292,10 +292,9 @@ def _shortcut_parts(i: int, j: int) -> tuple[EdgeWeightVector, PseudoTour]:
 def _evaluate(
     i: int, j: int, b: float, eps: float, parts: tuple[EdgeWeightVector, PseudoTour]
 ) -> ConstructionResult:
-    inner = inner_vertices(j, b, eps)
-    ys = [pt[0] for pt in inner]
+    ys = inner_vertices(j, b, eps)
     e, zline = outer_vertices(i, b, ys[-1], eps)
-    inst = _assemble(i, j, inner, zline)
+    inst = _assemble(i, j, ys, zline)
     x, anchor = parts
     ratio = tour_length(inst, shortcut_tour(anchor, inst)) / fractional_cost(inst, x)
     inner_res = max(abs(diff_inner(h, ys, b)) for h in range(j // 2 + 1))
@@ -309,8 +308,8 @@ def _construct_flat(j: int, eps: float) -> ConstructionResult:
     the single outer tie equation, so root-find it instead of optimizing."""
 
     def resid(b: float) -> float:
-        inner = inner_vertices(j, b, eps)
-        return diff_outer(0, [(-b, 1.0), (b, 1.0)], inner[-1][0], b)
+        ys = inner_vertices(j, b, eps)
+        return diff_outer(0, [(-b, 1.0), (b, 1.0)], ys[-1], b)
 
     b_star = _find_root(resid, *_B_RANGE, _COARSE_SAMPLES * 4, eps, EllipseConstructionError)
     return _evaluate(0, j, b_star, eps, _shortcut_parts(0, j))

@@ -7,7 +7,6 @@ from .ijk import (
     METRIC,
     RECTILINEAR,
     IJK,
-    LabeledVertexSet,
     PseudoTour,
     best_partition,
     closed_form_lp_I2,
@@ -19,6 +18,7 @@ from .ijk import (
     fractional_xijk,
     gen_I2,
     gen_I3,
+    ijk_of_labels,
     labeled_vertices,
     line_gaps,
     metric_maximum_ratio,

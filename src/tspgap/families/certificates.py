@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ijk import IJK, LabeledVertexSet, fractional_xijk, pseudo_tours
+from .ijk import IJK, fractional_xijk, pseudo_tours
 
 IDENTITY_TOL = 1e-12
 
@@ -22,7 +22,6 @@ class CertificateError(AssertionError):
 class CertificateReport:
     """Verified coefficients and the multiplier they certify."""
 
-    ijk: IJK
     multiplier: float  # 1 + 1/(3 + 2(1/(i+1) + 1/(j+1) + 1/(k+1)))
     coefficients: tuple[tuple[str, float], ...]  # pseudo-tour name -> lambda
     sum_error: float
@@ -41,7 +40,7 @@ def lambda_certificate(p: IJK) -> CertificateReport:
     multiplier = 1.0 + 1.0 / denom
 
     tours = pseudo_tours(p)
-    lines = LabeledVertexSet(p).lines
+    lines = p.lines
     # Gap members split their line's 1/denom budget; each anchor tour
     # carries its line's full 1/count share, count = the line's edge count.
     lam = [1.0 / ((len(lines[pt.line]) - 1) * denom) for pt in tours]
@@ -58,7 +57,6 @@ def lambda_certificate(p: IJK) -> CertificateReport:
     if max_err > IDENTITY_TOL:
         raise CertificateError(f"combination misses {max_err:.3e} at {p}")
     return CertificateReport(
-        ijk=p,
         multiplier=multiplier,
         coefficients=tuple((pt.name, c) for pt, c in zip(tours, lam)),
         sum_error=sum_error,

@@ -10,6 +10,7 @@ at the left and right path ends.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -28,54 +29,51 @@ class IJK:
     k: int
 
     def __post_init__(self) -> None:
-        for name, v in (("i", self.i), ("j", self.j), ("k", self.k)):
+        for name in ("i", "j", "k"):
+            v = getattr(self, name)
             if int(v) != v or v < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
-        object.__setattr__(self, "i", int(self.i))
-        object.__setattr__(self, "j", int(self.j))
-        object.__setattr__(self, "k", int(self.k))
+            object.__setattr__(self, name, int(v))
 
     @property
     def n(self) -> int:
         return self.i + self.j + self.k + 6
 
-
-@dataclass(frozen=True)
-class LabeledVertexSet:
-    """The family layout as three index lists.
-
-    lines = (X, Y, Z) holds the vertex indices of the bottom, middle and top
-    paths in path order: X = 0..i+1, then Y (j+2 indices), then Z (k+2).
-    Path edges join consecutive entries of one line; the left and right end
-    triangles join the lines' first and last entries.  labels name each
-    vertex by its line and position: X0..X_{i+1}, Y0..Y_{j+1}, Z0..Z_{k+1}.
-    """
-
-    ijk: IJK
-
     @property
     def lines(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-        p = self.ijk
-        y0, z0 = p.i + 2, p.i + p.j + 4
-        return tuple(range(y0)), tuple(range(y0, z0)), tuple(range(z0, p.n))
+        """The family layout as three index lists (X, Y, Z): the vertex
+        indices of the bottom, middle and top paths in path order: X =
+        0..i+1, then Y (j+2 indices), then Z (k+2).  Path edges join
+        consecutive entries of one line; the left and right end triangles
+        join the lines' first and last entries."""
+        y0, z0 = self.i + 2, self.i + self.j + 4
+        return tuple(range(y0)), tuple(range(y0, z0)), tuple(range(z0, self.n))
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(f"{name}{s}" for name, line in zip("XYZ", self.lines) for s in range(len(line)))
 
-
-# The three line pairs XY, XZ, YZ, as indices into LabeledVertexSet.lines.
+# The three line pairs XY, XZ, YZ, as indices into IJK.lines.
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
-def labeled_vertices(p: IJK) -> LabeledVertexSet:
-    return LabeledVertexSet(p)
+def labeled_vertices(p: IJK) -> tuple[str, ...]:
+    """Each vertex named by its line and position: X0..X_{i+1}, Y0..Y_{j+1},
+    Z0..Z_{k+1}, in vertex order."""
+    return tuple(f"{name}{s}" for name, line in zip("XYZ", p.lines) for s in range(len(line)))
+
+
+def ijk_of_labels(labels: Sequence[str]) -> IJK | None:
+    """The triple whose labeled_vertices are exactly labels, or None."""
+    heads = [label[:1] for label in labels]
+    counts = [heads.count(name) - 2 for name in "XYZ"]
+    if min(counts) < 0:
+        return None
+    p = IJK(*counts)
+    return p if labeled_vertices(p) == tuple(labels) else None
 
 
 def fractional_xijk(p: IJK) -> EdgeWeightVector:
     """The canonical fractional tour: 1 along each path, 1/2 on the two
     end triangles.  Every vertex gets fractional degree exactly 2."""
-    lines = LabeledVertexSet(p).lines
+    lines = p.lines
     paths = [e for line in lines for e in zip(line, line[1:])]
     halves = [(lines[a][end], lines[b][end]) for end in (0, -1) for a, b in _PAIRS]
     return EdgeWeightVector.from_pairs(p.n, [(e, 1.0) for e in paths] + [(e, 0.5) for e in halves])
@@ -111,7 +109,7 @@ def gen_I2(p: IJK) -> Instance:
     for s in range(1, p.k + 1):
         pts.append((span(s, p.k + 1), top))
     pts.append((1.0, top))
-    return Instance(pts, NormSpec(1.0), labels=labeled_vertices(p).labels)
+    return Instance(pts, NormSpec(1.0), labels=labeled_vertices(p))
 
 
 def gen_I3(p: IJK) -> Instance:
@@ -124,7 +122,7 @@ def gen_I3(p: IJK) -> Instance:
         pts.append((1.0 / i1 + 1.0 / j1, 0.0, s / j1))
     for s in range(k1 + 1):
         pts.append((1.0 / i1, 1.0 / k1, s / k1))
-    return Instance(pts, NormSpec(1.0), labels=labeled_vertices(p).labels)
+    return Instance(pts, NormSpec(1.0), labels=labeled_vertices(p))
 
 
 def closed_form_lp_I2(p: IJK) -> float:
@@ -201,7 +199,7 @@ ANCHOR_TAGS = (
 )
 
 
-# Index into LabeledVertexSet.lines of the line each tag double-covers.
+# Index into IJK.lines of the line each tag double-covers.
 _DOUBLED_LINE = {
     "bottom_gap": 0, "bottom_left": 0, "bottom_right": 0,
     "middle_gap": 1, "middle_left": 1, "middle_right": 1,
@@ -215,9 +213,9 @@ class PseudoTour:
 
     tag is one of GAP_TAGS (with index = the skipped edge position along the
     doubled line) or ANCHOR_TAGS (index None).  line is the position in
-    LabeledVertexSet.lines of the line the member double-covers (bottom 0,
-    middle 1, top 2).  edges holds each edge's multiplicity (0, 1 or 2) in
-    edge order, read-only.
+    IJK.lines of the line the member double-covers (bottom 0, middle 1,
+    top 2).  edges holds each edge's multiplicity (0, 1 or 2) in edge
+    order, read-only.
     """
 
     tag: str
@@ -257,7 +255,7 @@ def _pseudo_tour(p: IJK, lines: tuple[tuple[int, ...], ...], tag: str, index: in
 
 def pseudo_tours(p: IJK) -> list[PseudoTour]:
     """All (k+1) + (j+1) + (i+1) + 6 pseudo-tours of the family."""
-    lines = LabeledVertexSet(p).lines
+    lines = p.lines
     out: list[PseudoTour] = []
     for tag in GAP_TAGS:
         for l in range(len(lines[_DOUBLED_LINE[tag]]) - 1):
@@ -279,7 +277,7 @@ def shortcut_tour(pt: PseudoTour, inst: Instance) -> Tour:
     p = pt.ijk
     if inst.n != p.n:
         raise ValueError(f"pseudo-tour on {p.n} vertices, instance has {inst.n}")
-    X, Y, Z = LabeledVertexSet(p).lines
+    X, Y, Z = p.lines
     l = pt.index
     tag = pt.tag
     if tag == "top_gap":

@@ -185,6 +185,14 @@ def local_opt_certificate(
     return delta <= epsilon1
 
 
+def exact_pool_certificate(inst: Instance, params: LocalSearchParams) -> bool:
+    """local_opt_certificate over every tour within params' window (n <= ENUM_MAX)."""
+    exact = held_karp(inst)
+    lp = solve_subtour_lp(inst)
+    pool = build_tour_pool(inst, params.epsilon3 * exact.length)
+    return local_opt_certificate(inst, pool, lp.x, epsilon1=params.epsilon1)
+
+
 # -- Algorithm 1 -----------------------------------------------------------
 
 

@@ -1,8 +1,12 @@
 """End-to-end command-line behavior: formats, reports, exit codes, plots."""
 
 import argparse
+import contextlib
 import dataclasses
+import errno
+import hashlib
 import importlib
+import io
 import json
 import math
 import os
@@ -232,6 +236,31 @@ def test_unwritable_output_is_a_parse_error(tmp_path, capsys):
     assert "cannot write" in _parse_error(capsys, tmp_path, *gen, str(tmp_path / "taken"))
 
 
+def test_write_errors_name_the_target_only(tmp_path, capsys):
+    # The temp file's random name is no part of the report.
+    gen = ("gen", "i2", "--i", "0", "--j", "0", "--k", "0", "-o")
+    (tmp_path / "taken").mkdir()
+    for target, code in ((tmp_path / "nodir" / "x.txt", errno.ENOENT), (tmp_path / "taken", errno.EISDIR)):
+        message = _parse_error(capsys, tmp_path, *gen, str(target))
+        assert message == f"cannot write {str(target)!r}: {os.strerror(code)}"
+        assert ".tspgap-" not in message
+
+
+@pytest.mark.parametrize(
+    "argv, second",
+    [
+        (("gen", "i2", "--i", "0", "--j", "0", "--k", "0"), "--export-tsplib"),
+        (("localsearch", "--n", "6", "--seed", "19", "--epsilon0", "1e-6", "--max-iters", "1"), "--trace"),
+    ],
+)
+def test_two_file_commands_write_all_or_nothing(tmp_path, capsys, argv, second):
+    out = tmp_path / "out.txt"
+    bad = tmp_path / "nodir" / "second.txt"
+    message = _parse_error(capsys, tmp_path, *argv, "-o", str(out), second, str(bad))
+    assert list(tmp_path.iterdir()) == []
+    assert message == f"cannot write {str(bad)!r}: {os.strerror(errno.ENOENT)}"
+
+
 def test_sweep_rejects_an_empty_family_list(tmp_path, capsys):
     out = tmp_path / "sweep.json"
     argv = ("sweep", "--n-min", "6", "--n-max", "6", "--families", ",", "-o", str(out))
@@ -363,6 +392,27 @@ def test_localsearch_defaults_are_the_params_defaults():
     assert len(names) == 6
     defaults = LocalSearchParams()
     assert {name: getattr(args, name) for name in names} == {name: getattr(defaults, name) for name in names}
+
+
+@pytest.mark.parametrize("flag, value", [("--max-iters", "1.5"), ("--max-iters", "0"), ("--epsilon0", "0")])
+def test_localsearch_rejects_bad_params(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["localsearch", "--n", "6", flag, value, "-o", str(tmp_path / "x.txt")])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_localsearch_help_is_frozen(monkeypatch):
+    # sha256 of `localsearch --help` at 100 columns: the search flags are
+    # read off LocalSearchParams, in its field order, with no help text.
+    monkeypatch.setenv("COLUMNS", "100")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        main(["localsearch", "--help"])
+    assert exc.value.code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "316101fa0681e1aad81c63cfe6c3af70c82fd2a7e5e8594ca4e3a1c73d3653ad"
+    )
 
 
 def test_plot_deterministic_and_styled(tmp_path, capsys):

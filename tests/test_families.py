@@ -1,6 +1,8 @@
 """Structured families: plane/space embeddings, closed forms, certificates,
 pseudo-tour shortcuts, best partitions, and subdivided-graph bounds."""
 
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -28,6 +30,7 @@ from tspgap.families import (
     gen_I3,
     gen_subdivided,
     hexagon_spec,
+    ijk_of_labels,
     labeled_vertices,
     lambda_certificate,
     metric_maximum_ratio,
@@ -47,10 +50,39 @@ TRIPLES = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
 def test_labeled_vertices_layout():
     p = IJK(1, 2, 1)
     lv = labeled_vertices(p)
-    assert len(lv.labels) == 10
-    assert lv.labels[:3] == ("X0", "X1", "X2")
-    assert lv.labels[3:7] == ("Y0", "Y1", "Y2", "Y3")
-    assert lv.labels[7:] == ("Z0", "Z1", "Z2")
+    assert len(lv) == 10
+    assert lv[:3] == ("X0", "X1", "X2")
+    assert lv[3:7] == ("Y0", "Y1", "Y2", "Y3")
+    assert lv[7:] == ("Z0", "Z1", "Z2")
+
+
+ALL_TRIPLES = [IJK(*t) for t in itertools.product(range(5), repeat=3)]
+
+
+def test_layout_lines_are_frozen():
+    # sha256 of repr(lines) over {0..4}^3: every golden of the families
+    # and the CLI reads vertices by these indices, so none may move.
+    h = hashlib.sha256()
+    for p in ALL_TRIPLES:
+        h.update(repr(p.lines).encode())
+    assert h.hexdigest() == "de2eed88cd76868bceecb539c93f0988f8a1d61f28a5de6d9a8a423be631e09b"
+
+
+def test_labels_give_back_their_triple():
+    # {0..4}^3 holds every ellipse triple (i, j, i) with i, j <= 4.
+    for p in ALL_TRIPLES:
+        assert ijk_of_labels(labeled_vertices(p)) == p
+        assert ijk_of_labels(list(labeled_vertices(p))) == p
+
+
+def test_foreign_or_malformed_labels_give_no_triple():
+    labels = list(labeled_vertices(IJK(1, 0, 2)))
+    assert ijk_of_labels([]) is None
+    assert ijk_of_labels(labels[:-1] + ["v0"]) is None  # foreign head
+    assert ijk_of_labels(["Z0"]) is None  # one Z label only
+    assert ijk_of_labels(labels[:1] + labels[2:3] + labels[1:2] + labels[3:]) is None  # X1, X2 swapped
+    assert ijk_of_labels(labels[:1] + ["Xa"] + labels[2:]) is None  # non-digit tail
+    assert ijk_of_labels([f"v{s}" for s in range(len(labels))]) is None
 
 
 @given(TRIPLES)
@@ -63,7 +95,7 @@ def test_fractional_vector_weights():
     p = IJK(1, 2, 1)
     x = fractional_xijk(p)
     lv = labeled_vertices(p)
-    idx = {s: lv.labels.index(s) for s in lv.labels}
+    idx = {s: lv.index(s) for s in lv}
     halves = {
         (idx["X0"], idx["Y0"]), (idx["X0"], idx["Z0"]), (idx["Y0"], idx["Z0"]),
         (idx["X2"], idx["Y3"]), (idx["X2"], idx["Z2"]), (idx["Y3"], idx["Z2"]),
@@ -191,7 +223,7 @@ def test_certificate_small_case_exact_mass():
     assert rep.multiplier == pytest.approx(20 / 17, rel=1e-15)
     lam = dict(rep.coefficients)
     lv = labeled_vertices(p)
-    target = edge_position(p.n, lv.labels.index("Y0"), lv.labels.index("Z0"))
+    target = edge_position(p.n, lv.index("Y0"), lv.index("Z0"))
     mass = 0.0
     for pt in pseudo_tours(p):
         mass += lam[pt.name] * pt.edges[target]

@@ -133,3 +133,20 @@ def test_no_timing_figures_in_the_package():
         if figure.search(line)
     ]
     assert found == []
+
+
+def test_the_label_alphabet_lives_only_in_the_family_module():
+    # families/ijk.py owns the vertex labels X0.., Y0.., Z0..; other modules
+    # read them through labeled_vertices and ijk_of_labels.
+    owner = str(pathlib.Path("families", "ijk.py"))
+    label = re.compile(r"[XYZ]\d*")
+    hits = [
+        (name, node.lineno)
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and (node.value == "XYZ" or label.fullmatch(node.value))
+    ]
+    assert any(name == owner for name, _ in hits)
+    assert [f"{name}:{line}" for name, line in hits if name != owner] == []
