@@ -1,5 +1,1 @@
 """Command-line front end: generation, solving, sweeps, certification, plots."""
-
-from .main import main
-
-__all__ = ["main"]

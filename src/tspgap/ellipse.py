@@ -69,12 +69,16 @@ class ConstructionResult:
     outer_residual: float
 
 
-def _bisect(fn: Callable[[float], float], lo: float, hi: float) -> float:
-    flo, fhi = fn(lo), fn(hi)
+def _bisect(fn: Callable[[float], float], lo: float, hi: float, flo: float, fhi: float) -> tuple[float, float]:
+    """(root, residual) of fn on [lo, hi], given the residuals flo, fhi at
+    the ends.  An end with residual zero is the root; ends of one sign raise
+    _BracketError.  Halving stops at adjacent floats, where the root is the
+    end the midpoint rounds to, or after 100 steps; fn is called only at
+    midpoints strictly inside, each once."""
     if flo == 0.0:
-        return lo
+        return lo, flo
     if fhi == 0.0:
-        return hi
+        return hi, fhi
     if (flo > 0) == (fhi > 0):
         raise _BracketError
     for _ in range(100):
@@ -83,12 +87,13 @@ def _bisect(fn: Callable[[float], float], lo: float, hi: float) -> float:
             break
         fm = fn(mid)
         if fm == 0.0:
-            return mid
+            return mid, fm
         if (fm > 0) == (fhi > 0):
             hi, fhi = mid, fm
         else:
             lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    return mid, (flo if mid == lo else fhi if mid == hi else fn(mid))
 
 
 def _find_root(
@@ -120,8 +125,7 @@ def _find_root(
     else:
         raise error(f"residual does not change sign on [{lo}, {hi}]")
     try:
-        root = _bisect(fn, prev[0], x)
-        resid = fn(root)
+        root, resid = _bisect(fn, prev[0], x, prev[1], r)
     except _BracketError:
         raise error(f"residual undefined inside the bracket [{prev[0]}, {x}]") from None
     if abs(resid) > eps:
@@ -152,6 +156,32 @@ def diff_inner(h: int, ys: Sequence[float], b: float) -> float:
     )
 
 
+def _inner_tie(c: float, y_h: float, b: float) -> float:
+    """Root t on [y_h, b] of the inner tie c + (t - y_h) - hypot(b - t, 1),
+    bisected with _bisect's rules and steps but without a call per step."""
+    hypot = math.hypot
+    lo, hi = y_h, b
+    flo = c + (lo - y_h) - hypot(b - lo, 1.0)
+    fhi = c + (hi - y_h) - hypot(b - hi, 1.0)
+    if flo == 0.0 or fhi == 0.0:
+        return lo if flo == 0.0 else hi
+    pos = fhi > 0
+    if (flo > 0) == pos:
+        raise _BracketError
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        fm = c + (mid - y_h) - hypot(b - mid, 1.0)
+        if fm == 0.0:
+            return mid
+        if (fm > 0) == pos:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
 def _inner_attempt(j: int, b: float, f: float) -> tuple[float, list[float]]:
     """Chain the left inner half for a trial f, mirroring it as it goes;
     return (closure residual, full symmetric abscissa list)."""
@@ -160,8 +190,7 @@ def _inner_attempt(j: int, b: float, f: float) -> tuple[float, list[float]]:
     half = j // 2
     for _ in range(half):
         y_h = left[-1]
-        c = c_right - math.hypot(b + y_h, 1.0)
-        y_next = _bisect(lambda t: c + (t - y_h) - math.hypot(b - t, 1.0), y_h, b)
+        y_next = _inner_tie(c_right - math.hypot(b + y_h, 1.0), y_h, b)
         left.append(y_next)
         right.append(-y_next)
     full = left + [0.0] * (j % 2) + right[::-1]
@@ -180,10 +209,12 @@ def inner_vertices(j: int, b: float, eps: float = DEFAULT_EPS) -> list[float]:
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    tried: dict[float, tuple[float, list[float]]] = {}  # each point's attempt, so the root's is not rebuilt
     f = _find_root(
-        lambda f: _inner_attempt(j, b, f)[0], b * 1e-9, b * (1 - 1e-9), _COARSE_SAMPLES, eps, InnerPlacementError
+        lambda f: tried.setdefault(f, _inner_attempt(j, b, f))[0],
+        b * 1e-9, b * (1 - 1e-9), _COARSE_SAMPLES, eps, InnerPlacementError,
     )
-    return _inner_attempt(j, b, f)[1]
+    return tried[f][1]
 
 
 # -- outer vertices --------------------------------------------------------
@@ -214,6 +245,35 @@ def diff_outer(h: int, zs: Sequence[tuple[float, float]], f: float, b: float) ->
     )
 
 
+def _outer_tie(c: float, zx: float, zy: float, f: float, A: float, B: float, lo: float, hi: float) -> float:
+    """Root theta on [lo, hi] of the outer tie at (A cos theta, B sin theta),
+    c + hypot(px - zx, py - zy) - hypot(px - f, py), bisected as in
+    _inner_tie."""
+    hypot, cos, sin = math.hypot, math.cos, math.sin
+    px, py = A * cos(lo), B * sin(lo)
+    flo = c + hypot(px - zx, py - zy) - hypot(px - f, py)
+    px, py = A * cos(hi), B * sin(hi)
+    fhi = c + hypot(px - zx, py - zy) - hypot(px - f, py)
+    if flo == 0.0 or fhi == 0.0:
+        return lo if flo == 0.0 else hi
+    pos = fhi > 0
+    if (flo > 0) == pos:
+        raise _BracketError
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        px, py = A * cos(mid), B * sin(mid)
+        fm = c + hypot(px - zx, py - zy) - hypot(px - f, py)
+        if fm == 0.0:
+            return mid
+        if (fm > 0) == pos:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
 def _outer_attempt(i: int, b: float, f: float, e: float) -> tuple[float, list[tuple[float, float]]]:
     """Chain the left outer half along the ellipse for a trial e, mirroring
     it as it goes; return (closure residual, full top line).  Raises
@@ -227,18 +287,8 @@ def _outer_attempt(i: int, b: float, f: float, e: float) -> tuple[float, list[tu
     theta_h = math.pi - theta_corner
     half = i // 2
     for _ in range(half):
-        z_h = left[-1]
-        c = c_left - math.hypot(z_h[0] + f, z_h[1])
-
-        def tie(theta: float) -> float:
-            px, py = A * math.cos(theta), B * math.sin(theta)
-            return (
-                c
-                + math.hypot(px - z_h[0], py - z_h[1])
-                - math.hypot(px - f, py)
-            )
-
-        theta_h = _bisect(tie, theta_corner, theta_h)
+        zx, zy = left[-1]
+        theta_h = _outer_tie(c_left - math.hypot(zx + f, zy), zx, zy, f, A, B, theta_corner, theta_h)
         x, y = A * math.cos(theta_h), B * math.sin(theta_h)
         left.append((x, y))
         right.append((-x, y))
@@ -265,10 +315,12 @@ def outer_vertices(
         raise ValueError("eps must be positive")
     if i == 0:
         return 0.0, [(-b, 1.0), (b, 1.0)]
+    tried: dict[float, tuple[float, list[tuple[float, float]]]] = {}  # each point's attempt, as in inner_vertices
     e_star = _find_root(
-        lambda e: _outer_attempt(i, b, f, e)[0], 0.0, 4.0 * (b + 1.0), _COARSE_SAMPLES, eps, OuterPlacementError
+        lambda e: tried.setdefault(e, _outer_attempt(i, b, f, e))[0],
+        0.0, 4.0 * (b + 1.0), _COARSE_SAMPLES, eps, OuterPlacementError,
     )
-    return float(e_star), _outer_attempt(i, b, f, e_star)[1]
+    return float(e_star), tried[e_star][1]
 
 
 # -- full construction -----------------------------------------------------

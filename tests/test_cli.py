@@ -34,8 +34,7 @@ from tspgap.families import ANCHOR_TAGS, IJK, gen_I2, gen_I3
 from tspgap.localsearch import LocalSearchParams
 from tspgap.lp import LpError
 
-# The module, for monkeypatching: `tspgap.cli.main` as an attribute is the
-# `main` function that `tspgap.cli` re-exports.
+# The module, for monkeypatching the names that `main` looks up.
 cli_main = importlib.import_module("tspgap.cli.main")
 
 
@@ -571,3 +570,16 @@ def test_parser_is_not_built_at_import():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0"
+
+
+def test_module_entry_point_runs_without_warnings():
+    # `python -m tspgap.cli.main` runs the module as __main__; a package that
+    # imported it first would make runpy warn before the help text.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "tspgap.cli.main", "localsearch", "--help"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("usage:")

@@ -1,6 +1,7 @@
 """Curved-geometry constructions: closure residuals, symmetry, reference ratios."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -206,6 +207,24 @@ _GOLDEN_TIGHT = {
 }
 
 
+# The first rows whose outer chain holds two or more ties, frozen from the
+# same construction as _GOLDEN.
+_GOLDEN_CHAINS = {
+    (4, 0): (
+        "0x1.0fb8b75cc9a92p+0", "0x1.a7555555468ccp+1", "0x1.2c7791b34da16p-1",
+        "0x1.b1b1118bb6bcap-1", "0x1.0000000000000p-50", "0x1.c000000000000p-50",
+    ),
+    (5, 0): (
+        "0x1.107f18fefc589p+0", "0x1.fc22222213599p+1", "0x1.4c751e2e9a68ep-2",
+        "0x1.0e944aaa48278p+0", "0x1.0000000000000p-49", "0x1.4000000000000p-50",
+    ),
+    (4, 1): (
+        "0x1.17829462c2160p+0", "0x1.a7555555468ccp+1", "0x1.0abf9354e2c7ap-2",
+        "0x1.47c25915a0d1ep+0", "0x1.0000000000000p-50", "0x1.0000000000000p-52",
+    ),
+}
+
+
 def _hexes(res):
     p = res.params
     return tuple(v.hex() for v in (res.ratio, p.b, p.e, p.f, res.inner_residual, res.outer_residual))
@@ -219,6 +238,11 @@ def test_constructions_are_bit_exact(ij):
 @pytest.mark.parametrize("ij", sorted(_GOLDEN_TIGHT))
 def test_tight_eps_constructions_are_bit_exact(ij):
     assert _hexes(ellipse_construct(*ij, 1e-15)) == _GOLDEN_TIGHT[ij]
+
+
+@pytest.mark.parametrize("ij", sorted(_GOLDEN_CHAINS))
+def test_multi_tie_outer_chains_are_bit_exact(ij):
+    assert _hexes(ellipse_construct(*ij)) == _GOLDEN_CHAINS[ij]
 
 
 def test_fine_scan_retry_is_bit_exact():
@@ -280,3 +304,178 @@ def test_shortcut_parts_are_built_once_per_construction(monkeypatch, ij):
     monkeypatch.setattr(ellipse, "pseudo_tours", lambda p: calls.append(p) or real(p))
     ellipse_construct(*ij)
     assert len(calls) == 1
+
+
+# -- the chain ties against a scalar bisection over a closure ---------------
+
+
+def _closure_bisect(fn, lo, hi):
+    """Bisection of fn on [lo, hi] by calls to fn, the form the chain ties
+    are checked against: same endpoint rules, midpoints and 100-step cap."""
+    flo, fhi = fn(lo), fn(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if (flo > 0) == (fhi > 0):
+        raise ellipse._BracketError
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        fm = fn(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0) == (fhi > 0):
+            hi, fhi = mid, fm
+        else:
+            lo, flo = mid, fm
+    return 0.5 * (lo + hi)
+
+
+def _closure_inner_tie(c, y_h, b):
+    return _closure_bisect(lambda t: c + (t - y_h) - math.hypot(b - t, 1.0), y_h, b)
+
+
+def _closure_outer_tie(c, zx, zy, f, A, B, lo, hi):
+    def tie(theta):
+        px, py = A * math.cos(theta), B * math.sin(theta)
+        return c + math.hypot(px - zx, py - zy) - math.hypot(px - f, py)
+
+    return _closure_bisect(tie, lo, hi)
+
+
+def _outcome(tie, *args):
+    try:
+        return tie(*args).hex()
+    except ellipse._BracketError:
+        return "bracket"
+
+
+def _inner_brackets(rng, count):
+    for _ in range(count):
+        b = rng.uniform(0.05, 8.0)
+        f, y_h = rng.uniform(0.0, b), rng.uniform(-b, b)
+        c = math.hypot(b + f, 1.0) + 2.0 - math.hypot(b - f, 1.0) - math.hypot(b + y_h, 1.0)
+        if rng.random() < 0.3:
+            c += rng.uniform(-4.0, 4.0)  # often a bracket of one sign
+        yield c, y_h, b
+
+
+def _outer_brackets(rng, count):
+    for _ in range(count):
+        b = rng.uniform(0.05, 8.0)
+        A, B = ellipse._ellipse_axes(b, rng.uniform(0.0, 4.0 * (b + 1.0)))
+        lo = math.atan2(1.0 / B, b / A)
+        hi = rng.uniform(lo, math.pi - lo)
+        zx, zy = A * math.cos(hi), B * math.sin(hi)
+        f = rng.uniform(0.0, b)
+        c = math.hypot(b - f, 1.0) + math.hypot(b + f, 1.0) - 2.0 - math.hypot(zx + f, zy)
+        if rng.random() < 0.3:
+            c += rng.uniform(-4.0, 4.0)
+        yield c, zx, zy, f, A, B, lo, hi
+
+
+def _zero_end_brackets():
+    """(tie, bracket, end) for brackets whose residual is exactly 0.0 at that end."""
+    A, B = ellipse._ellipse_axes(2.0, 1.0)
+    lo = math.atan2(1.0 / B, 2.0 / A)
+    zx, zy = A * math.cos(lo), B * math.sin(lo)
+    return [
+        (ellipse._inner_tie, (math.hypot(1.5 - 0.25, 1.0), 0.25, 1.5), 0.25),  # at y_h
+        (ellipse._inner_tie, (-0.25, 0.25, 1.5), 1.5),  # at b: -0.25 + 1.25 - 1.0
+        (ellipse._outer_tie, (math.hypot(zx - 0.5, zy), zx, zy, 0.5, A, B, lo, 2.0), lo),  # at lo
+    ]
+
+
+@pytest.mark.parametrize(
+    "tie,oracle,brackets",
+    [
+        (ellipse._inner_tie, _closure_inner_tie, _inner_brackets),
+        (ellipse._outer_tie, _closure_outer_tie, _outer_brackets),
+    ],
+    ids=["inner", "outer"],
+)
+def test_inline_ties_match_the_closure_bisection(tie, oracle, brackets):
+    outcomes = set()
+    zero_ends = [args for t, args, _ in _zero_end_brackets() if t is tie]
+    for args in [*brackets(random.Random(19), 2500), *zero_ends]:
+        got = _outcome(tie, *args)
+        assert got == _outcome(oracle, *args), args
+        outcomes.add(got == "bracket")
+    assert outcomes == {False, True}  # both roots and same-sign brackets were drawn
+
+
+def test_tie_endpoints_with_zero_residual_are_roots():
+    for tie, args, end in _zero_end_brackets():
+        assert tie(*args) == end
+
+
+# -- each point evaluated once ----------------------------------------------
+
+
+def _gappy(x):
+    if x < 0.25:
+        raise InnerPlacementError("left of the window")
+    return x - 0.5
+
+
+@pytest.mark.parametrize(
+    "fn,lo,hi,samples,root",
+    [
+        (lambda x: x * x - 2.0, 0.0, 2.0, 8, None),  # halves down to adjacent floats
+        (lambda x: x - 0.5, 0.0, 1.0, 8, 0.5),  # the first midpoint is the root
+        (_gappy, 0.0, 1.0, 8, 0.5),  # failed samples skipped
+        (lambda x: x - 1e-300, -1.0, 1.0, 2, None),  # 100 halvings, then one more point
+    ],
+    ids=["smooth", "exact-midpoint", "skipped-samples", "step-cap"],
+)
+def test_find_root_evaluates_each_point_once(fn, lo, hi, samples, root):
+    calls = []
+
+    def spy(x):
+        calls.append(x)
+        return fn(x)
+
+    got = _find_root(spy, lo, hi, samples, 1e-9, OuterPlacementError)
+    assert len(calls) == len(set(calls))
+    assert got in calls
+    if root is not None:
+        assert got == root
+    assert abs(fn(got)) <= 1e-9
+
+
+def test_bisect_returns_the_residual_it_holds():
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return x * x - 2.0
+
+    root, resid = ellipse._bisect(fn, 1.0, 2.0, -1.0, 2.0)
+    assert resid == fn(root) and 1.0 not in calls and 2.0 not in calls
+    assert fn(math.nextafter(root, 0.0)) < 0.0 < fn(math.nextafter(root, 2.0))  # adjacent floats
+    assert ellipse._bisect(fn, 1.0, 2.0, 0.0, 2.0) == (1.0, 0.0)
+    with pytest.raises(ellipse._BracketError):
+        ellipse._bisect(fn, 1.0, 2.0, 1.0, 2.0)
+
+
+def test_inner_vertices_attempt_each_f_once(monkeypatch):
+    calls = []
+    real = ellipse._inner_attempt
+    monkeypatch.setattr(ellipse, "_inner_attempt", lambda j, b, f: calls.append(f) or real(j, b, f))
+    b = float.fromhex("0x1.51ddddddc04cdp+0")  # row (1, 4) of _GOLDEN
+    ys = ellipse.inner_vertices(4, b)
+    assert len(calls) == len(set(calls)) and ys[-1] in calls
+    assert ys == real(4, b, ys[-1])[1]
+
+
+def test_outer_vertices_attempt_each_e_once(monkeypatch):
+    calls = []
+    real = ellipse._outer_attempt
+    monkeypatch.setattr(ellipse, "_outer_attempt", lambda i, b, f, e: calls.append(e) or real(i, b, f, e))
+    b, f = float.fromhex("0x1.0bddddddcf155p+1"), float.fromhex("0x1.e663c91cf82b4p-2")  # row (2, 0)
+    e, zline = ellipse.outer_vertices(2, b, f)
+    assert len(calls) == len(set(calls)) and e in calls
+    assert e.hex() == _GOLDEN[(2, 0)][2]
+    assert zline == real(2, b, f, e)[1]
