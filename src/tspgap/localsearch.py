@@ -94,22 +94,29 @@ def build_tour_pool(inst: Instance, window: float) -> TourPool:
 # -- gradients -------------------------------------------------------------
 
 
-def _edge_gradient(inst: Instance, u: np.ndarray, v: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """Gradient of sum_k weight[k] * ||pts[u[k]] - pts[v[k]]||_p."""
+def _edge_terms(inst: Instance, u: np.ndarray, v: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """weight * d||pts[u] - pts[v]||_p / d pts[u] for each edge (u, v); u, v
+    and weight share one shape, and the coordinates form a last axis."""
     p = inst.norm.p
     if not (math.isfinite(p) and p > 1):
         raise ValueError("gradients require a finite norm exponent p > 1")
-    pts = inst.points
-    diff = pts[u] - pts[v]
+    diff = inst.points[u] - inst.points[v]
     # The norms' last powers are per-edge float pows: numpy's array power
     # may take a sqrt or SIMD path whose last bits differ.
-    sums = (np.abs(diff) ** p).sum(axis=1)
-    scale = np.array([(s ** (1.0 / p)) ** (p - 1.0) for s in sums.tolist()])
-    term = weight[:, None] * np.sign(diff) * np.abs(diff) ** (p - 1.0) / scale[:, None]
-    # add.at applies the rows in order: edge by edge, +term at u, -term at v.
-    G = np.zeros_like(pts)
-    np.add.at(G, np.column_stack([u, v]).ravel(), np.stack([term, -term], axis=1).reshape(-1, pts.shape[1]))
-    return G.ravel()
+    sums = (np.abs(diff) ** p).sum(axis=-1)
+    scale = np.array([(s ** (1.0 / p)) ** (p - 1.0) for s in sums.ravel().tolist()]).reshape(sums.shape)
+    return weight[..., None] * np.sign(diff) * np.abs(diff) ** (p - 1.0) / scale[..., None]
+
+
+def _tour_gradients(inst: Instance, orders: np.ndarray) -> np.ndarray:
+    """grad_tour_length of each row of `orders` (tours, n).  A vertex gets its
+    outgoing edge's term minus its incoming one's, plus 0.0 (-0.0 to 0.0): for
+    finite terms, bit for bit the add.at sum 0 + term + term in tour order."""
+    k, n = orders.shape
+    term = _edge_terms(inst, orders, np.roll(orders, -1, axis=1), np.ones((k, n)))
+    G = np.empty((k, n, inst.dim))
+    G[np.arange(k)[:, None], orders] = term - np.roll(term, 1, axis=1) + 0.0
+    return G.reshape(k, -1)
 
 
 def grad_tour_length(inst: Instance, t: Tour) -> np.ndarray:
@@ -119,8 +126,7 @@ def grad_tour_length(inst: Instance, t: Tour) -> np.ndarray:
     Per coordinate (vertex m, axis a) this is the sum over tour neighbors q
     of sgn(v_m[a] - q[a]) |v_m[a] - q[a]|^(p-1) / ||v_m - q||_p^(p-1).
     """
-    order = np.array(t.order)
-    return _edge_gradient(inst, order, np.roll(order, -1), np.ones(t.n))
+    return _tour_gradients(inst, np.array([t.order]))[0]
 
 
 def grad_fractional(inst: Instance, x: EdgeWeightVector) -> np.ndarray:
@@ -129,7 +135,12 @@ def grad_fractional(inst: Instance, x: EdgeWeightVector) -> np.ndarray:
         raise ValueError(f"weight vector on {x.n} vertices, instance has {inst.n}")
     iu, iv = edge_index(x.n)
     support = np.flatnonzero(x.values)
-    return _edge_gradient(inst, iu[support], iv[support], x.values[support])
+    u, v = iu[support], iv[support]
+    term = _edge_terms(inst, u, v, x.values[support])
+    # add.at applies the rows in order: edge by edge, +term at u, -term at v.
+    G = np.zeros_like(inst.points)
+    np.add.at(G, np.column_stack([u, v]).ravel(), np.stack([term, -term], axis=1).reshape(-1, inst.dim))
+    return G.ravel()
 
 
 def grad_g(inst: Instance, t: Tour, x: EdgeWeightVector, r: float) -> np.ndarray:
@@ -154,7 +165,7 @@ def improvement_lp(
     """
     # grad_g of each pooled tour, with the fractional term computed once.
     frac = r * grad_fractional(inst, x)
-    grads = np.array([grad_tour_length(inst, t) - frac for t in pool.tours])
+    grads = _tour_gradients(inst, np.array([t.order for t in pool.tours])) - frac
     m, nd = grads.shape
     # Variables: w_0 .. w_{nd-1}, then delta (free); rows <g_T, w> - delta >= 0.
     # Maximising delta is minimising -delta.
@@ -265,7 +276,7 @@ def local_search(n: int, params: LocalSearchParams) -> tuple[Instance, SearchTra
             break
     if inst is None:
         raise LocalSearchError(
-            f"no random {n}-point start with ratio > 1 + {params.epsilon0} in {_RESTART_CAP} draws"
+            f"no random {n}-point start with ratio > 1 + {params.epsilon0} in {_RESTART_CAP} draws; lower epsilon0"
         )
 
     records = [TraceRecord(0, ratio, 0.0, 0.0)]

@@ -98,7 +98,7 @@ def _solve(M: np.ndarray, rhs: np.ndarray, _gesv=np.linalg._umath_linalg.solve1)
     `np.linalg.solve` itself calls for a vector right-hand side.  Calling it
     directly skips that wrapper's array conversion, type resolution and
     shape checks, which take about as long as the solve itself on a small
-    basis, and the simplex makes three solves per iteration.
+    basis, and the simplex makes up to three solves per iteration.
     Its callers run under `_kernel_policy`, which turns gesv's report of a
     singular matrix into LpError.
     """
@@ -143,12 +143,12 @@ class _Tableau:
 
     The basic solution is recomputed from the nonbasic values every
     iteration (a dense solve), trading speed for drift-free arithmetic.
-    An iteration is three `_solve` calls plus a handful of numpy calls.  At
-    n = 40 LAPACK's own work dominates it, and what the three direct solves
-    save is inside the run-to-run spread.  Within one `_minimize` call
-    those values and the pricing masks live in per-call arrays updated by
-    scalar writes at each pivot, not rebuilt from `status`; the pivots are
-    the same either way (see there).
+    An iteration is three `_solve` calls plus a handful of numpy calls,
+    two after a bound flip (the duals are kept).  At n = 40 LAPACK's own
+    work dominates it.  Within one `_minimize` call those values and the
+    pricing masks live in per-call arrays updated by scalar writes at each
+    pivot, not rebuilt from `status`; the pivots are the same either way
+    (see there).
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray, rels: Sequence[str]):
@@ -164,6 +164,8 @@ class _Tableau:
         ).astype(np.int8)
         self.art = np.zeros(n + m, dtype=bool)
         self.pivots = 0
+        # The point an "optimal" `_minimize` ended on, until `solution` hands it over.
+        self.point = None
         # Bland's rule and phase 1's cap count pivots from here (see add_row).
         self.start = 0
         # Phase-1 artificials matching the sign of each row's residual.
@@ -203,6 +205,7 @@ class _Tableau:
         self._append_columns(unit if resid >= 0 else -unit, 0.0, math.inf, _BASIC, True)
         self.basis = np.append(self.basis, self.ncols - 1)
         self.start = self.pivots
+        self.point = None
 
     def nonbasic_values(self) -> np.ndarray:
         """Each nonbasic column at its bound (free ones at 0), basic ones 0."""
@@ -213,14 +216,18 @@ class _Tableau:
         """A copy with its own statuses, basis, bounds, pivot count and start
         that shares A, b and the artificial mask (no pivot writes them)."""
         tab = copy.copy(self)
+        tab.point = None
         for name in ("lo", "hi", "status", "basis"):
             setattr(tab, name, getattr(self, name).copy())
         return tab
 
     @_kernel_policy
     def solution(self) -> np.ndarray:
-        x = self.nonbasic_values()
-        x[self.basis] = _solve(self.A[:, self.basis], self.b - self.A @ x)
+        """The basic solution; once after an optimal `_minimize`, the point it held."""
+        x, self.point = self.point, None
+        if x is None:
+            x = self.nonbasic_values()
+            x[self.basis] = _solve(self.A[:, self.basis], self.b - self.A @ x)
         return x
 
     @_kernel_policy
@@ -256,8 +263,10 @@ class _Tableau:
         gives it), float masks `rise` and `fall` (1.0 where a nonbasic
         movable column may rise or fall on entering), and the bounds and
         the basis as Python lists.  Each pivot or bound flip updates them
-        with scalar writes next to `status` and `basis`, so each iteration
-        costs its three dense solves plus a handful of numpy calls.
+        with scalar writes next to `status` and `basis`.
+
+        A bound flip keeps the reduced costs (they depend on the basis alone).
+        The optimal exit holds `xn` with the basic values in place, `solution()`.
 
         The pivots are those of the plain loop that rebuilds all of this
         from `status` every iteration (kept as the oracle in the tests):
@@ -269,6 +278,7 @@ class _Tableau:
         numpy's elementwise float64 does.
         """
         A, b, basis, status, start = self.A, self.b, self.basis, self.status, self.start
+        self.point = None
         lo, hi = self.lo.tolist(), self.hi.tolist()
         movable = self.lo != self.hi
         rise = (_CAN_RISE[status] & movable).astype(float)
@@ -276,16 +286,20 @@ class _Tableau:
         movable = movable.tolist()
         xn = self.nonbasic_values()
         rows = basis.tolist()
+        d = None
         while True:
             if self.pivots >= limit:
                 raise LpError(f"simplex exceeded {limit - start} pivots")
             bland = self.pivots - start >= BLAND_AFTER
             Bmat = A[:, basis]
-            y = _solve(Bmat.T, c[basis])
-            enter, direction = self._price(c - y @ A, bland, rise, fall)
-            if enter is None:
-                return "optimal"
             xb = _solve(Bmat, b - A @ xn)
+            if d is None:
+                d = c - _solve(Bmat.T, c[basis]) @ A
+            enter, direction = self._price(d, bland, rise, fall)
+            if enter is None:
+                xn[basis] = xb
+                self.point = xn
+                return "optimal"
             w = _solve(Bmat, A[:, enter]).tolist()
 
             # Ratio test: the entering variable's own range versus the rows
@@ -334,6 +348,7 @@ class _Tableau:
                 basis[leave] = rows[leave] = enter
                 status[enter] = _BASIC
                 xn[enter] = rise[enter] = fall[enter] = 0.0
+                d = None
             status[out] = _AT_UPPER if up else _AT_LOWER
             xn[out] = hi[out] if up else lo[out]
             rise[out] = 0.0 if up else movable[out]
@@ -354,10 +369,10 @@ class _Tableau:
         """
         tol = PRICE_TOL
         score = np.maximum(-d * rise, d * fall)
-        j = int(np.argmax(score > tol if bland else score))
-        if not score[j] > tol:
+        j = int((score > tol).argmax() if bland else score.argmax())
+        if not score.item(j) > tol:
             return None, 0
-        return j, 1 if rise[j] and d[j] < -tol else -1
+        return j, 1 if rise.item(j) and d.item(j) < -tol else -1
 
     def _drive_out_artificials(self) -> None:
         """Pivot zero-valued basic artificials out where possible."""

@@ -38,10 +38,9 @@ from tspgap.families import (
 )
 from tspgap.localsearch import (
     LocalSearchParams,
-    build_tour_pool,
+    exact_pool_certificate,
     grad_fractional,
     grad_tour_length,
-    local_opt_certificate,
     local_search,
     random_instance,
 )
@@ -276,10 +275,7 @@ def test_criterion_09_local_search_battery():
         assert trace.converged, seed
         ratios = [rec.ratio for rec in trace.records]
         assert all(b > a for a, b in zip(ratios, ratios[1:])), seed
-        exact = held_karp(inst)
-        x = solve_subtour_lp(inst).x
-        pool = build_tour_pool(inst, params.epsilon3 * exact.length)
-        assert local_opt_certificate(inst, pool, x, epsilon1=params.epsilon1), seed
+        assert exact_pool_certificate(inst, params), seed
         best = max(best, trace.final_ratio)
     dt = time.perf_counter() - t0
     assert best >= 1.02

@@ -62,7 +62,7 @@ def test_fractional_gradient_matches_finite_differences(p):
 
 
 def _loop_edge_gradient(inst, pairs):
-    # The per-edge loop `_edge_gradient` replaced, kept as its reference.
+    # The per-edge loop the array gradients replaced, kept as their reference.
     p = inst.norm.p
     pts = inst.points
     G = np.zeros_like(pts)
@@ -76,7 +76,7 @@ def _loop_edge_gradient(inst, pairs):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**31 - 1), st.sampled_from([1.1, 1.5, 2.0, 2.5, 3.0]), st.sampled_from([2, 3]))
+@given(st.integers(0, 2**31 - 1), st.sampled_from([1.1, 1.5, 2.0, 2.5, 3.0]), st.sampled_from([1, 2, 3]))
 def test_gradients_match_the_per_edge_loop_bit_for_bit(seed, p, d):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(4, 12))
@@ -90,6 +90,44 @@ def test_gradients_match_the_per_edge_loop_bit_for_bit(seed, p, d):
     x = EdgeWeightVector(n, np.where(rng.random(len(iu)) < 0.4, rng.random(len(iu)), 0.0))
     pairs = [(iu[k], iv[k], x.values[k]) for k in np.flatnonzero(x.values)]
     assert grad_fractional(inst, x).tobytes() == _loop_edge_gradient(inst, pairs).tobytes()
+
+
+def _tour_pairs(t):
+    o = t.order
+    return [(a, b, 1.0) for a, b in zip(o, o[1:] + o[:1])]
+
+
+@pytest.mark.parametrize("p", [1.1, 2.0, 3.0])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_pooled_gradient_rows_match_each_tour_bit_for_bit(monkeypatch, p, d):
+    # improvement_lp takes every pooled tour's gradient in one array pass;
+    # each row is still that tour's own gradient minus the fractional term.
+    inst = Instance(np.random.default_rng(10 * d + int(p)).uniform(size=(7, d)), NormSpec(p))
+    x = solve_subtour_lp(inst).x
+    pool = build_tour_pool(inst, 0.5 * held_karp(inst).length)
+    r = pool.reference / fractional_cost(inst, x)
+    frac = r * grad_fractional(inst, x)
+    programs = []
+    solve = localsearch.solve_lp
+    monkeypatch.setattr(localsearch, "solve_lp", lambda lp: programs.append(lp) or solve(lp))
+    improvement_lp(inst, pool, x, r)
+    rows = programs[0].A[:, :-1]
+    assert len(pool.tours) >= 5
+    for row, t in zip(rows, pool.tours, strict=True):
+        assert row.tobytes() == (grad_tour_length(inst, t) - frac).tobytes()
+        assert row.tobytes() == (_loop_edge_gradient(inst, _tour_pairs(t)) - frac).tobytes()
+
+
+def test_tour_gradient_zeros_match_the_per_edge_loop():
+    # p = 3 and x gaps of 1e-200: the x terms underflow to signed zeros.
+    # In tour order 0, 1, 2, 3 vertex 1's outgoing term is -0.0 and its
+    # incoming one 0.0: the loop's (0.0 - 0.0) + -0.0 is 0.0, while their
+    # bare difference -0.0 - 0.0 is -0.0.
+    inst = Instance([(2e-200, 0.0), (1e-200, 1.0), (2e-200, 2.0), (4e-200, 3.0)], NormSpec(3.0))
+    for order in ([0, 1, 2, 3], [0, 3, 2, 1], [1, 0, 3, 2]):
+        t = Tour(order)
+        got = grad_tour_length(inst, t)
+        assert got.tobytes() == _loop_edge_gradient(inst, _tour_pairs(t)).tobytes()
 
 
 def test_gradient_rejects_p_one():
@@ -432,3 +470,22 @@ def test_search_above_enum_cap_runs_held_karp_once_per_state(monkeypatch):
         == "2b5c6d7a5633ff556a75a66f093f015fd95fef2b12756179d6dc3e17710ecfcf"
     )
     assert calls["held_karp"] == calls["states"] == 24  # 28 when the pool re-ran it
+
+
+def test_search_solve_count_is_pinned(monkeypatch):
+    # Dense solves of the seed-19 search from a cached degree start; the
+    # simplex that re-solved the duals after bound flips and the optimum
+    # after each optimise made 12,267.
+    lp._degree_start(6, lp.BLAND_AFTER, lp.PIVOT_CAP)
+    calls = []
+    solve = lp._solve
+    monkeypatch.setattr(lp, "_solve", lambda *args: calls.append(1) or solve(*args))
+    test_local_search_golden_bit_exact(*_GOLDEN_SEARCH[0])
+    assert len(calls) == 11422
+
+
+def test_draw_cap_error_says_to_lower_epsilon0(monkeypatch):
+    monkeypatch.setattr(localsearch, "_RESTART_CAP", 3)
+    with pytest.raises(localsearch.LocalSearchError) as err:
+        local_search(6, LocalSearchParams(rng_seed=0, epsilon0=1.0))
+    assert str(err.value) == "no random 6-point start with ratio > 1 + 1.0 in 3 draws; lower epsilon0"

@@ -605,6 +605,89 @@ def test_simplex_matches_the_reference_loop_on_random_programs(seed, bland_after
                 tab.add_row(row, rel, rhs, tab.solution())
 
 
+def _check_hand_offs(mp):
+    # Every `solution()` call is checked against the point solved anew on
+    # a fork (which holds none); the list says which calls were handed one.
+    solution, held = lp._Tableau.solution, []
+
+    def checked(self):
+        held.append(self.point is not None)
+        want = solution(self.fork())
+        got = solution(self)
+        assert got.tobytes() == want.tobytes()
+        return got
+
+    mp.setattr(lp._Tableau, "solution", checked)
+    return held
+
+
+def test_subtour_rounds_use_the_optimum_handed_back():
+    # The draws of the seed-19 search: every round of `_reoptimise` and,
+    # after each cut, phase 1's check take the point the simplex ended on,
+    # never a new solve.
+    rng = np.random.default_rng(19)
+    lp._degree_start(6, lp.BLAND_AFTER, lp.PIVOT_CAP)
+    with pytest.MonkeyPatch.context() as mp:
+        held = _check_hand_offs(mp)
+        rounds = sum(solve_subtour_lp(Instance(rng.random((6, 2)))).rounds for _ in range(259))
+    assert rounds > 0 and len(held) == 259 + 2 * rounds and all(held)
+
+
+def test_a_held_point_does_not_outlive_the_state_it_was_solved_for(monkeypatch):
+    # min x0 + x1, x0 + x1 = 1, 0 <= x <= 1: each optimise ends holding its
+    # point; an added row, a fork or an optimise that raises drops it.
+    def optimised():
+        tab = lp._Tableau(np.array([[1.0, 1.0]]), np.array([1.0]), np.zeros(2), np.ones(2), ["="])
+        assert tab.optimise(np.ones(2)) == "optimal" and tab.point is not None
+        return tab
+
+    tab = optimised()
+    assert tab.fork().point is None
+    tab.add_row(np.array([1.0, 0.0]), ">=", 0.75, tab.fork().solution())
+    assert tab.point is None
+    tab = optimised()
+    monkeypatch.setattr(lp, "PIVOT_CAP", 0)
+    with pytest.raises(LpError, match="exceeded"):
+        tab.optimise(-np.ones(2))
+    assert tab.point is None
+    x = tab.solution()
+    assert tab.solution() is not x and tab.solution().tobytes() == x.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_random_programs_use_the_optimum_handed_back(seed):
+    rng = np.random.default_rng(seed)
+    c, A, b, lo, hi, rels = _random_program(rng)
+    # Up to three rows, added whatever the optimum, as in the test above.
+    kinds = ("<=", "=", ">=")
+    rows = [
+        (rng.integers(-3, 4, size=len(c)).astype(float), kinds[int(rng.integers(0, 3))], float(rng.integers(-4, 5)))
+        for _ in range(3)
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        held = _check_hand_offs(mp)
+        try:
+            outcome, _ = lp._reoptimise(lp._Tableau(A, b, lo, hi, rels), c, lambda x: rows.pop() if rows else None)
+        except LpError:
+            return
+    assert all(held)
+    assert outcome != "optimal" or held
+
+
+def test_subtour_lp_solve_count_is_pinned(monkeypatch):
+    # Dense solves of one n = 6 subtour LP with one cut round, from the
+    # cached degree start; the simplex that re-solved the duals after bound
+    # flips and the optimum after each optimise made 42.
+    inst = _random(6, 2.0, 0)
+    lp._degree_start(6, lp.BLAND_AFTER, lp.PIVOT_CAP)
+    calls = []
+    solve = lp._solve
+    monkeypatch.setattr(lp, "_solve", lambda *args: calls.append(1) or solve(*args))
+    res = solve_subtour_lp(inst)
+    assert (res.cost.hex(), res.rounds, res.pivots, len(calls)) == ("0x1.935369dcd163dp+1", 1, 25, 38)
+
+
 @pytest.mark.parametrize("bland_after", [0, lp.BLAND_AFTER])
 @pytest.mark.parametrize(
     "make",
