@@ -292,6 +292,29 @@ def fractional_cost(inst: Instance, x: EdgeWeightVector) -> float:
     return float(np.cumsum(x.values[support] * edge_costs(inst, support))[-1])
 
 
+def components(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """The vertex sets of the connected components of the graph on 0..n-1
+    with the given edges: each ascending, ordered by least vertex."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = [False] * n
+    comps = []
+    for s in range(n):
+        if seen[s]:
+            continue
+        comp, stack = [], [s]
+        while stack:
+            u = stack.pop()
+            if not seen[u]:
+                seen[u] = True
+                comp.append(u)
+                stack.extend(adj[u])
+        comps.append(sorted(comp))
+    return comps
+
+
 def degree_vector(x: EdgeWeightVector) -> np.ndarray:
     """Fractional degree sum(x_e, e incident to v) for each vertex."""
     # bincount adds in input order: each edge's weight to u, then to v.

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import EdgeWeightVector, Instance, degree_vector, edge_costs, edge_index
+from .core import EdgeWeightVector, Instance, components, degree_vector, edge_costs, edge_index
 
 # Feasibility / cut-violation tolerance.
 FEAS_TOL = 1e-7
@@ -181,6 +181,10 @@ class _Tableau:
     def ncols(self) -> int:
         return self.A.shape[1]
 
+    @property
+    def phase_cap(self) -> int:
+        return PIVOT_CAP * (self.m + self.num_struct)
+
     def _append_columns(self, cols: np.ndarray, lo: float, hi: float, status: int, art: bool) -> None:
         k = cols.shape[1]
         self.A = np.hstack([self.A, cols])
@@ -237,14 +241,14 @@ class _Tableau:
         Phase 1 on the live (unpinned) artificials, if any: "infeasible" if
         their sum stays above FEAS_TOL, else the basic ones are pivoted out
         where possible and all are pinned at 0.  Then phase 2 on c.  Each
-        phase may take PIVOT_CAP * (rows + structural columns) pivots, phase
-        1's counted from `start`, and Bland's rule takes over BLAND_AFTER
-        pivots after `start`.  Returns "optimal", "infeasible" or "unbounded".
+        phase may take `phase_cap` = PIVOT_CAP * (rows + structural columns)
+        pivots, phase 1's counted from `start`, and Bland's rule takes over
+        BLAND_AFTER pivots after `start`.  Returns "optimal", "infeasible" or
+        "unbounded".
         """
-        cap = PIVOT_CAP * (self.m + self.num_struct)
         live = self.art & (self.hi > 0)
         if live.any():
-            self._minimize(live.astype(float), self.start + cap)
+            self._minimize(live.astype(float), self.start + self.phase_cap)
             if float(self.solution()[live].sum()) > FEAS_TOL:
                 return "infeasible"
             self._drive_out_artificials()
@@ -252,7 +256,7 @@ class _Tableau:
             self.hi[live] = 0.0
         c2 = np.zeros(self.ncols)
         c2[: self.num_struct] = c
-        return self._minimize(c2, self.pivots + cap)
+        return self._minimize(c2, self.pivots + self.phase_cap)
 
     def _minimize(self, c: np.ndarray, limit: int) -> str:
         """Primal simplex on objective c until optimal, unbounded, or the
@@ -289,7 +293,7 @@ class _Tableau:
         d = None
         while True:
             if self.pivots >= limit:
-                raise LpError(f"simplex exceeded {limit - start} pivots")
+                raise LpError(f"simplex exceeded {self.phase_cap} pivots")
             bland = self.pivots - start >= BLAND_AFTER
             Bmat = A[:, basis]
             xb = _solve(Bmat, b - A @ xn)
@@ -518,30 +522,16 @@ def separate_subtour(x: EdgeWeightVector, *, tol: float = FEAS_TOL) -> Cut | Non
 
     iu, iv = edge_index(n)
     support = np.flatnonzero(x.values)
-    weights: dict[int, dict[int, float]] = {i: {} for i in range(n)}
-    for u, v, w in zip(iu[support].tolist(), iv[support].tolist(), x.values[support].tolist()):
-        weights[u][v] = w
-        weights[v][u] = w
-
-    # Disconnected support: every component is a zero cut.
-    seen: set[int] = set()
-    components: list[list[int]] = []
-    for v in range(n):
-        if v in seen:
-            continue
-        comp, stack = [], [v]
-        seen.add(v)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for t in weights[u]:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        components.append(sorted(comp))
-    if len(components) > 1:
-        candidates = [(0.0, comp) for comp in components]
+    edges = list(zip(iu[support].tolist(), iv[support].tolist()))
+    comps = components(n, edges)
+    if len(comps) > 1:
+        # Disconnected support: every component is a zero cut.
+        candidates = [(0.0, comp) for comp in comps]
     else:
+        weights: dict[int, dict[int, float]] = {i: {} for i in range(n)}
+        for (u, v), w in zip(edges, x.values[support].tolist()):
+            weights[u][v] = w
+            weights[v][u] = w
         candidates = _stoer_wagner(weights, list(range(n)))
 
     best_val = min(v for v, _ in candidates)

@@ -28,6 +28,8 @@ _COMMANDS = {
     "gen_hexagon": ("gen hexagon --rows 2 --cols 2 --k 1 -o g_hex.txt", ["g_hex.txt"]),
     "gen_subdivided": ("gen subdivided --spec spec.json -o g_sub.txt --export-tsplib g_sub.tsp", ["g_sub.txt", "g_sub.tsp"]),
     "gen_subdivided_bridged": ("gen subdivided --spec bridged.json -o g_bridged.txt", []),
+    "gen_subdivided_disconnected": ("gen subdivided --spec disconnected.json -o g_disconnected.txt", []),
+    "gen_subdivided_crossing": ("gen subdivided --spec crossing.json -o g_crossing.txt", []),
     "gen_subdivided_missing": ("gen subdivided --spec missing.json -o g_missing.txt", []),
     "gen_subdivided_bad_json": ("gen subdivided --spec bad.json -o g_bad.txt", []),
     "gen_ellipse": ("gen ellipse --i 1 --j 0 -o g_ell.txt --export-tsplib g_ell.tsp", ["g_ell.txt", "g_ell.tsp"]),
@@ -84,6 +86,8 @@ _GOLDEN = {
     'gen_subdivided': (0, 'e890d4699124eb9e5b68d0cf0b56fa18daf5deaa751debd58a81e49cdba35e8a', {'g_sub.txt': '676c5e899b29e8fb789d315760863e87b1a60b40e564cd6ccf8c9644927d2806', 'g_sub.tsp': '150735fe486dde3d1157d2ac815427a0fb518ca709aa28381b25580e459d66b2'}),
     'gen_subdivided_bad_json': (2, '18ef3f6f2f4d22239b600240c6e40e0b7ae1ad2e900fa0cd941f7248b04d4c91', {}),
     'gen_subdivided_bridged': (3, '3d8147be58d8b631723f7addbc3de4675a76e4db092a759d6e35b3b0945ab192', {}),
+    'gen_subdivided_crossing': (3, '02d48c868a343e45c3cddfddd1e83f7cf180ebb6a194b34ca6b5f9150d20e7b7', {}),
+    'gen_subdivided_disconnected': (3, '472cf7ccb5450ea5d56b7d93724d2c4b7ead3669799a085d3dbae34e1724e674', {}),
     'gen_subdivided_missing': (2, 'a715eddcf65d3d5ffab4139f97179d3ec07f5d74681e815b63eb9336254925da', {}),
     'gen_tetrahedron': (0, '4f18c6690a05897d50f4973b1ee4ae961deddd890e8b6ee8a59ae2d0888673f5', {'g_tet.txt': '67f9364cf82dbe609d0d1f698ca64f37ac75b071bdcf8efae9ead218c8087537', 'g_tet.tsp': 'b7b93f14d2eca770deefdc85efc5efde1d4a2b38f6b28467d87f53a5f3b667ec'}),
     'help_gen_ellipse': (0, 'a2a9acdfe6615bc411824a5e588456bdef9216f28384fc7b0c46f8c083075b93', {}),
@@ -136,6 +140,11 @@ def workdir(tmp_path_factory):
     (root / "spec.json").write_text(json.dumps(spec))
     bridged = {"vertices": [[0, 0], [1, 0], [2, 0]], "edges": [[0, 1], [1, 2]], "counts": [0, 0]}
     (root / "bridged.json").write_text(json.dumps(bridged))
+    # Two disjoint triangles; a square with both diagonals.
+    disconnected = {"vertices": [[0, 0], [1, 0], [0, 1], [3, 0], [4, 0], [3, 1]], "edges": [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]], "counts": [0] * 6}
+    (root / "disconnected.json").write_text(json.dumps(disconnected))
+    crossing = {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]], "edges": [[0, 1], [1, 2], [2, 3], [0, 3], [0, 2], [1, 3]], "counts": [0] * 6}
+    (root / "crossing.json").write_text(json.dumps(crossing))
     (root / "bad.json").write_text("{not json\n")
     return root
 

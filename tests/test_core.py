@@ -12,6 +12,7 @@ from tspgap.core import (
     Instance,
     NormSpec,
     Tour,
+    components,
     degree_vector,
     distance,
     edge_costs,
@@ -295,3 +296,41 @@ def test_size_mismatch_rejected():
         tour_length(inst, Tour([0, 1, 2, 3]))
     with pytest.raises(ValueError):
         fractional_cost(inst, EdgeWeightVector.from_pairs(5, {(0, 1): 1.0}))
+
+
+# --- connected components ----------------------------------------------------
+
+
+def _reachability_components(n, edges):
+    # Oracle: the boolean transitive closure of the adjacency matrix, by
+    # squaring until it is stable; a vertex leads its component when no
+    # smaller vertex reaches it.
+    R = np.eye(n, dtype=int)
+    for u, v in edges:
+        R[u, v] = R[v, u] = 1
+    while True:
+        nxt = (R @ R > 0).astype(int)
+        if np.array_equal(nxt, R):
+            break
+        R = nxt
+    return [np.flatnonzero(R[v]).tolist() for v in range(n) if R[v].argmax() == v]
+
+
+def test_components_match_reachability_on_random_graphs():
+    # n = 1 and isolated vertices included; edges in random order and
+    # orientation, repeats allowed.
+    rng = np.random.default_rng(2024)
+    for _ in range(400):
+        n = int(rng.integers(1, 13))
+        count = int(rng.integers(0, n * (n - 1) // 2 + 2)) if n > 1 else 0
+        pairs = rng.integers(0, n, size=(count, 2))
+        edges = [(int(u), int(v)) for u, v in pairs if u != v]
+        want = _reachability_components(n, edges)
+        assert components(n, edges) == want
+        assert components(n, edges[::-1]) == want
+
+
+def test_components_fixed_cases():
+    assert components(1, []) == [[0]]
+    assert components(4, []) == [[0], [1], [2], [3]]
+    assert components(6, [(5, 1), (3, 0), (1, 4)]) == [[0, 3], [1, 4, 5], [2]]

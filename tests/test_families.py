@@ -4,6 +4,7 @@ pseudo-tour shortcuts, best partitions, and subdivided-graph bounds."""
 import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from tspgap.core import degree_vector, edge_index, edge_position, tour_length
 from tspgap.exact import held_karp
+from tspgap.families import subdivision
 from tspgap.families import (
     ANCHOR_TAGS,
     GAP_TAGS,
@@ -359,10 +361,157 @@ def test_subdivided_generator_geometry():
 def test_odd_vertex_cap_enforced():
     # 3x4 hexagon sheet has more odd base vertices than the matching cap.
     spec = hexagon_spec(3, 4, 0)
-    degs = spec.degrees()
-    odd = sum(1 for d in degs if d % 2)
-    if odd > ODD_VERTEX_CAP:
-        with pytest.raises(ValueError):
-            tjoin_ratio_bound(spec)
-    else:
-        pytest.skip("sheet unexpectedly small; cap not exercised")
+    assert len(spec.odd_vertices()) == 22 > ODD_VERTEX_CAP
+    with pytest.raises(ValueError, match="22 odd vertices exceeds matching cap 18"):
+        tjoin_ratio_bound(spec)
+
+
+def test_odd_vertex_cap_admits_exactly_the_cap():
+    # The 2x5 sheet has exactly ODD_VERTEX_CAP odd vertices; its matching
+    # agrees with the all-subsets DP bit for bit.
+    spec = hexagon_spec(2, 5, 0)
+    odd = spec.odd_vertices()
+    assert len(odd) == ODD_VERTEX_CAP
+    W = subdivision._shortest_paths(spec)[np.ix_(odd, odd)]
+    want = _reference_min_matching(W)
+    assert subdivision._min_matching(W).hex() == want.hex()
+    total = float(np.cumsum(spec.edge_lengths())[-1])
+    assert tjoin_ratio_bound(spec).hex() == ((total + want) / total).hex()
+
+
+# --- references for the subdivided-graph routines -----------------------------
+
+
+def _reference_bridge(m, edges):
+    """The iterative lowlink DFS (Tarjan, 1974) that validated subdivided
+    graphs before `core.components` did, kept as the oracle: "disconnected",
+    the first bridge met in reverse discovery order, or None."""
+    adj = [[] for _ in range(m)]
+    for idx, (u, v) in enumerate(edges):
+        adj[u].append((v, idx))
+        adj[v].append((u, idx))
+    disc = [-1] * m
+    low = [0] * m
+    timer = 0
+    stack = [(0, -1, 0)]  # vertex, incoming edge, child ptr
+    order = []
+    while stack:
+        u, pedge, ptr = stack.pop()
+        if ptr == 0:
+            disc[u] = low[u] = timer
+            timer += 1
+            order.append((u, pedge))
+        if ptr < len(adj[u]):
+            stack.append((u, pedge, ptr + 1))
+            v, eidx = adj[u][ptr]
+            if eidx == pedge:
+                continue
+            if disc[v] == -1:
+                stack.append((v, eidx, 0))
+            else:
+                low[u] = min(low[u], disc[v])
+    if -1 in disc:
+        return "disconnected"
+    for u, pe in reversed(order):
+        if pe == -1:
+            continue
+        a, b = edges[pe]
+        par = a if disc[a] < disc[b] else b
+        low[par] = min(low[par], low[u])
+        if low[u] > disc[par]:
+            return edges[pe]
+    return None
+
+
+def _reference_min_matching(W):
+    """The all-subsets DP that computed the matching before the memoised
+    recursion, odd subsets included, kept as the oracle."""
+    m = len(W)
+    if m == 0:
+        return 0.0
+    full = (1 << m) - 1
+    f = np.full(full + 1, np.inf)
+    f[0] = 0.0
+    for S in range(1, full + 1):
+        i = (S & -S).bit_length() - 1  # lowest member pairs first
+        rest = S ^ (1 << i)
+        if rest == 0:
+            continue
+        best = np.inf
+        T = rest
+        while T:
+            j = (T & -T).bit_length() - 1
+            T ^= 1 << j
+            cand = f[rest ^ (1 << j)] + W[i, j]
+            if cand < best:
+                best = cand
+        f[S] = best
+    return float(f[full])
+
+
+def _connected(m, edges):
+    # Brute force: grow the set reached from vertex 0 until it is stable.
+    reached = {0}
+    while True:
+        more = {w for u, v in edges for a, w in ((u, v), (v, u)) if a in reached} - reached
+        if not more:
+            return len(reached) == m
+        reached |= more
+
+
+def _validation_error(m, edges, rng):
+    verts = tuple(map(tuple, rng.integers(0, 50, size=(m, 2)).tolist()))
+    try:
+        SubdividedGraphSpec(verts, tuple(edges), (0,) * len(edges))
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_bridge_check_matches_the_lowlink_reference_on_random_graphs():
+    # Accept/reject as the lowlink DFS decides it.  A rejected bridged graph
+    # names the last bridge in edge order, which is the reference's bridge
+    # when the graph has only one.  Crossings are checked after connectivity,
+    # so random coordinates leave the connectivity verdict untouched.
+    rng = np.random.default_rng(11)
+    kinds = {"disconnected": 0, "bridge": 0, "none": 0}
+    for _ in range(1500):
+        m = int(rng.integers(3, 9))
+        pairs = [(u, v) for u in range(m) for v in range(u + 1, m)]
+        keep = rng.random(len(pairs)) < rng.uniform(0.2, 0.9)
+        edges = [pairs[k] for k in rng.permutation(len(pairs)) if keep[k]]
+        want = _reference_bridge(m, edges)
+        got = _validation_error(m, edges, rng)
+        if want == "disconnected":
+            kinds["disconnected"] += 1
+            assert got == "base graph is disconnected"
+        elif want is not None:
+            kinds["bridge"] += 1
+            bridges = [e for k, e in enumerate(edges) if not _connected(m, edges[:k] + edges[k + 1 :])]
+            assert got == f"base graph has a bridge at edge {bridges[-1]}"
+            if len(bridges) == 1:
+                assert bridges == [want]
+        else:
+            kinds["none"] += 1
+            assert got is None or ("bridge" not in got and "disconnected" not in got)
+    assert min(kinds.values()) >= 100, kinds
+
+
+def test_bridge_named_is_the_last_in_edge_order():
+    # Two triangles joined by the path 2-3-4: (2, 3) and (3, 4) are bridges.
+    verts = ((0, 0), (1, 0), (0.5, 1), (2, 1), (3, 1), (4, 0), (3.5, 1))
+    path = ((2, 3), (3, 4))
+    triangles = ((0, 1), (1, 2), (0, 2), (4, 5), (5, 6), (4, 6))
+    for edges, bridge in ((triangles + path, (3, 4)), (path[::-1] + triangles, (2, 3))):
+        msg = f"base graph has a bridge at edge {bridge}"
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            SubdividedGraphSpec(verts, edges, (0,) * len(edges))
+
+
+@pytest.mark.parametrize("m", range(0, 16, 2))
+def test_min_matching_matches_the_all_subsets_dp(m):
+    rng = np.random.default_rng(m)
+    for _ in range(3 if m < 14 else 1):
+        W = rng.random((m, m)) * 10.0
+        W = W + W.T
+        assert subdivision._min_matching(W).hex() == _reference_min_matching(W).hex()

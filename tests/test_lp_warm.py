@@ -135,6 +135,17 @@ def test_cap_and_infeasibility_on_a_re_optimisation(monkeypatch):
     assert tab.optimise(np.ones(2)) == "infeasible"
 
 
+def test_cap_message_names_the_cap_of_the_phase_that_ran_over(monkeypatch):
+    # Phase 2 of a second optimise may take PIVOT_CAP * (rows + columns) = 0
+    # pivots; the pivots the tableau took before do not enter the message.
+    tab = lp._Tableau(np.array([[1.0, 1.0]]), np.array([1.0]), np.zeros(2), np.ones(2), ["="])
+    assert tab.optimise(np.ones(2)) == "optimal" and tab.pivots == 2
+    monkeypatch.setattr(lp, "PIVOT_CAP", 0)
+    with pytest.raises(LpError, match="^simplex exceeded 0 pivots$"):
+        tab.optimise(np.ones(2))
+    assert tab.pivots == 2
+
+
 def _raises_singular_basis(fn):
     # LpError, and no numpy RuntimeWarning on the way to it.
     with warnings.catch_warnings():
