@@ -1,5 +1,6 @@
 """Curved-geometry constructions: closure residuals, symmetry, reference ratios."""
 
+import hashlib
 import math
 import random
 
@@ -225,6 +226,33 @@ _GOLDEN_CHAINS = {
 }
 
 
+# Rows whose inner chain holds three or more ties: _hexes, then the sha256 of
+# the point array's float64 bytes, frozen from the same construction as
+# _GOLDEN.
+_GOLDEN_INNER_CHAINS = {
+    (0, 7): (
+        ("0x1.0d82fb3c24768p+0", "0x1.936b61764c964p-1", "0x0.0p+0",
+         "0x1.673d169b7c248p-2", "0x1.8000000000000p-51", "0x0.0p+0"),
+        "3baa6d88e59b24407a9f6034a3a9175d34e75653ba2c4eaeb5336d104606ab96",
+    ),
+    (0, 8): (
+        ("0x1.0dca973c168bap+0", "0x1.914da02e4972cp-1", "0x0.0p+0",
+         "0x1.6fedbef7be2a3p-2", "0x1.0000000000000p-52", "0x0.0p+0"),
+        "412af01e8e02008a1501e904e03f75fd6d9d48f981910de5ced204cc38bcbe9c",
+    ),
+    (0, 10): (
+        ("0x1.0e3811d40c710p+0", "0x1.8e1156925b8b6p-1", "0x0.0p+0",
+         "0x1.7d6c6efa4893ap-2", "0x1.0000000000000p-50", "0x0.0p+0"),
+        "fec23e741d3069c6d4b25a405e8e3c36af808bb48ebadc275bb76faa19945760",
+    ),
+    (1, 7): (
+        ("0x1.178569eb59fdep+0", "0x1.51ddddddc04cdp+0", "0x1.e4a679ade766cp-1",
+         "0x1.5adf63e66ee48p-1", "0x1.4000000000000p-50", "0x0.0p+0"),
+        "0931bc14d6af53ab7d057630fd7b533cdb495be785638af5669340504f9c7ce8",
+    ),
+}
+
+
 def _hexes(res):
     p = res.params
     return tuple(v.hex() for v in (res.ratio, p.b, p.e, p.f, res.inner_residual, res.outer_residual))
@@ -243,6 +271,13 @@ def test_tight_eps_constructions_are_bit_exact(ij):
 @pytest.mark.parametrize("ij", sorted(_GOLDEN_CHAINS))
 def test_multi_tie_outer_chains_are_bit_exact(ij):
     assert _hexes(ellipse_construct(*ij)) == _GOLDEN_CHAINS[ij]
+
+
+@pytest.mark.parametrize("ij", sorted(_GOLDEN_INNER_CHAINS))
+def test_long_inner_chains_are_bit_exact(ij):
+    res = ellipse_construct(*ij)
+    points = np.ascontiguousarray(res.instance.points, dtype="<f8").tobytes()
+    assert (_hexes(res), hashlib.sha256(points).hexdigest()) == _GOLDEN_INNER_CHAINS[ij]
 
 
 def test_fine_scan_retry_is_bit_exact():
