@@ -156,9 +156,31 @@ def diff_inner(h: int, ys: Sequence[float], b: float) -> float:
     )
 
 
+# Half-width of the inner tie's evaluation window, per unit of S + K (see
+# _inner_tie): 2^-46 = 128u against a float error bound of 12u.
+_INNER_WINDOW = 2.0**-46
+
+
 def _inner_tie(c: float, y_h: float, b: float) -> float:
-    """Root t on [y_h, b] of the inner tie c + (t - y_h) - hypot(b - t, 1),
-    bisected with _bisect's rules and steps but without a call per step."""
+    """Root t on [y_h, b] of the inner tie g(t) = c + (t - y_h) - hypot(b - t, 1),
+    bisected with _bisect's rules and steps but without a call per step.
+
+    Every midpoint is the one a plain bisection takes, but g is computed
+    only inside a window [t~ - delta, t~ + delta] around t~, the closed-form
+    root t* computed in floats; outside it the sign of the computed g is
+    known.  With K = c + b - y_h and v = b - t >= 0, g = K - (v + hypot(v, 1)),
+    whose inverse gives the root t* = b - (K - 1/K)/2 when K >= 1 (none in
+    t <= b otherwise), and g has slope at least 1 for t <= b.  With
+    u = 2^-53 and S = 1 + |c| + |b| + |y_h|, the computed g is within 8u S
+    of g (five roundings, one ulp of math.hypot); t~ is within 3u S + 2u K
+    of t* (the roundings of K, of (K - 1/K)/2 and of b minus it); the window
+    edges and delta add u (S + K).  Outside the window
+    |t - t*| > delta - 4u (S + K), so |g(t)| > 8u S and the computed g is
+    nonzero, of the sign of t - t~, when delta = 2^-46 (S + K), over four
+    times the 12u (S + K) these sum to.  Without a closed form (K < 1) or
+    with ends whose residuals fall from positive to negative, the window is
+    the whole line and every midpoint is computed, as is every end.
+    """
     hypot = math.hypot
     lo, hi = y_h, b
     flo = c + (lo - y_h) - hypot(b - lo, 1.0)
@@ -168,17 +190,29 @@ def _inner_tie(c: float, y_h: float, b: float) -> float:
     pos = fhi > 0
     if (flo > 0) == pos:
         raise _BracketError
+    K = c + b - y_h
+    if pos and K >= 1.0:
+        root = b - 0.5 * (K - 1.0 / K)
+        delta = _INNER_WINDOW * (1.0 + abs(c) + abs(b) + abs(y_h) + K)
+        wlo, whi = root - delta, root + delta
+    else:
+        wlo, whi = -math.inf, math.inf
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        fm = c + (mid - y_h) - hypot(b - mid, 1.0)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == pos:
+        if mid < wlo:
+            lo = mid
+        elif mid > whi:
             hi = mid
         else:
-            lo = mid
+            fm = c + (mid - y_h) - hypot(b - mid, 1.0)
+            if fm == 0.0:
+                return mid
+            if (fm > 0) == pos:
+                hi = mid
+            else:
+                lo = mid
     return 0.5 * (lo + hi)
 
 
@@ -186,13 +220,14 @@ def _inner_attempt(j: int, b: float, f: float) -> tuple[float, list[float]]:
     """Chain the left inner half for a trial f, mirroring it as it goes;
     return (closure residual, full symmetric abscissa list)."""
     left, right = [-f], [f]
-    c_right = math.hypot(b + f, 1.0) + 2.0 - math.hypot(b - f, 1.0)
     half = j // 2
-    for _ in range(half):
-        y_h = left[-1]
-        y_next = _inner_tie(c_right - math.hypot(b + y_h, 1.0), y_h, b)
-        left.append(y_next)
-        right.append(-y_next)
+    if half:
+        c_right = math.hypot(b + f, 1.0) + 2.0 - math.hypot(b - f, 1.0)
+        for _ in range(half):
+            y_h = left[-1]
+            y_next = _inner_tie(c_right - math.hypot(b + y_h, 1.0), y_h, b)
+            left.append(y_next)
+            right.append(-y_next)
     full = left + [0.0] * (j % 2) + right[::-1]
     return diff_inner(half, full, b), full
 
@@ -281,17 +316,18 @@ def _outer_attempt(i: int, b: float, f: float, e: float) -> tuple[float, list[tu
     vertex is not left of the y-axis.
     """
     A, B = _ellipse_axes(b, e)
-    theta_corner = math.atan2(1.0 / B, b / A)
     left, right = [(-b, 1.0)], [(b, 1.0)]
-    c_left = math.hypot(b - f, 1.0) + math.hypot(b + f, 1.0) - 2.0
-    theta_h = math.pi - theta_corner
     half = i // 2
-    for _ in range(half):
-        zx, zy = left[-1]
-        theta_h = _outer_tie(c_left - math.hypot(zx + f, zy), zx, zy, f, A, B, theta_corner, theta_h)
-        x, y = A * math.cos(theta_h), B * math.sin(theta_h)
-        left.append((x, y))
-        right.append((-x, y))
+    if half:
+        theta_corner = math.atan2(1.0 / B, b / A)
+        c_left = math.hypot(b - f, 1.0) + math.hypot(b + f, 1.0) - 2.0
+        theta_h = math.pi - theta_corner
+        for _ in range(half):
+            zx, zy = left[-1]
+            theta_h = _outer_tie(c_left - math.hypot(zx + f, zy), zx, zy, f, A, B, theta_corner, theta_h)
+            x, y = A * math.cos(theta_h), B * math.sin(theta_h)
+            left.append((x, y))
+            right.append((-x, y))
     full = left + [(0.0, B)] * (i % 2) + right[::-1]
     if full[half][0] >= 0:
         raise _BracketError

@@ -108,13 +108,13 @@ def held_karp(inst: Instance) -> ExactResult:
 def heuristic_tour(inst: Instance) -> tuple[Tour, float]:
     """Upper bound: nearest-neighbour tour from vertex 0 improved by 2-opt
     until no move shortens it by more than 1e-12.  Deterministic."""
-    dmat = inst.distance_matrix()
+    dmat = inst.distance_matrix().tolist()  # the same floats, without a numpy scalar per lookup
     n = inst.n
     unvisited = set(range(1, n))
     order = [0]
     while unvisited:
         here = order[-1]
-        nxt = min(unvisited, key=lambda v: (dmat[here, v], v))
+        nxt = min(unvisited, key=lambda v: (dmat[here][v], v))
         unvisited.remove(nxt)
         order.append(nxt)
     improved = True
@@ -126,8 +126,8 @@ def heuristic_tour(inst: Instance) -> tuple[Tour, float]:
                     continue
                 b, d = a + 1, (c + 1) % n
                 delta = (
-                    dmat[order[a], order[c]] + dmat[order[b], order[d]]
-                    - dmat[order[a], order[b]] - dmat[order[c], order[d]]
+                    dmat[order[a]][order[c]] + dmat[order[b]][order[d]]
+                    - dmat[order[a]][order[b]] - dmat[order[c]][order[d]]
                 )
                 if delta < -1e-12:
                     order[b : c + 1] = reversed(order[b : c + 1])

@@ -446,6 +446,69 @@ def test_tie_endpoints_with_zero_residual_are_roots():
         assert tie(*args) == end
 
 
+def _ulps(x, k):
+    """x moved by k ulps (toward +inf for k > 0)."""
+    toward = math.inf if k > 0 else -math.inf
+    for _ in range(abs(k)):
+        x = math.nextafter(x, toward)
+    return x
+
+
+def _adversarial_inner_brackets(rng, count):
+    """Inner-tie brackets where the sign of the residual near the
+    closed-form root is hardest to call, in equal shares: a root at a
+    random t with c moved by 0 to 8 ulps either way (b from 1e-6 to 1e3),
+    y_h within a few ulps of b, K = c + b - y_h within ulps of 1 (root at
+    b), large |c| with a root far from 0, and ends of one sign."""
+    for n in range(count):
+        kind = n % 5
+        b = 10.0 ** rng.uniform(-6.0, 3.0)
+        y_h = b - rng.uniform(0.0, 2.0 * b)
+        if kind == 1:
+            y_h = _ulps(b, -rng.randint(1, 6))
+        elif kind == 3:
+            y_h = -(10.0 ** rng.uniform(3.0, 15.0))
+        t = rng.uniform(y_h, b)
+        c = math.hypot(b - t, 1.0) - (t - y_h)
+        if kind == 2:
+            c = 1.0 - (b - y_h)
+        elif kind == 4:
+            c += rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 16.0)
+        yield _ulps(c, rng.randint(-8, 8)), y_h, b
+
+
+def test_inner_tie_window_matches_the_closure_bisection_on_adversarial_brackets():
+    outcomes = set()
+    for args in _adversarial_inner_brackets(random.Random(22), 25000):
+        got = _outcome(ellipse._inner_tie, *args)
+        assert got == _outcome(_closure_inner_tie, *args), [x.hex() for x in args]
+        outcomes.add(got == "bracket")
+    assert outcomes == {False, True}
+
+
+def _count_hypot(monkeypatch, tie, *args):
+    calls = []
+    real = math.hypot
+    monkeypatch.setattr(math, "hypot", lambda *a: calls.append(a) or real(*a))
+    root = tie(*args)
+    monkeypatch.setattr(math, "hypot", real)
+    return root, len(calls)
+
+
+def test_inner_tie_evaluates_only_inside_its_window(monkeypatch):
+    # The one inner tie of row (0, 2) at its golden b and f: both ends plus
+    # the midpoints inside the window, where a plain bisection evaluates 54.
+    b, f = float.fromhex(_GOLDEN[(0, 2)][1]), float.fromhex(_GOLDEN[(0, 2)][3])
+    args = (math.hypot(b + f, 1.0) + 2.0 - math.hypot(b - f, 1.0) - math.hypot(b - f, 1.0), -f, b)
+    root, evals = _count_hypot(monkeypatch, ellipse._inner_tie, *args)
+    want, plain = _count_hypot(monkeypatch, _closure_inner_tie, *args)
+    assert (evals, plain) == (12, 54) and root == want
+    # An unbounded window, the one taken without a closed form, evaluates
+    # every midpoint.
+    monkeypatch.setattr(ellipse, "_INNER_WINDOW", math.inf)
+    assert _count_hypot(monkeypatch, ellipse._inner_tie, *args) == (want, plain)
+
+
 # -- each point evaluated once ----------------------------------------------
 
 

@@ -217,6 +217,47 @@ def test_heuristic_tour_is_a_deterministic_two_opt_optimum(seed):
     assert _two_opt_gain(inst, o) <= 1e-12
 
 
+def _reference_heuristic_tour(inst):
+    """heuristic_tour over numpy scalars indexed from the distance matrix:
+    the oracle for its list-of-rows lookups."""
+    dmat = inst.distance_matrix()
+    n = inst.n
+    unvisited = set(range(1, n))
+    order = [0]
+    while unvisited:
+        here = order[-1]
+        nxt = min(unvisited, key=lambda v: (dmat[here, v], v))
+        unvisited.remove(nxt)
+        order.append(nxt)
+    improved = True
+    while improved:
+        improved = False
+        for a in range(n - 1):
+            for c in range(a + 2, n):
+                if a == 0 and c == n - 1:
+                    continue
+                b, d = a + 1, (c + 1) % n
+                delta = (
+                    dmat[order[a], order[c]] + dmat[order[b], order[d]]
+                    - dmat[order[a], order[b]] - dmat[order[c], order[d]]
+                )
+                if delta < -1e-12:
+                    order[b : c + 1] = reversed(order[b : c + 1])
+                    improved = True
+    tour = Tour(order)
+    return tour, tour_length(inst, tour)
+
+
+def test_heuristic_tour_matches_the_numpy_indexed_reference():
+    rng = np.random.default_rng(22)
+    for k in range(200):
+        n = int(rng.integers(5, 41))
+        inst = Instance(rng.uniform(size=(n, 2)), NormSpec((1.0, 2.0)[k % 2]))
+        tour, length = heuristic_tour(inst)
+        want, want_length = _reference_heuristic_tour(inst)
+        assert tour.order == want.order and length.hex() == want_length.hex(), (k, n)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.integers(3, 9), st.booleans())
 def test_heuristic_tour_never_beats_held_karp(seed, n, grid):
