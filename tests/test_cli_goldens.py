@@ -60,6 +60,8 @@ _COMMANDS = {
     "plot_unstructured": ("plot rand.txt -o p_bad.svg --fractional", []),
     "plot_unknown_tag": ("plot i2.txt -o p_bad.svg --shortcut nosuch:0", []),
     "plot_bad_index": ("plot i2.txt -o p_bad.svg --shortcut top_gap:x", []),
+    "plot_gap_index_out_of_range": ("plot i2.txt -o p_bad.svg --shortcut top_gap:99", []),
+    "plot_gap_index_negative": ("plot i2.txt -o p_bad.svg --shortcut middle_gap:-1", []),
     "plot_missing_tour": ("plot i2.txt -o p_bad.svg --tour missing_tour.txt", []),
     "export_named": ("export i3.txt -o i3.tsp --name bench", ["i3.tsp"]),
     "export_default_name": ("export rand.txt -o rand.tsp", ["rand.tsp"]),
@@ -99,6 +101,8 @@ _GOLDEN = {
     'plot_bad_index': (2, '05c2702728b57112dab99af55204605c86b271bf121a4e0db5ffe121eb15b1ba', {}),
     'plot_fractional_shortcut': (0, '724bbc11631362bcdc75c44e52df0436a5ba11982b1c27d11c9827d246e5e8b2', {'p_frac.svg': 'e12146ba0ed02d49fe1ab779fc9f43597620cacd5d40b7700071dd8f5e966731'}),
     'plot_gap_default_index': (0, 'b3c8c3820de94bff2d7780c24fcb49ec8c9e1efee775f0c6fe5ca37874a18acd', {'p_gap.svg': '7a36a2db45f0e130dbee4ae00d99502746a32c8ea0c6cbc5474d173e05914cab'}),
+    'plot_gap_index_negative': (2, '06e6af44176eb09003d2b4b7c405bc1882262703f1f76f02e4a3f5e5c322a85c', {}),
+    'plot_gap_index_out_of_range': (2, '8434f6b6945cb49c00e7d6a9b5a1b4312105658ce03db61310bdd13d4afa288d', {}),
     'plot_missing_tour': (2, 'a2f74e515fb0e137e8fe38be3327a7f8eca531a817b8efe58a34437d64fc0d61', {}),
     'plot_points_only': (0, '0e14af45b22bf85412b06d9d9310072282f801040b1c58198e86937cd2e568fd', {'p_rand.svg': '8ea1de04103be97dac4c3dccd017f243c0a9121524d944de8b744ebfed81c464'}),
     'plot_tour_file': (0, '3527c5e6a9eb4dd1f35a03d57f014a9aa872928c679ec9830cddd07a4541dae6', {'p_tour.svg': '7d2911c63e52c929d41ab1a7c3db6abca392457d8ae2577e4278a59dcbe4db9e'}),
