@@ -11,7 +11,7 @@ import os
 
 from tspgap.cli.formats import atomic_write_text, format_instance, format_tsplib, parse_instance, write_instance
 from tspgap.cli.svg import render_svg
-from tspgap.families import IJK, fractional_xijk, gen_I2, gen_I3, pseudo_tours, shortcut_tour
+from tspgap.families import IJK, fractional_xijk, gen_I2, gen_I3, pseudo_tour, shortcut_tour
 
 OUT = "demo_out"
 
@@ -33,7 +33,7 @@ def main() -> None:
     print(f"wrote {tsplib} (n={bench.n}, explicit FULL_MATRIX)")
 
     x = fractional_xijk(p)
-    tour = shortcut_tour(next(t for t in pseudo_tours(p) if t.tag == "middle_gap"), inst)
+    tour = shortcut_tour(pseudo_tour(p, "middle_gap", 0), inst)
     svg = os.path.join(OUT, "plane_2_2_1.svg")
     atomic_write_text(svg, render_svg(inst, tour=tour, fractional=x, labels=True))
     print(f"wrote {svg} (fractional edges + one shortcut tour)")

@@ -45,7 +45,7 @@ from ..families import (
     gen_subdivided,
     fractional_xijk,
     lambda_certificate,
-    pseudo_tours,
+    pseudo_tour,
     shortcut_tour,
     tjoin_ratio_bound,
     hexagon_spec,
@@ -449,11 +449,11 @@ def cmd_plot(args: argparse.Namespace) -> dict:
                     idx = int(idx_text) if idx_text else 0
                 except ValueError:
                     raise FormatError(f"bad shortcut index {idx_text!r}") from None
-            matches = [pt for pt in pseudo_tours(p) if pt.tag == tag and pt.index == idx]
-            if not matches:
-                tags = sorted({pt.tag for pt in pseudo_tours(p)})
-                raise FormatError(f"no pseudo-tour {tag!r}:{idx}; tags are {tags}")
-            tour = shortcut_tour(matches[0], inst)
+            try:
+                pt = pseudo_tour(p, tag, idx)
+            except ValueError:
+                raise FormatError(f"no pseudo-tour {tag!r}:{idx}; tags are {sorted(GAP_TAGS + ANCHOR_TAGS)}") from None
+            tour = shortcut_tour(pt, inst)
     if args.tour is not None:
         tour = formats.read_tour(args.tour)
     try:

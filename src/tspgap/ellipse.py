@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .core import EdgeWeightVector, Instance, NormSpec, fractional_cost, tour_length
-from .families.ijk import IJK, PseudoTour, fractional_xijk, labeled_vertices, pseudo_tours, shortcut_tour
+from .families.ijk import IJK, PseudoTour, fractional_xijk, labeled_vertices, pseudo_tour, shortcut_tour
 
 DEFAULT_EPS = 1e-9
 
@@ -374,7 +374,7 @@ def _assemble(
 def _shortcut_parts(i: int, j: int) -> tuple[EdgeWeightVector, PseudoTour]:
     """x_ijk and the middle_left anchor of (i, j, i): the same at every b."""
     p = IJK(i, j, i)
-    return fractional_xijk(p), next(pt for pt in pseudo_tours(p) if pt.tag == "middle_left")
+    return fractional_xijk(p), pseudo_tour(p, "middle_left")
 
 
 def _evaluate(

@@ -22,6 +22,7 @@ from .ijk import (
     labeled_vertices,
     line_gaps,
     metric_maximum_ratio,
+    pseudo_tour,
     pseudo_tours,
     shortcut_tour,
 )

@@ -188,23 +188,25 @@ def best_partition(n: int, family: str) -> IJK:
 # of its two end triangles).
 # ---------------------------------------------------------------------------
 
-GAP_TAGS = ("top_gap", "middle_gap", "bottom_gap")
-ANCHOR_TAGS = (
-    "top_left",
-    "top_right",
-    "middle_left",
-    "middle_right",
-    "bottom_left",
-    "bottom_right",
-)
-
-
-# Index into IJK.lines of the line each tag double-covers.
-_DOUBLED_LINE = {
-    "bottom_gap": 0, "bottom_left": 0, "bottom_right": 0,
-    "middle_gap": 1, "middle_left": 1, "middle_right": 1,
-    "top_gap": 2, "top_left": 2, "top_right": 2,
+# One row per tag: the line it double-covers (an index into IJK.lines), its
+# anchor end (0 left, -1 right; None for a gap tag) and its shortcut order
+# over the lines X, Y, Z and the gap index l.  Each order skips repeated
+# vertices so that every skipping jump is monotone, wasting no length under
+# the 1-norm; a greedy first-occurrence skip does not (on the gap families it
+# must enter one stub tip-first).
+_TAGS = {
+    "top_gap": (2, None, lambda X, Y, Z, l: X + Z[:l:-1] + Y[::-1] + Z[l::-1]),
+    "middle_gap": (1, None, lambda X, Y, Z, l: X + Y[:l:-1] + Z[::-1] + Y[: l + 1]),
+    "bottom_gap": (0, None, lambda X, Y, Z, l: X[:1] + Z + X[:l:-1] + Y[::-1] + X[l:0:-1]),
+    "top_left": (2, 0, lambda X, Y, Z, l: X[:1] + Z + Y + X[:0:-1]),
+    "top_right": (2, -1, lambda X, Y, Z, l: X + Z[::-1] + Y[::-1]),
+    "middle_left": (1, 0, lambda X, Y, Z, l: X + Z[::-1] + Y),
+    "middle_right": (1, -1, lambda X, Y, Z, l: X + Y[::-1] + Z[::-1]),
+    "bottom_left": (0, 0, lambda X, Y, Z, l: X + Y + Z[::-1]),
+    "bottom_right": (0, -1, lambda X, Y, Z, l: X + Z[::-1] + Y),
 }
+GAP_TAGS = tuple(tag for tag, (_, end, _) in _TAGS.items() if end is None)
+ANCHOR_TAGS = tuple(tag for tag, (_, end, _) in _TAGS.items() if end is not None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,10 +214,9 @@ class PseudoTour:
     """Edge multiset of one family member.
 
     tag is one of GAP_TAGS (with index = the skipped edge position along the
-    doubled line) or ANCHOR_TAGS (index None).  line is the position in
-    IJK.lines of the line the member double-covers (bottom 0, middle 1,
-    top 2).  edges holds each edge's multiplicity (0, 1 or 2) in edge
-    order, read-only.
+    doubled line) or ANCHOR_TAGS (index None).  line is the member's doubled
+    line in IJK.lines (bottom 0, middle 1, top 2).  edges holds each edge's
+    multiplicity (0, 1 or 2) in edge order, read-only.
     """
 
     tag: str
@@ -229,11 +230,18 @@ class PseudoTour:
 
     @property
     def line(self) -> int:
-        return _DOUBLED_LINE[self.tag]
+        return _TAGS[self.tag][0]
 
 
-def _pseudo_tour(p: IJK, lines: tuple[tuple[int, ...], ...], tag: str, index: int | None) -> PseudoTour:
-    doubled = _DOUBLED_LINE[tag]
+def pseudo_tour(p: IJK, tag: str, index: int | None = None) -> PseudoTour:
+    """The family member named by tag and, for a gap tag, by the skipped
+    edge's position along the doubled line (0..len(line) - 2)."""
+    if tag not in _TAGS:
+        raise ValueError(f"unknown pseudo-tour tag {tag!r}")
+    doubled, end, _ = _TAGS[tag]
+    lines = p.lines
+    if index not in (range(len(lines[doubled]) - 1) if end is None else (None,)):
+        raise ValueError(f"no pseudo-tour {tag!r} with index {index!r} on {p}")
     counts = np.zeros(p.n * (p.n - 1) // 2, dtype=int)
     for a, line in enumerate(lines):
         for u, v in zip(line, line[1:]):
@@ -241,64 +249,35 @@ def _pseudo_tour(p: IJK, lines: tuple[tuple[int, ...], ...], tag: str, index: in
     # Gap members join the doubled line to the two others at both end
     # triangles.  An anchor makes both joins at its own end only, and ties the
     # far end with the single remaining cross edge between the other two lines.
-    if tag.endswith("_gap"):
+    if end is None:
         counts[edge_position(p.n, lines[doubled][index], lines[doubled][index + 1])] = 0
-        corners = [(pair, end) for pair in _PAIRS if doubled in pair for end in (0, -1)]
+        corners = [(pair, e) for pair in _PAIRS if doubled in pair for e in (0, -1)]
     else:
-        near = 0 if tag.endswith("_left") else -1
-        corners = [(pair, near if doubled in pair else -1 - near) for pair in _PAIRS]
-    for (a, b), end in corners:
-        counts[edge_position(p.n, lines[a][end], lines[b][end])] = 1
+        corners = [(pair, end if doubled in pair else -1 - end) for pair in _PAIRS]
+    for (a, b), e in corners:
+        counts[edge_position(p.n, lines[a][e], lines[b][e])] = 1
     counts.setflags(write=False)
     return PseudoTour(tag, index, p, counts)
 
 
 def pseudo_tours(p: IJK) -> list[PseudoTour]:
-    """All (k+1) + (j+1) + (i+1) + 6 pseudo-tours of the family."""
+    """All (k+1) + (j+1) + (i+1) + 6 pseudo-tours of the family, in _TAGS order."""
     lines = p.lines
-    out: list[PseudoTour] = []
-    for tag in GAP_TAGS:
-        for l in range(len(lines[_DOUBLED_LINE[tag]]) - 1):
-            out.append(_pseudo_tour(p, lines, tag, l))
-    for tag in ANCHOR_TAGS:
-        out.append(_pseudo_tour(p, lines, tag, None))
-    return out
+    return [
+        pseudo_tour(p, tag, index)
+        for tag, (doubled, end, _) in _TAGS.items()
+        for index in (range(len(lines[doubled]) - 1) if end is None else (None,))
+    ]
 
 
 def shortcut_tour(pt: PseudoTour, inst: Instance) -> Tour:
-    """The non-intersecting shortcut of a pseudo-tour.
-
-    Each family member has one canonical plane shortcut: traverse the walk
-    and skip repeated vertices in the order that keeps every skipping jump
-    monotone, so no length is wasted under the 1-norm.  A greedy
-    first-occurrence skip does not do this (on the gap families it must
-    enter one stub tip-first), hence the explicit per-family orders below.
-    """
+    """The non-intersecting shortcut of a pseudo-tour, by its tag's order."""
     p = pt.ijk
     if inst.n != p.n:
         raise ValueError(f"pseudo-tour on {p.n} vertices, instance has {inst.n}")
-    X, Y, Z = p.lines
-    l = pt.index
-    tag = pt.tag
-    if tag == "top_gap":
-        order = X + Z[: l : -1] + Y[::-1] + Z[l::-1]
-    elif tag == "middle_gap":
-        order = X + Y[: l : -1] + Z[::-1] + Y[: l + 1]
-    elif tag == "bottom_gap":
-        order = X[:1] + Z + X[: l : -1] + Y[::-1] + X[l:0:-1]
-    elif tag == "top_left":
-        order = X[:1] + Z + Y + X[:0:-1]
-    elif tag == "top_right":
-        order = X + Z[::-1] + Y[::-1]
-    elif tag == "middle_left" or tag == "bottom_right":
-        order = X + Z[::-1] + Y
-    elif tag == "middle_right":
-        order = X + Y[::-1] + Z[::-1]
-    elif tag == "bottom_left":
-        order = X + Y + Z[::-1]
-    else:
-        raise ValueError(f"unknown pseudo-tour tag {tag!r}")
-    return Tour(order)
+    if pt.tag not in _TAGS:
+        raise ValueError(f"unknown pseudo-tour tag {pt.tag!r}")
+    return Tour(_TAGS[pt.tag][2](*p.lines, pt.index))
 
 
 def metric_maximum_ratio(n: int) -> float:

@@ -31,7 +31,7 @@ from tspgap.families import (
     hexagon_spec,
     lambda_certificate,
     metric_maximum_ratio,
-    pseudo_tours,
+    pseudo_tour,
     shortcut_tour,
     tetrahedron_spec,
     tjoin_ratio_bound,
@@ -199,7 +199,7 @@ def test_criterion_07_curved_constructions():
             res = ellipse_construct(i, j, DEFAULT_EPS)
             inst = res.instance
             p = IJK(i, j, i)
-            pt = next(q for q in pseudo_tours(p) if q.tag == "middle_left")
+            pt = pseudo_tour(p, "middle_left")
             shortcut_len = tour_length(inst, shortcut_tour(pt, inst))
             hk = held_karp(inst).length
             lp = solve_subtour_lp(inst).cost

@@ -335,8 +335,8 @@ def test_find_root_skips_failed_samples_and_propagates_bracket_errors():
 def test_shortcut_parts_are_built_once_per_construction(monkeypatch, ij):
     # x_ijk and the anchor pseudo-tour depend on (i, j) alone, not on b.
     calls = []
-    real = ellipse.pseudo_tours
-    monkeypatch.setattr(ellipse, "pseudo_tours", lambda p: calls.append(p) or real(p))
+    real = ellipse.pseudo_tour
+    monkeypatch.setattr(ellipse, "pseudo_tour", lambda p, *rest: calls.append(p) or real(p, *rest))
     ellipse_construct(*ij)
     assert len(calls) == 1
 

@@ -19,6 +19,7 @@ from tspgap.families import (
     GAP_TAGS,
     IJK,
     ODD_VERTEX_CAP,
+    PseudoTour,
     SubdividedGraphSpec,
     best_partition,
     closed_form_lp_I2,
@@ -36,6 +37,7 @@ from tspgap.families import (
     labeled_vertices,
     lambda_certificate,
     metric_maximum_ratio,
+    pseudo_tour,
     pseudo_tours,
     shortcut_tour,
     tetrahedron_spec,
@@ -193,6 +195,31 @@ def test_pseudo_tour_census():
         assert tags.count(tag) == {"top_gap": p.k + 1, "middle_gap": p.j + 1, "bottom_gap": p.i + 1}[tag]
     for tag in ANCHOR_TAGS:
         assert tags.count(tag) == 1
+
+
+def test_pseudo_tour_builds_each_family_member_by_name():
+    for trip in itertools.product(range(5), repeat=3):
+        p = IJK(*trip)
+        for pt in pseudo_tours(p):
+            one = pseudo_tour(p, pt.tag, pt.index)
+            assert (one.tag, one.index, one.line) == (pt.tag, pt.index, pt.line), (trip, pt.name)
+            assert one.edges.tobytes() == pt.edges.tobytes(), (trip, pt.name)
+
+
+def test_pseudo_tour_rejects_what_names_no_member():
+    p = IJK(2, 3, 1)
+    top = len(p.lines[2])
+    for tag, index in [("nosuch", None), ("top_gap", None), ("top_left", 0), ("top_gap", -1), ("top_gap", top - 1)]:
+        with pytest.raises(ValueError):
+            pseudo_tour(p, tag, index)
+    assert pseudo_tour(p, "top_gap", top - 2).name == f"top_gap[{top - 2}]"
+
+
+def test_shortcut_tour_rejects_an_unknown_tag():
+    p = IJK(1, 2, 1)
+    real = pseudo_tour(p, "middle_left")
+    with pytest.raises(ValueError, match="unknown pseudo-tour tag 'nosuch'"):
+        shortcut_tour(PseudoTour("nosuch", None, p, real.edges), gen_I2(p))
 
 
 @settings(max_examples=25, deadline=None)

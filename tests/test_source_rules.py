@@ -150,3 +150,18 @@ def test_the_label_alphabet_lives_only_in_the_family_module():
     ]
     assert any(name == owner for name, _ in hits)
     assert [f"{name}:{line}" for name, line in hits if name != owner] == []
+
+
+def test_only_the_family_package_builds_every_pseudo_tour():
+    # The certificate needs the whole family; every other caller names the
+    # one member it wants through pseudo_tour(p, tag, index).
+    owner = pathlib.Path("families")
+    calls = [
+        (name, node.lineno)
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == "pseudo_tours" or getattr(node.func, "attr", None) == "pseudo_tours")
+    ]
+    assert any(pathlib.Path(name).parent == owner for name, _ in calls)
+    assert [f"{name}:{line}" for name, line in calls if pathlib.Path(name).parent != owner] == []
