@@ -10,12 +10,14 @@ strictly increases.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EdgeWeightVector, Instance, NormSpec, Tour, edge_index, fractional_cost, tour_length
+from .core import EdgeWeightVector, Instance, NormSpec, Tour, edge_costs, edge_index, fractional_cost, tour_length
 from .exact import ENUM_MAX, checked_ratio, enumerate_tours, held_karp
 from .lp import LinearProgram, solve_lp, solve_subtour_lp
 
@@ -250,6 +252,46 @@ def _ratio_state(inst: Instance) -> tuple[float, float, EdgeWeightVector, Tour |
     return checked_ratio(exact.length, lp.cost), exact.length, lp.x, exact.tour
 
 
+@functools.lru_cache(maxsize=None)
+def _vertex_table(n: int) -> tuple[np.ndarray, int]:
+    """(rows, k): every vertex of the n-point subtour polytope over edge
+    order, for 3 <= n <= 6, the first k rows the tours of `enumerate_tours`.
+    Up to n = 5 the tours are all; at n = 6 the 60 prism points follow, 1/2
+    on the edges of two disjoint triangles and 1 on a perfect matching
+    between them (Boyd & Cunningham, Math. of OR 16(2), 1991).  Cached;
+    read-only."""
+    tours = enumerate_tours(n)
+    k, nxt = np.arange(len(tours))[:, None], np.roll(tours, -1, axis=1)
+    adj = np.zeros((len(tours), n, n))
+    adj[k, tours, nxt] = adj[k, nxt, tours] = 1.0
+    if n == 6:
+        prisms = []
+        for pair in itertools.combinations(range(1, 6), 2):
+            a, b = [0, *pair], [v for v in range(1, 6) if v not in pair]
+            for matched in itertools.permutations(b):
+                m = np.zeros((6, 6))
+                m[np.ix_(a, a)] = m[np.ix_(b, b)] = 0.5
+                m[a, matched] = m[matched, a] = 1.0
+                prisms.append(m)
+        adj = np.concatenate([adj, prisms])
+    iu, iv = edge_index(n)
+    table = adj[:, iu, iv]
+    table.setflags(write=False)
+    return table, len(tours)
+
+
+def _ratio_at_most(inst: Instance, bound: float) -> bool:
+    """True only when OPT/LP of `inst` is at most bound * (1 - 1e-9), read
+    off the vertex table: OPT is its least tour row and LP its least row.
+    False above n = 6 and within the margin, where only `_ratio_state`
+    decides.  The margin is far above the LP's round-off."""
+    if inst.n > 6:
+        return False
+    table, tours = _vertex_table(inst.n)
+    values = table @ edge_costs(inst)
+    return bool(values[:tours].min() <= bound * values.min() * (1 - 1e-9))
+
+
 def local_search(n: int, params: LocalSearchParams) -> tuple[Instance, SearchTrace]:
     """Push a random instance to a local maximum of the integrality ratio.
 
@@ -259,7 +301,9 @@ def local_search(n: int, params: LocalSearchParams) -> tuple[Instance, SearchTra
     accepting a step only when the exact recomputed ratio strictly
     increases.  Terminates when the LP value drops to epsilon1, the step
     floor epsilon2 is hit, or max_iters runs out (best-so-far, flagged
-    non-converged in the trace).
+    non-converged in the trace).  Up to n = 6, a draw or step that the
+    vertex table shows cannot beat the ratio it must beat is passed over
+    without its LP and Held-Karp; every kept number is still exact.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -270,6 +314,8 @@ def local_search(n: int, params: LocalSearchParams) -> tuple[Instance, SearchTra
     for _ in range(_RESTART_CAP):
         restarts += 1
         cand = random_instance(n, params.p, rng)
+        if _ratio_at_most(cand, 1.0 + params.epsilon0):
+            continue
         ratio, opt_len, x, opt_tour = _ratio_state(cand)
         if ratio > 1.0 + params.epsilon0:
             inst = cand
@@ -305,11 +351,13 @@ def local_search(n: int, params: LocalSearchParams) -> tuple[Instance, SearchTra
                 break
             try:
                 cand = Instance(inst.points + eta * step, inst.norm)
-                state = _ratio_state(cand)
             except ValueError:
                 eta *= 0.5  # step collapsed two points; shrink
                 continue
-            if state[0] > ratio and (best is None or state[0] > best[0][0]):
+            # A step must beat the best ratio so far, which beats `ratio`.
+            floor = ratio if best is None else best[0][0]
+            state = None if _ratio_at_most(cand, floor) else _ratio_state(cand)
+            if state is not None and state[0] > floor:
                 best = (state, cand, eta)
             elif best is not None:
                 break

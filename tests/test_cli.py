@@ -313,6 +313,19 @@ def test_ratio_rejects_an_lp_above_the_tour(tmp_path, capsys, monkeypatch, bound
     assert "exceeds the optimal tour length" in rep["error"]["message"]
 
 
+def test_localsearch_default_epsilon0_can_spend_every_draw(tmp_path, capsys):
+    # At n = 6 no seed-3 draw of the 20,000 reaches 1 + 0.01; the run
+    # exits 3, writes nothing and says to lower epsilon0.
+    out = tmp_path / "x.txt"
+    code, rep = run_cli(capsys, "localsearch", "--n", "6", "--seed", "3", "-o", str(out))
+    assert code == 3
+    assert rep["error"] == {
+        "type": "infeasible",
+        "message": "no random 6-point start with ratio > 1 + 0.01 in 20000 draws; lower epsilon0",
+    }
+    assert not out.exists()
+
+
 def test_size_cap_exit_code(tmp_path, capsys):
     code, rep = run_cli(capsys, "localsearch", "--n", "21", "-o", str(tmp_path / "x.txt"))
     assert code == 4

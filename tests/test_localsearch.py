@@ -7,9 +7,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from tspgap import localsearch, lp
-from tspgap.core import EdgeWeightVector, Instance, NormSpec, Tour, edge_index, fractional_cost, tour_length
+from tspgap.core import (
+    EdgeWeightVector,
+    Instance,
+    NormSpec,
+    Tour,
+    degree_vector,
+    edge_costs,
+    edge_index,
+    fractional_cost,
+    tour_length,
+)
 from tspgap.ellipse import ellipse_construct
 from tspgap.exact import ENUM_MAX, enumerate_tours, held_karp
 from tspgap.families import IJK, gen_I2
@@ -481,7 +492,17 @@ def test_search_solve_count_is_pinned(monkeypatch):
     solve = lp._solve
     monkeypatch.setattr(lp, "_solve", lambda *args: calls.append(1) or solve(*args))
     test_local_search_golden_bit_exact(*_GOLDEN_SEARCH[0])
-    assert len(calls) == 11422
+    assert len(calls) == 2541  # 11,422 before the vertex-table screen
+
+
+def test_search_subtour_lp_count_is_pinned(monkeypatch):
+    # Subtour LPs of the seed-19 search: the vertex table passes over 300
+    # of the 328 that the search solved without it.
+    calls = []
+    solve = localsearch.solve_subtour_lp
+    monkeypatch.setattr(localsearch, "solve_subtour_lp", lambda inst: calls.append(1) or solve(inst))
+    test_local_search_golden_bit_exact(*_GOLDEN_SEARCH[0])
+    assert len(calls) == 28
 
 
 def test_draw_cap_error_says_to_lower_epsilon0(monkeypatch):
@@ -489,3 +510,100 @@ def test_draw_cap_error_says_to_lower_epsilon0(monkeypatch):
     with pytest.raises(localsearch.LocalSearchError) as err:
         local_search(6, LocalSearchParams(rng_seed=0, epsilon0=1.0))
     assert str(err.value) == "no random 6-point start with ratio > 1 + 1.0 in 3 draws; lower epsilon0"
+
+
+# -- the subtour polytope's vertex table (n <= 6) ----------------------------
+
+
+@pytest.mark.parametrize("n, rows", [(3, 1), (4, 3), (5, 12), (6, 120)])
+def test_vertex_table_rows_are_distinct_subtour_points(n, rows):
+    # Distinct 0/1 rows that pass every cut are distinct tours, as many as
+    # there are: the first rows are all the tours.
+    table, tours = localsearch._vertex_table(n)
+    assert table.shape == (rows, n * (n - 1) // 2) and not table.flags.writeable
+    assert tours == len(enumerate_tours(n)) and len(np.unique(table, axis=0)) == rows
+    for k, row in enumerate(table):
+        assert np.array_equal(degree_vector(EdgeWeightVector(n, row)), np.full(n, 2.0))
+        assert (lp._cut_masks(n) @ row >= 2.0).all()
+        assert set(row.tolist()) <= ({0.0, 1.0} if k < tours else {0.0, 0.5, 1.0})
+
+
+@pytest.mark.parametrize("n, facets", [(4, 3), (5, 20), (6, 40)])
+def test_vertex_table_facets_are_subtour_inequalities(n, facets):
+    # The table's hull lies in the subtour polytope (rows feasible, above),
+    # and each of its facets is one of the polytope's own inequalities, so
+    # the hull is the whole polytope and every vertex is a table row.  The
+    # hull is taken in coordinates of the degree equations' affine hull.
+    table, _ = localsearch._vertex_table(n)
+    iu, iv = edge_index(n)
+    m = len(iu)
+    incidence = np.zeros((n, m))
+    incidence[iu, np.arange(m)] = incidence[iv, np.arange(m)] = 1.0
+    directions = np.linalg.svd(incidence)[2][n:].T
+    y = (table - table[0]) @ directions
+    hull = ConvexHull(y)  # raises unless the hull spans the affine hull
+    _, first = np.unique(np.round(hull.equations, 9), axis=0, return_index=True)
+    faces = {frozenset(np.flatnonzero(np.abs(y @ eq[:-1] + eq[-1]) <= 1e-7).tolist()) for eq in hull.equations[first]}
+    # x_e >= 0, x_e <= 1 and every cut >= 2, each by the rows it is tight at.
+    lhs = np.vstack([np.eye(m), -np.eye(m), lp._cut_masks(n)])
+    rhs = np.concatenate([np.zeros(m), -np.ones(m), np.full(len(lhs) - 2 * m, 2.0)])
+    values = table @ lhs.T
+    assert (values >= rhs - 1e-12).all()
+    tight = {frozenset(np.flatnonzero(col <= r + 1e-12).tolist()) for col, r in zip(values.T, rhs)}
+    assert len(faces) == facets and faces <= tight
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_vertex_table_minimum_is_the_subtour_lp(p):
+    rng = np.random.default_rng(int(p * 10))
+    for n, count in ((4, 40), (5, 40), (6, 160)):
+        table, _ = localsearch._vertex_table(n)
+        for _ in range(count):
+            inst = random_instance(n, p, rng)
+            values = table @ edge_costs(inst)
+            res = solve_subtour_lp(inst)
+            assert res.cost == pytest.approx(values.min(), rel=1e-12, abs=0)
+            assert np.abs(table - res.x.values).max(axis=1).min() <= 1e-9
+
+
+def test_ratio_at_most_reads_the_table_only_up_to_six_points():
+    # 18/17 at gen_I2(0, 0, 0): settled below the margin, open inside it.
+    inst = gen_I2(IJK(0, 0, 0))
+    ratio = localsearch._ratio_state(inst)[0]
+    assert localsearch._ratio_at_most(inst, ratio * (1 + 2e-9))
+    assert not localsearch._ratio_at_most(inst, ratio)
+    far = random_instance(7, 2.0, np.random.default_rng(0))
+    assert localsearch._ratio_state(far)[0] < 2 and not localsearch._ratio_at_most(far, 2.0)
+
+
+_SCREEN_PARAMS = dict(epsilon0=1e-6, epsilon1=5e-4, epsilon3=1e-2)
+
+
+@pytest.mark.parametrize("seed, max_iters", [(19, 500), (32, 500), (25, 500), (3, 30)])
+def test_screened_search_equals_the_unscreened_one(monkeypatch, seed, max_iters):
+    params = LocalSearchParams(rng_seed=seed, max_iters=max_iters, **_SCREEN_PARAMS)
+    inst, trace = local_search(6, params)
+    monkeypatch.setattr(localsearch, "_ratio_at_most", lambda inst, bound: False)
+    ref_inst, ref_trace = local_search(6, params)
+    assert trace == ref_trace and trace.converged == (max_iters == 500)
+    assert inst.points.tobytes() == ref_inst.points.tobytes()
+
+
+def test_line_search_lets_an_evaluation_fault_escape(monkeypatch):
+    # Only a step that collapses two points is halved; a ValueError from
+    # the LP or Held-Karp of a step propagates.
+    real = localsearch._ratio_state
+    started = []
+
+    def faulty(inst):
+        if started:
+            raise ValueError("evaluation fault")
+        state = real(inst)
+        if state[0] > 1 + _SCREEN_PARAMS["epsilon0"]:
+            started.append(inst)  # the start; its first step faults
+        return state
+
+    monkeypatch.setattr(localsearch, "_ratio_state", faulty)
+    with pytest.raises(ValueError, match="evaluation fault"):
+        local_search(6, LocalSearchParams(rng_seed=19, **_SCREEN_PARAMS))
+    assert len(started) == 1
