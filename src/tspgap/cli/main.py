@@ -97,8 +97,8 @@ def _pos_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be > 0: {text}")
+    if not (np.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0: {text}")
     return value
 
 

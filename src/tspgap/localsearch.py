@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EdgeWeightVector, Instance, NormSpec, Tour, edge_costs, edge_index, fractional_cost, tour_length
-from .exact import ENUM_MAX, checked_ratio, enumerate_tours, held_karp
+from .exact import ENUM_MAX, HELD_KARP_MAX, checked_ratio, enumerate_tours, held_karp
 from .lp import LinearProgram, solve_lp, solve_subtour_lp
 
 # An LP optimum with every value this close to 1 is integral.
@@ -239,19 +239,6 @@ def random_instance(n: int, p: float, rng: np.random.Generator) -> Instance:
     return Instance(rng.random((n, 2)), NormSpec(p))
 
 
-def _ratio_state(inst: Instance) -> tuple[float, float, EdgeWeightVector, Tour | None]:
-    """(ratio, optimal length, LP optimum, an optimal tour)."""
-    lp = solve_subtour_lp(inst)
-    values = lp.x.values
-    if np.all(np.abs(values[values > 0] - 1.0) <= _INTEGRAL_TOL):
-        # A 0/1 optimum that passed separation is a Hamiltonian cycle, so
-        # OPT = LP and Held-Karp is not needed.  Such states have ratio 1
-        # and are never accepted, so they carry no tour.
-        return 1.0, lp.cost, lp.x, None
-    exact = held_karp(inst)
-    return checked_ratio(exact.length, lp.cost), exact.length, lp.x, exact.tour
-
-
 @functools.lru_cache(maxsize=None)
 def _vertex_table(n: int) -> tuple[np.ndarray, int]:
     """(rows, k): every vertex of the n-point subtour polytope over edge
@@ -280,16 +267,26 @@ def _vertex_table(n: int) -> tuple[np.ndarray, int]:
     return table, len(tours)
 
 
-def _ratio_at_most(inst: Instance, bound: float) -> bool:
-    """True only when OPT/LP of `inst` is at most bound * (1 - 1e-9), read
-    off the vertex table: OPT is its least tour row and LP its least row.
-    False above n = 6 and within the margin, where only `_ratio_state`
-    decides.  The margin is far above the LP's round-off."""
-    if inst.n > 6:
-        return False
-    table, tours = _vertex_table(inst.n)
-    values = table @ edge_costs(inst)
-    return bool(values[:tours].min() <= bound * values.min() * (1 - 1e-9))
+def _ratio_state(inst: Instance, floor: float) -> tuple[float, float, EdgeWeightVector, Tour] | None:
+    """(ratio, optimal length, LP optimum, an optimal tour) when OPT/LP of
+    `inst` exceeds floor >= 1, else None.  Up to n = 6 the vertex table
+    first settles a state at most floor * (1 - 1e-9): OPT is its least tour
+    row and LP its least row, and the margin is far above the LP's
+    round-off."""
+    if inst.n <= 6:
+        table, tours = _vertex_table(inst.n)
+        values = table @ edge_costs(inst)
+        if values[:tours].min() <= floor * values.min() * (1 - 1e-9):
+            return None
+    lp = solve_subtour_lp(inst)
+    values = lp.x.values
+    if np.all(np.abs(values[values > 0] - 1.0) <= _INTEGRAL_TOL):
+        # A 0/1 optimum that passed separation is a Hamiltonian cycle, so
+        # OPT = LP: ratio 1, with no Held-Karp needed.
+        return None
+    exact = held_karp(inst)
+    ratio = checked_ratio(exact.length, lp.cost)
+    return (ratio, exact.length, lp.x, exact.tour) if ratio > floor else None
 
 
 def local_search(n: int, params: LocalSearchParams) -> tuple[Instance, SearchTrace]:
@@ -301,29 +298,25 @@ def local_search(n: int, params: LocalSearchParams) -> tuple[Instance, SearchTra
     accepting a step only when the exact recomputed ratio strictly
     increases.  Terminates when the LP value drops to epsilon1, the step
     floor epsilon2 is hit, or max_iters runs out (best-so-far, flagged
-    non-converged in the trace).  Up to n = 6, a draw or step that the
-    vertex table shows cannot beat the ratio it must beat is passed over
-    without its LP and Held-Karp; every kept number is still exact.
+    non-converged in the trace).  `_ratio_state` settles each draw and step
+    against the ratio it must beat.  Needs 6 <= n <= HELD_KARP_MAX.
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
+    if not 6 <= n <= HELD_KARP_MAX:
+        raise ValueError(
+            f"local search needs 6 <= n <= {HELD_KARP_MAX}, got {n}: up to 5 points every vertex of the "
+            f"subtour polytope is a tour, so every ratio is 1, and Held-Karp stops at {HELD_KARP_MAX}"
+        )
     rng = np.random.default_rng(params.rng_seed)
-
-    inst = None
-    restarts = 0
-    for _ in range(_RESTART_CAP):
-        restarts += 1
-        cand = random_instance(n, params.p, rng)
-        if _ratio_at_most(cand, 1.0 + params.epsilon0):
-            continue
-        ratio, opt_len, x, opt_tour = _ratio_state(cand)
-        if ratio > 1.0 + params.epsilon0:
-            inst = cand
+    for restarts in range(1, _RESTART_CAP + 1):
+        inst = random_instance(n, params.p, rng)
+        state = _ratio_state(inst, 1.0 + params.epsilon0)
+        if state is not None:
             break
-    if inst is None:
+    else:
         raise LocalSearchError(
             f"no random {n}-point start with ratio > 1 + {params.epsilon0} in {_RESTART_CAP} draws; lower epsilon0"
         )
+    ratio, opt_len, x, opt_tour = state
 
     records = [TraceRecord(0, ratio, 0.0, 0.0)]
     converged = False
@@ -355,9 +348,8 @@ def local_search(n: int, params: LocalSearchParams) -> tuple[Instance, SearchTra
                 eta *= 0.5  # step collapsed two points; shrink
                 continue
             # A step must beat the best ratio so far, which beats `ratio`.
-            floor = ratio if best is None else best[0][0]
-            state = None if _ratio_at_most(cand, floor) else _ratio_state(cand)
-            if state is not None and state[0] > floor:
+            state = _ratio_state(cand, ratio if best is None else best[0][0])
+            if state is not None:
                 best = (state, cand, eta)
             elif best is not None:
                 break
@@ -368,5 +360,4 @@ def local_search(n: int, params: LocalSearchParams) -> tuple[Instance, SearchTra
         (ratio, opt_len, x, opt_tour), inst, eta = best
         records.append(TraceRecord(it, ratio, delta, eta))
 
-    trace = SearchTrace(tuple(records), converged, restarts)
-    return inst, trace
+    return inst, SearchTrace(tuple(records), converged, restarts)

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tspgap import localsearch
 from tspgap.cli.formats import (
     FormatError,
     format_instance,
@@ -326,6 +327,27 @@ def test_localsearch_default_epsilon0_can_spend_every_draw(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_localsearch_below_six_points_exits_before_drawing(tmp_path, capsys, monkeypatch):
+    # Up to 5 points every ratio is 1, so no epsilon0 can help.
+    monkeypatch.setattr(localsearch, "random_instance", lambda *args: pytest.fail("drew an instance"))
+    out = tmp_path / "x.txt"
+    code, rep = run_cli(capsys, "localsearch", "--n", "5", "-o", str(out))
+    assert code == 3
+    assert rep["error"] == {
+        "type": "infeasible",
+        "message": "local search needs 6 <= n <= 20, got 5: up to 5 points every vertex of the subtour polytope "
+        "is a tour, so every ratio is 1, and Held-Karp stops at 20",
+    }
+    assert not out.exists()
+
+
+def test_ellipse_rejects_an_infinite_eps(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ellipse", "--i", "0", "--j", "0", "--eps", "inf"])
+    assert exc.value.code == 2
+    assert "must be finite and > 0: inf" in capsys.readouterr().err
+
+
 def test_size_cap_exit_code(tmp_path, capsys):
     code, rep = run_cli(capsys, "localsearch", "--n", "21", "-o", str(tmp_path / "x.txt"))
     assert code == 4
@@ -406,7 +428,10 @@ def test_localsearch_defaults_are_the_params_defaults():
     assert {name: getattr(args, name) for name in names} == {name: getattr(defaults, name) for name in names}
 
 
-@pytest.mark.parametrize("flag, value", [("--max-iters", "1.5"), ("--max-iters", "0"), ("--epsilon0", "0")])
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--max-iters", "1.5"), ("--max-iters", "0"), ("--epsilon0", "0"), ("--epsilon2", "inf"), ("--epsilon3", "1e400")],
+)
 def test_localsearch_rejects_bad_params(tmp_path, capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
         main(["localsearch", "--n", "6", flag, value, "-o", str(tmp_path / "x.txt")])

@@ -22,7 +22,7 @@ from tspgap.core import (
     tour_length,
 )
 from tspgap.ellipse import ellipse_construct
-from tspgap.exact import ENUM_MAX, enumerate_tours, held_karp
+from tspgap.exact import ENUM_MAX, HELD_KARP_MAX, checked_ratio, enumerate_tours, held_karp
 from tspgap.families import IJK, gen_I2
 from tspgap.localsearch import (
     LocalSearchParams,
@@ -360,35 +360,26 @@ def test_local_search_monotone_and_certified():
     assert local_opt_certificate(inst, pool, x, epsilon1=params.epsilon1)
 
 
-def _held_karp_first_ratio_state(inst):
-    # The evaluation order before the integral-LP shortcut: always solve OPT.
-    exact = held_karp(inst)
-    lp = solve_subtour_lp(inst)
-    return exact.length / lp.cost, exact.length, lp.x, exact.tour
-
-
 def test_ratio_state_skips_held_karp_on_integral_lp(monkeypatch):
     calls = []
-
-    def counting_held_karp(inst):
-        calls.append(inst.n)
-        return held_karp(inst)
-
-    monkeypatch.setattr(localsearch, "held_karp", counting_held_karp)
+    monkeypatch.setattr(localsearch, "held_karp", lambda inst: calls.append("held_karp") or held_karp(inst))
+    monkeypatch.setattr(localsearch, "solve_subtour_lp", lambda inst: calls.append("lp") or solve_subtour_lp(inst))
+    # The square's LP optimum is its tour: settled by the LP alone.
     square = Instance([(0, 0), (1, 0), (1, 1), (0, 1)])
-    ratio, opt_len, x, tour = localsearch._ratio_state(square)
-    assert calls == [] and tour is None
-    assert (ratio, opt_len) == (1.0, 4.0)
-    assert x == solve_subtour_lp(square).x
-    ratio, opt_len, _, tour = localsearch._ratio_state(gen_I2(IJK(0, 0, 0)))
-    assert calls == [6]
-    assert tour_length(gen_I2(IJK(0, 0, 0)), tour) == opt_len
+    assert localsearch._ratio_state(square, 1.0) is None and calls == ["lp"]
+    inst = gen_I2(IJK(0, 0, 0))
+    ratio, opt_len, x, tour = localsearch._ratio_state(inst, 1.0)
+    assert calls == ["lp", "lp", "held_karp"]
+    assert tour_length(inst, tour) == opt_len
+    assert x == solve_subtour_lp(inst).x
     assert ratio == pytest.approx(18.0 / 17.0, abs=1e-7)
 
+    # The search is the one that always solved OPT: with no LP optimum
+    # counted as integral, every state past the table runs Held-Karp.
     params = dict(epsilon0=1e-6, epsilon1=5e-4, epsilon3=1e-2)
     runs = []
-    for ratio_state in (localsearch._ratio_state, _held_karp_first_ratio_state):
-        monkeypatch.setattr(localsearch, "_ratio_state", ratio_state)
+    for tol in (localsearch._INTEGRAL_TOL, -1.0):
+        monkeypatch.setattr(localsearch, "_INTEGRAL_TOL", tol)
         runs.append([local_search(6, LocalSearchParams(rng_seed=s, **params)) for s in (19, 32, 25)])
     for (inst, trace), (ref_inst, ref_trace) in zip(*runs):
         assert trace == ref_trace
@@ -404,7 +395,7 @@ def test_ratio_state_checks_lp_at_most_opt(monkeypatch):
 
     monkeypatch.setattr(localsearch, "solve_subtour_lp", inflated)
     with pytest.raises(LpError, match="exceeds the optimal tour length"):
-        localsearch._ratio_state(gen_I2(IJK(0, 0, 0)))
+        localsearch._ratio_state(gen_I2(IJK(0, 0, 0)), 1.0)
 
 
 # local_search(6) at the criterion-9 parameters, frozen bit for bit: draws
@@ -456,17 +447,20 @@ def test_search_above_enum_cap_runs_held_karp_once_per_state(monkeypatch):
     # Above ENUM_MAX the pool grows from the accepted state's optimal tour,
     # which _ratio_state already found; no Held-Karp call happens outside
     # it.  The trace is the one recorded when the pool re-ran Held-Karp.
-    calls = {"held_karp": 0, "states": 0}
+    calls = {"inside": 0, "outside": 0}
+    depth = []
     real_held_karp, real_ratio_state = localsearch.held_karp, localsearch._ratio_state
 
     def counted_held_karp(inst):
-        calls["held_karp"] += 1
+        calls["inside" if depth else "outside"] += 1
         return real_held_karp(inst)
 
-    def counted_ratio_state(inst):
-        state = real_ratio_state(inst)
-        calls["states"] += state[3] is not None
-        return state
+    def counted_ratio_state(inst, floor):
+        depth.append(1)
+        try:
+            return real_ratio_state(inst, floor)
+        finally:
+            depth.pop()
 
     monkeypatch.setattr(localsearch, "held_karp", counted_held_karp)
     monkeypatch.setattr(localsearch, "_ratio_state", counted_ratio_state)
@@ -480,7 +474,7 @@ def test_search_above_enum_cap_runs_held_karp_once_per_state(monkeypatch):
         hashlib.sha256(np.ascontiguousarray(inst.points).tobytes()).hexdigest()
         == "2b5c6d7a5633ff556a75a66f093f015fd95fef2b12756179d6dc3e17710ecfcf"
     )
-    assert calls["held_karp"] == calls["states"] == 24  # 28 when the pool re-ran it
+    assert calls == {"inside": 24, "outside": 0}  # 28 when the pool re-ran it
 
 
 def test_search_solve_count_is_pinned(monkeypatch):
@@ -503,6 +497,15 @@ def test_search_subtour_lp_count_is_pinned(monkeypatch):
     monkeypatch.setattr(localsearch, "solve_subtour_lp", lambda inst: calls.append(1) or solve(inst))
     test_local_search_golden_bit_exact(*_GOLDEN_SEARCH[0])
     assert len(calls) == 28
+
+
+@pytest.mark.parametrize("n", [3, 5, HELD_KARP_MAX + 1])
+def test_local_search_refuses_sizes_before_any_draw(monkeypatch, n):
+    # Up to 5 points every vertex of the subtour polytope is a tour (the
+    # facet tests below), so no draw can beat 1 + epsilon0.
+    monkeypatch.setattr(localsearch, "random_instance", lambda *args: pytest.fail("drew an instance"))
+    with pytest.raises(ValueError, match=rf"needs 6 <= n <= {HELD_KARP_MAX}, got {n}: .* every ratio is 1"):
+        local_search(n, LocalSearchParams())
 
 
 def test_draw_cap_error_says_to_lower_epsilon0(monkeypatch):
@@ -566,24 +569,36 @@ def test_vertex_table_minimum_is_the_subtour_lp(p):
             assert np.abs(table - res.x.values).max(axis=1).min() <= 1e-9
 
 
-def test_ratio_at_most_reads_the_table_only_up_to_six_points():
-    # 18/17 at gen_I2(0, 0, 0): settled below the margin, open inside it.
+def test_ratio_state_reads_the_table_only_up_to_six_points(monkeypatch):
+    # 18/17 at gen_I2(0, 0, 0): settled below the margin with no LP, open
+    # inside it; at n = 7 there is no table, so every state solves its LP.
     inst = gen_I2(IJK(0, 0, 0))
-    ratio = localsearch._ratio_state(inst)[0]
-    assert localsearch._ratio_at_most(inst, ratio * (1 + 2e-9))
-    assert not localsearch._ratio_at_most(inst, ratio)
+    ratio = localsearch._ratio_state(inst, 1.0)[0]
     far = random_instance(7, 2.0, np.random.default_rng(0))
-    assert localsearch._ratio_state(far)[0] < 2 and not localsearch._ratio_at_most(far, 2.0)
+    calls = []
+    monkeypatch.setattr(localsearch, "solve_subtour_lp", lambda inst: calls.append(inst.n) or solve_subtour_lp(inst))
+    assert localsearch._ratio_state(inst, ratio * (1 + 2e-9)) is None and calls == []
+    assert localsearch._ratio_state(inst, ratio) is None and calls == [6]
+    assert localsearch._ratio_state(far, 2.0) is None and calls == [6, 7]
 
 
 _SCREEN_PARAMS = dict(epsilon0=1e-6, epsilon1=5e-4, epsilon3=1e-2)
+
+
+def _unscreened_ratio_state(inst, floor):
+    # No vertex table and no integral-LP exit: every state solves its LP
+    # and Held-Karp.
+    res = solve_subtour_lp(inst)
+    exact = held_karp(inst)
+    ratio = checked_ratio(exact.length, res.cost)
+    return (ratio, exact.length, res.x, exact.tour) if ratio > floor else None
 
 
 @pytest.mark.parametrize("seed, max_iters", [(19, 500), (32, 500), (25, 500), (3, 30)])
 def test_screened_search_equals_the_unscreened_one(monkeypatch, seed, max_iters):
     params = LocalSearchParams(rng_seed=seed, max_iters=max_iters, **_SCREEN_PARAMS)
     inst, trace = local_search(6, params)
-    monkeypatch.setattr(localsearch, "_ratio_at_most", lambda inst, bound: False)
+    monkeypatch.setattr(localsearch, "_ratio_state", _unscreened_ratio_state)
     ref_inst, ref_trace = local_search(6, params)
     assert trace == ref_trace and trace.converged == (max_iters == 500)
     assert inst.points.tobytes() == ref_inst.points.tobytes()
@@ -595,11 +610,11 @@ def test_line_search_lets_an_evaluation_fault_escape(monkeypatch):
     real = localsearch._ratio_state
     started = []
 
-    def faulty(inst):
+    def faulty(inst, floor):
         if started:
             raise ValueError("evaluation fault")
-        state = real(inst)
-        if state[0] > 1 + _SCREEN_PARAMS["epsilon0"]:
+        state = real(inst, floor)
+        if state is not None:
             started.append(inst)  # the start; its first step faults
         return state
 

@@ -165,3 +165,18 @@ def test_only_the_family_package_builds_every_pseudo_tour():
     ]
     assert any(pathlib.Path(name).parent == owner for name, _ in calls)
     assert [f"{name}:{line}" for name, line in calls if pathlib.Path(name).parent != owner] == []
+
+
+def test_local_search_evaluates_states_only_through_ratio_state():
+    # Every draw and line-search step is settled by `_ratio_state(inst,
+    # floor)`; the search itself neither solves nor screens a state.
+    tree = dict(_modules())["localsearch.py"]
+    (search,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "local_search"]
+    names = [
+        getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        for node in ast.walk(search)
+        if isinstance(node, ast.Call)
+    ]
+    assert names.count("_ratio_state") == 2
+    banned = {"solve_subtour_lp", "held_karp", "_vertex_table", "checked_ratio"}
+    assert [name for name in names if name in banned] == []
