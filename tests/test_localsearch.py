@@ -569,6 +569,17 @@ def test_vertex_table_minimum_is_the_subtour_lp(p):
             assert np.abs(table - res.x.values).max(axis=1).min() <= 1e-9
 
 
+def test_the_six_point_table_is_pinned(monkeypatch):
+    # The table `_ratio_state` reads for a 6-point state: its bytes (C order)
+    # and its k = 60 tour rows.
+    read, real = [], localsearch._vertex_table
+    monkeypatch.setattr(localsearch, "_vertex_table", lambda *args: read.append(real(*args)) or read[-1])
+    localsearch._ratio_state(gen_I2(IJK(0, 0, 0)), 1.0)
+    (table, k), = read
+    assert (table.shape, k) == ((120, 15), 60)
+    assert hashlib.sha256(table.tobytes()).hexdigest() == "bb3fd2d076151dcfa16dbaa269970ad25b3fd66248b9c17c49d3807f4f9f7188"
+
+
 def test_ratio_state_reads_the_table_only_up_to_six_points(monkeypatch):
     # 18/17 at gen_I2(0, 0, 0): settled below the margin with no LP, open
     # inside it; at n = 7 there is no table, so every state solves its LP.
