@@ -21,7 +21,7 @@ import contextlib
 import hashlib
 import os
 import tempfile
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,14 +32,22 @@ class FormatError(ValueError):
     """Raised for unreadable or invalid instance/tour/TSPLIB text."""
 
 
-def atomic_write_texts(texts: Mapping[str, str]) -> None:
-    """Write each text to its path via a temp file in the same directory,
+def atomic_write_texts(texts: Sequence[tuple[str, str]]) -> None:
+    """Write each (path, text) via a temp file in the path's directory,
     all temp files before the first rename, so a failed write changes no
-    path.  An OSError, after the temp files left are removed, becomes a
-    FormatError.  A rename that fails does not undo earlier renames."""
+    path.  Two paths that name one file (by `os.path.realpath`) are a
+    FormatError before any write.  An OSError, after the temp files left
+    are removed, becomes a FormatError.  A rename that fails does not undo
+    earlier renames."""
+    named: dict[str, str] = {}
+    for path, _ in texts:
+        real = os.path.realpath(path)
+        if real in named:
+            raise FormatError(f"outputs {named[real]!r} and {path!r} name one file")
+        named[real] = path
     tmps: dict[str, str] = {}
     try:
-        for path, text in texts.items():
+        for path, text in texts:
             fd, tmps[path] = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tspgap-", suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
@@ -55,7 +63,7 @@ def atomic_write_texts(texts: Mapping[str, str]) -> None:
 
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
-    atomic_write_texts({os.fspath(path): text})
+    atomic_write_texts([(os.fspath(path), text)])
 
 
 def sha256_of_text(text: str) -> str:
@@ -95,12 +103,15 @@ def parse_instance(text: str) -> Instance:
         raise FormatError(f"bad header {rows[0]!r}: {exc}") from None
     if len(rows) - 1 != n:
         raise FormatError(f"header says {n} points, file has {len(rows) - 1}")
-    points = np.empty((n, d), dtype=float)
-    labels: list[str] = []
-    for idx, row in enumerate(rows[1:]):
-        tokens = row.split()
+    if d < 1:
+        raise FormatError(f"dimension d must be >= 1, got {d}")
+    lines = [row.split() for row in rows[1:]]
+    for idx, tokens in enumerate(lines):
         if len(tokens) < d:
             raise FormatError(f"point line {idx} has {len(tokens)} fields, need {d}")
+    points = np.empty((n, d), dtype=float)
+    labels: list[str] = []
+    for idx, tokens in enumerate(lines):
         try:
             points[idx] = [float(t) for t in tokens[:d]]
         except ValueError as exc:

@@ -231,17 +231,17 @@ def _build_family(args: argparse.Namespace) -> tuple[Instance, str, dict]:
 def cmd_gen(args: argparse.Namespace) -> dict:
     t0 = time.perf_counter()
     inst, source, extra = _build_family(args)
-    texts = {args.output: formats.format_instance(inst, comment=f"tspgap gen {source}")}
+    texts = [(args.output, formats.format_instance(inst, comment=f"tspgap gen {source}"))]
     outputs = {"instance": args.output}
     if args.export_tsplib is not None:
-        texts[args.export_tsplib] = formats.format_tsplib(inst, name=source)
+        texts.append((args.export_tsplib, formats.format_tsplib(inst, name=source)))
         outputs["tsplib"] = args.export_tsplib
     formats.atomic_write_texts(texts)
     report = {
         "command": "gen",
         "instance": _instance_summary(inst, source),
         "outputs": outputs,
-        "sha256": {path: formats.sha256_of_text(text) for path, text in texts.items()},
+        "sha256": {path: formats.sha256_of_text(text) for path, text in texts},
         "wall_time_s": time.perf_counter() - t0,
     }
     report.update(extra)
@@ -360,10 +360,10 @@ def cmd_localsearch(args: argparse.Namespace) -> dict:
     else:
         certificate = trace.converged
         certificate_mode = "search_pool"
-    texts = {args.output: formats.format_instance(inst, comment=f"tspgap localsearch n={args.n} seed={params.rng_seed}")}
+    texts = [(args.output, formats.format_instance(inst, comment=f"tspgap localsearch n={args.n} seed={params.rng_seed}"))]
     outputs = {"instance": args.output}
     if args.trace is not None:
-        texts[args.trace] = formats.format_trace(trace.records)
+        texts.append((args.trace, formats.format_trace(trace.records)))
         outputs["trace"] = args.trace
     formats.atomic_write_texts(texts)
     report = {

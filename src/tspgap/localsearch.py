@@ -240,41 +240,37 @@ def random_instance(n: int, p: float, rng: np.random.Generator) -> Instance:
 
 
 @functools.lru_cache(maxsize=None)
-def _vertex_table(n: int) -> tuple[np.ndarray, int]:
-    """(rows, k): every vertex of the n-point subtour polytope over edge
-    order, for 3 <= n <= 6, the first k rows the tours of `enumerate_tours`.
-    Up to n = 5 the tours are all; at n = 6 the 60 prism points follow, 1/2
-    on the edges of two disjoint triangles and 1 on a perfect matching
-    between them (Boyd & Cunningham, Math. of OR 16(2), 1991).  Cached;
-    read-only."""
-    tours = enumerate_tours(n)
+def _vertex_table() -> tuple[np.ndarray, int]:
+    """(rows, k): every vertex of the 6-point subtour polytope over edge
+    order, the first k = 60 rows the tours of `enumerate_tours(6)`, then the
+    60 prism points, 1/2 on the edges of two disjoint triangles and 1 on a
+    perfect matching between them (Boyd & Cunningham, Math. of OR 16(2),
+    1991).  Below six points every vertex is a tour.  Cached; read-only."""
+    tours = enumerate_tours(6)
     k, nxt = np.arange(len(tours))[:, None], np.roll(tours, -1, axis=1)
-    adj = np.zeros((len(tours), n, n))
+    adj = np.zeros((len(tours), 6, 6))
     adj[k, tours, nxt] = adj[k, nxt, tours] = 1.0
-    if n == 6:
-        prisms = []
-        for pair in itertools.combinations(range(1, 6), 2):
-            a, b = [0, *pair], [v for v in range(1, 6) if v not in pair]
-            for matched in itertools.permutations(b):
-                m = np.zeros((6, 6))
-                m[np.ix_(a, a)] = m[np.ix_(b, b)] = 0.5
-                m[a, matched] = m[matched, a] = 1.0
-                prisms.append(m)
-        adj = np.concatenate([adj, prisms])
-    iu, iv = edge_index(n)
-    table = adj[:, iu, iv]
+    prisms = []
+    for pair in itertools.combinations(range(1, 6), 2):
+        a, b = [0, *pair], [v for v in range(1, 6) if v not in pair]
+        for matched in itertools.permutations(b):
+            m = np.zeros((6, 6))
+            m[np.ix_(a, a)] = m[np.ix_(b, b)] = 0.5
+            m[a, matched] = m[matched, a] = 1.0
+            prisms.append(m)
+    iu, iv = edge_index(6)
+    table = np.concatenate([adj, prisms])[:, iu, iv]
     table.setflags(write=False)
     return table, len(tours)
 
 
 def _ratio_state(inst: Instance, floor: float) -> tuple[float, float, EdgeWeightVector, Tour] | None:
     """(ratio, optimal length, LP optimum, an optimal tour) when OPT/LP of
-    `inst` exceeds floor >= 1, else None.  Up to n = 6 the vertex table
-    first settles a state at most floor * (1 - 1e-9): OPT is its least tour
-    row and LP its least row, and the margin is far above the LP's
-    round-off."""
-    if inst.n <= 6:
-        table, tours = _vertex_table(inst.n)
+    `inst` exceeds floor >= 1, else None.  At n = 6 the vertex table first
+    settles a state at most floor * (1 - 1e-9): OPT is its least tour row
+    and LP its least row, and the margin is far above the LP's round-off."""
+    if inst.n == 6:
+        table, tours = _vertex_table()
         values = table @ edge_costs(inst)
         if values[:tours].min() <= floor * values.min() * (1 - 1e-9):
             return None

@@ -138,8 +138,9 @@ class _Tableau:
     other basic values stay as they were, so the basis stays valid and the
     next `optimise` starts from it.
 
-    The kernel is `optimise(c)`, `add_row`, `fork` and `solution`, and
-    `_reoptimise` is the one loop over them.
+    The kernel is `optimise(c)`, `add_row` and `fork`, and `_reoptimise`
+    is the one loop over them.  `optimise` returns the basic solution of
+    the basis it stopped on.
 
     The basic solution is recomputed from the nonbasic values every
     iteration (a dense solve), trading speed for drift-free arithmetic.
@@ -164,8 +165,6 @@ class _Tableau:
         ).astype(np.int8)
         self.art = np.zeros(n + m, dtype=bool)
         self.pivots = 0
-        # The point an "optimal" `_minimize` ended on, until `solution` hands it over.
-        self.point = None
         # Bland's rule and phase 1's cap count pivots from here (see add_row).
         self.start = 0
         # Phase-1 artificials matching the sign of each row's residual.
@@ -196,7 +195,7 @@ class _Tableau:
     def add_row(self, coeffs: np.ndarray, rel: str, rhs: float, x: np.ndarray) -> None:
         """Append the row coeffs . x_struct (rel) rhs with its slack at 0 and
         a basic artificial at the residual rhs - coeffs . x, where x is the
-        current `solution()`."""
+        point the last `optimise` returned."""
         row = np.zeros(self.ncols)
         row[: self.num_struct] = coeffs
         resid = rhs - float(row @ x)
@@ -209,7 +208,6 @@ class _Tableau:
         self._append_columns(unit if resid >= 0 else -unit, 0.0, math.inf, _BASIC, True)
         self.basis = np.append(self.basis, self.ncols - 1)
         self.start = self.pivots
-        self.point = None
 
     def nonbasic_values(self) -> np.ndarray:
         """Each nonbasic column at its bound (free ones at 0), basic ones 0."""
@@ -220,22 +218,12 @@ class _Tableau:
         """A copy with its own statuses, basis, bounds, pivot count and start
         that shares A, b and the artificial mask (no pivot writes them)."""
         tab = copy.copy(self)
-        tab.point = None
         for name in ("lo", "hi", "status", "basis"):
             setattr(tab, name, getattr(self, name).copy())
         return tab
 
     @_kernel_policy
-    def solution(self) -> np.ndarray:
-        """The basic solution; once after an optimal `_minimize`, the point it held."""
-        x, self.point = self.point, None
-        if x is None:
-            x = self.nonbasic_values()
-            x[self.basis] = _solve(self.A[:, self.basis], self.b - self.A @ x)
-        return x
-
-    @_kernel_policy
-    def optimise(self, c: np.ndarray) -> str:
+    def optimise(self, c: np.ndarray) -> tuple[str, np.ndarray]:
         """Minimise c . x_struct from the current basis.
 
         Phase 1 on the live (unpinned) artificials, if any: "infeasible" if
@@ -244,13 +232,14 @@ class _Tableau:
         phase may take `phase_cap` = PIVOT_CAP * (rows + structural columns)
         pivots, phase 1's counted from `start`, and Bland's rule takes over
         BLAND_AFTER pivots after `start`.  Returns "optimal", "infeasible" or
-        "unbounded".
+        "unbounded" with the basic solution (every column) of the basis the
+        deciding phase stopped on: phase 1's if "infeasible", else phase 2's.
         """
         live = self.art & (self.hi > 0)
         if live.any():
-            self._minimize(live.astype(float), self.start + self.phase_cap)
-            if float(self.solution()[live].sum()) > FEAS_TOL:
-                return "infeasible"
+            x = self._minimize(live.astype(float), self.start + self.phase_cap)[1]
+            if float(x[live].sum()) > FEAS_TOL:
+                return "infeasible", x
             self._drive_out_artificials()
             self.lo[live] = 0.0
             self.hi[live] = 0.0
@@ -258,9 +247,10 @@ class _Tableau:
         c2[: self.num_struct] = c
         return self._minimize(c2, self.pivots + self.phase_cap)
 
-    def _minimize(self, c: np.ndarray, limit: int) -> str:
+    def _minimize(self, c: np.ndarray, limit: int) -> tuple[str, np.ndarray]:
         """Primal simplex on objective c until optimal, unbounded, or the
-        pivot count reaches limit.  Returns "optimal" or "unbounded".
+        pivot count reaches limit.  Returns "optimal" or "unbounded" with
+        the basic solution of the basis it stopped on.
 
         The call keeps its own per-column state, built once on entry:
         `xn` (each nonbasic column at its bound, as `nonbasic_values`
@@ -270,7 +260,8 @@ class _Tableau:
         with scalar writes next to `status` and `basis`.
 
         A bound flip keeps the reduced costs (they depend on the basis alone).
-        The optimal exit holds `xn` with the basic values in place, `solution()`.
+        Both exits return `xn` with the basic values `xb` of their last
+        iteration in place: that basis's solution, with no further solve.
 
         The pivots are those of the plain loop that rebuilds all of this
         from `status` every iteration (kept as the oracle in the tests):
@@ -282,7 +273,6 @@ class _Tableau:
         numpy's elementwise float64 does.
         """
         A, b, basis, status, start = self.A, self.b, self.basis, self.status, self.start
-        self.point = None
         lo, hi = self.lo.tolist(), self.hi.tolist()
         movable = self.lo != self.hi
         rise = (_CAN_RISE[status] & movable).astype(float)
@@ -302,8 +292,7 @@ class _Tableau:
             enter, direction = self._price(d, bland, rise, fall)
             if enter is None:
                 xn[basis] = xb
-                self.point = xn
-                return "optimal"
+                return "optimal", xn
             w = _solve(Bmat, A[:, enter]).tolist()
 
             # Ratio test: the entering variable's own range versus the rows
@@ -341,7 +330,8 @@ class _Tableau:
                     leave = i
 
             if t_best == math.inf:
-                return "unbounded"
+                xn[basis] = xb
+                return "unbounded", xn
 
             self.pivots += 1
             if leave == -1:
@@ -395,23 +385,22 @@ class _Tableau:
             # else: redundant row; the artificial stays basic, pinned at zero.
 
 
-def _reoptimise(tab: _Tableau, c: np.ndarray, separate: Callable | None = None) -> tuple[str, np.ndarray | None]:
+def _reoptimise(tab: _Tableau, c: np.ndarray, separate: Callable | None = None) -> tuple[str, np.ndarray]:
     """Optimise c on `tab`; then, while `separate` maps the structural part
     of the optimum to a row (coeffs, rel, rhs), `add_row` it and re-optimise
-    from the same basis.  Returns the outcome and, if "optimal", the last
-    `solution()`.  Raises LpError when a row past ROUND_CAP is asked for.
+    from the same basis.  Returns the last `optimise`'s outcome and point.
+    Raises LpError when a row past ROUND_CAP is asked for.
     """
     added = 0
-    while (outcome := tab.optimise(c)) == "optimal":
-        sol = tab.solution()
-        row = None if separate is None else separate(sol[: tab.num_struct])
+    while True:
+        outcome, x = tab.optimise(c)
+        row = None if outcome != "optimal" or separate is None else separate(x[: tab.num_struct])
         if row is None:
-            return outcome, sol
+            return outcome, x
         if added == ROUND_CAP:
             raise LpError(f"lazy-row loop failed to converge after {ROUND_CAP} rounds")
         added += 1
-        tab.add_row(*row, sol)
-    return outcome, None
+        tab.add_row(*row, x)
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
@@ -421,10 +410,10 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     raises LpError if a phase passes PIVOT_CAP * (rows + cols) pivots.
     """
     tab = _Tableau(lp.A, lp.b, lp.lo, lp.hi, lp.rels)
-    outcome, sol = _reoptimise(tab, lp.c)
-    if sol is None:
+    outcome, x = _reoptimise(tab, lp.c)
+    if outcome != "optimal":
         return LpSolution(outcome, None, None, tab.pivots)
-    x = sol[: tab.num_struct]
+    x = x[: tab.num_struct]
     return LpSolution(outcome, x, float(np.dot(lp.c, x)), tab.pivots)
 
 
@@ -610,6 +599,6 @@ def solve_subtour_lp(inst: Instance) -> SubtourLpResult:
 
     tab = _degree_start(n, BLAND_AFTER, PIVOT_CAP).fork()
     outcome, sol = _reoptimise(tab, np.ldexp(cost, -math.frexp(cost.max())[1]), subtour_row)
-    if sol is None:
+    if outcome != "optimal":
         raise LpError(f"subtour relaxation came back {outcome}")
     return SubtourLpResult(x, float(np.dot(cost, sol[: cost.size])), tuple(cuts), tab.pivots)

@@ -246,19 +246,44 @@ def test_write_errors_name_the_target_only(tmp_path, capsys):
         assert ".tspgap-" not in message
 
 
-@pytest.mark.parametrize(
-    "argv, second",
-    [
-        (("gen", "i2", "--i", "0", "--j", "0", "--k", "0"), "--export-tsplib"),
-        (("localsearch", "--n", "6", "--seed", "19", "--epsilon0", "1e-6", "--max-iters", "1"), "--trace"),
-    ],
-)
+_TWO_FILE_COMMANDS = [
+    (("gen", "i2", "--i", "0", "--j", "0", "--k", "0"), "--export-tsplib"),
+    (("localsearch", "--n", "6", "--seed", "19", "--epsilon0", "1e-6", "--max-iters", "1"), "--trace"),
+]
+
+
+@pytest.mark.parametrize("argv, second", _TWO_FILE_COMMANDS)
 def test_two_file_commands_write_all_or_nothing(tmp_path, capsys, argv, second):
     out = tmp_path / "out.txt"
     bad = tmp_path / "nodir" / "second.txt"
     message = _parse_error(capsys, tmp_path, *argv, "-o", str(out), second, str(bad))
     assert list(tmp_path.iterdir()) == []
     assert message == f"cannot write {str(bad)!r}: {os.strerror(errno.ENOENT)}"
+
+
+@pytest.mark.parametrize("twin", ["same.txt", "./same.txt"])
+@pytest.mark.parametrize("argv, second", _TWO_FILE_COMMANDS)
+def test_two_outputs_that_name_one_file_are_a_parse_error(tmp_path, capsys, monkeypatch, argv, second, twin):
+    # Written anyway, the second text would replace the first in the one file.
+    monkeypatch.chdir(tmp_path)
+    message = _parse_error(capsys, tmp_path, *argv, "-o", "same.txt", second, twin)
+    assert message == f"outputs 'same.txt' and {twin!r} name one file"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("3 -1 2", "dimension d must be >= 1, got -1"),
+        ("3 0 2", "dimension d must be >= 1, got 0"),
+        # Refused before an array of 3 x 2^40 floats is asked for.
+        (f"3 {2**40} 2", f"point line 0 has 2 fields, need {2**40}"),
+    ],
+)
+def test_a_bad_dimension_is_a_parse_error(tmp_path, capsys, header, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"{header}\n0 0\n1 0\n0 1\n")
+    assert _parse_error(capsys, tmp_path, "ratio", str(path)) == message
 
 
 def test_sweep_rejects_an_empty_family_list(tmp_path, capsys):

@@ -18,6 +18,7 @@ from tspgap.core import (
     degree_vector,
     edge_costs,
     edge_index,
+    edge_position,
     fractional_cost,
     tour_length,
 )
@@ -515,15 +516,28 @@ def test_draw_cap_error_says_to_lower_epsilon0(monkeypatch):
     assert str(err.value) == "no random 6-point start with ratio > 1 + 1.0 in 3 draws; lower epsilon0"
 
 
-# -- the subtour polytope's vertex table (n <= 6) ----------------------------
+# -- the subtour polytope's vertex table (n = 6; tours alone below) ----------
+
+
+def _table(n):
+    # (rows, k): the 6-point vertex table, or below six points the k tours
+    # of `enumerate_tours(n)` as 0/1 rows over edge order; the facet test
+    # shows that those are every vertex.
+    if n == 6:
+        return localsearch._vertex_table()
+    tours = enumerate_tours(n)
+    u, v = tours, np.roll(tours, -1, axis=1)
+    rows = np.zeros((len(tours), n * (n - 1) // 2))
+    rows[np.arange(len(tours))[:, None], edge_position(n, np.minimum(u, v), np.maximum(u, v))] = 1.0
+    return rows, len(tours)
 
 
 @pytest.mark.parametrize("n, rows", [(3, 1), (4, 3), (5, 12), (6, 120)])
 def test_vertex_table_rows_are_distinct_subtour_points(n, rows):
     # Distinct 0/1 rows that pass every cut are distinct tours, as many as
     # there are: the first rows are all the tours.
-    table, tours = localsearch._vertex_table(n)
-    assert table.shape == (rows, n * (n - 1) // 2) and not table.flags.writeable
+    table, tours = _table(n)
+    assert table.shape == (rows, n * (n - 1) // 2) and (n < 6 or not table.flags.writeable)
     assert tours == len(enumerate_tours(n)) and len(np.unique(table, axis=0)) == rows
     for k, row in enumerate(table):
         assert np.array_equal(degree_vector(EdgeWeightVector(n, row)), np.full(n, 2.0))
@@ -537,7 +551,7 @@ def test_vertex_table_facets_are_subtour_inequalities(n, facets):
     # and each of its facets is one of the polytope's own inequalities, so
     # the hull is the whole polytope and every vertex is a table row.  The
     # hull is taken in coordinates of the degree equations' affine hull.
-    table, _ = localsearch._vertex_table(n)
+    table, _ = _table(n)
     iu, iv = edge_index(n)
     m = len(iu)
     incidence = np.zeros((n, m))
@@ -560,7 +574,7 @@ def test_vertex_table_facets_are_subtour_inequalities(n, facets):
 def test_vertex_table_minimum_is_the_subtour_lp(p):
     rng = np.random.default_rng(int(p * 10))
     for n, count in ((4, 40), (5, 40), (6, 160)):
-        table, _ = localsearch._vertex_table(n)
+        table, _ = _table(n)
         for _ in range(count):
             inst = random_instance(n, p, rng)
             values = table @ edge_costs(inst)
@@ -582,15 +596,17 @@ def test_the_six_point_table_is_pinned(monkeypatch):
 
 def test_ratio_state_reads_the_table_only_up_to_six_points(monkeypatch):
     # 18/17 at gen_I2(0, 0, 0): settled below the margin with no LP, open
-    # inside it; at n = 7 there is no table, so every state solves its LP.
+    # inside it; at n = 5 and 7 there is no table, so every state solves its LP.
     inst = gen_I2(IJK(0, 0, 0))
     ratio = localsearch._ratio_state(inst, 1.0)[0]
-    far = random_instance(7, 2.0, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    near, far = random_instance(5, 2.0, rng), random_instance(7, 2.0, rng)
     calls = []
     monkeypatch.setattr(localsearch, "solve_subtour_lp", lambda inst: calls.append(inst.n) or solve_subtour_lp(inst))
     assert localsearch._ratio_state(inst, ratio * (1 + 2e-9)) is None and calls == []
     assert localsearch._ratio_state(inst, ratio) is None and calls == [6]
     assert localsearch._ratio_state(far, 2.0) is None and calls == [6, 7]
+    assert localsearch._ratio_state(near, 1.0) is None and calls == [6, 7, 5]
 
 
 _SCREEN_PARAMS = dict(epsilon0=1e-6, epsilon1=5e-4, epsilon3=1e-2)

@@ -121,25 +121,26 @@ def test_cap_and_infeasibility_on_a_re_optimisation(monkeypatch):
     # min x0 + x1, x0 + x1 = 1, 0 <= x <= 1; then rows are added.
     def fresh():
         tab = lp._Tableau(np.array([[1.0, 1.0]]), np.array([1.0]), np.zeros(2), np.ones(2), ["="])
-        assert tab.optimise(np.ones(2)) == "optimal"
-        return tab
+        outcome, x = tab.optimise(np.ones(2))
+        assert outcome == "optimal"
+        return tab, x
 
-    tab = fresh()
-    tab.add_row(np.array([1.0, 0.0]), ">=", 0.75, tab.solution())
+    tab, x = fresh()
+    tab.add_row(np.array([1.0, 0.0]), ">=", 0.75, x)
     with monkeypatch.context() as mp:
         mp.setattr(lp, "PIVOT_CAP", 0)
         with pytest.raises(LpError, match="exceeded 0 pivots"):
             tab.optimise(np.ones(2))
-    tab = fresh()
-    tab.add_row(np.array([1.0, 1.0]), ">=", 3.0, tab.solution())
-    assert tab.optimise(np.ones(2)) == "infeasible"
+    tab, x = fresh()
+    tab.add_row(np.array([1.0, 1.0]), ">=", 3.0, x)
+    assert tab.optimise(np.ones(2))[0] == "infeasible"
 
 
 def test_cap_message_names_the_cap_of_the_phase_that_ran_over(monkeypatch):
     # Phase 2 of a second optimise may take PIVOT_CAP * (rows + columns) = 0
     # pivots; the pivots the tableau took before do not enter the message.
     tab = lp._Tableau(np.array([[1.0, 1.0]]), np.array([1.0]), np.zeros(2), np.ones(2), ["="])
-    assert tab.optimise(np.ones(2)) == "optimal" and tab.pivots == 2
+    assert tab.optimise(np.ones(2))[0] == "optimal" and tab.pivots == 2
     monkeypatch.setattr(lp, "PIVOT_CAP", 0)
     with pytest.raises(LpError, match="^simplex exceeded 0 pivots$"):
         tab.optimise(np.ones(2))
@@ -168,7 +169,6 @@ def test_singular_basis_raises_lp_error():
     _raises_singular_basis(lambda: solve(np.zeros((3, 3)), np.ones(3)))
     _raises_singular_basis(lambda: solve(rank_deficient, np.ones(3)))
     _raises_singular_basis(lambda: solve(rank_deficient.T, np.ones(3)))
-    _raises_singular_basis(lambda: _singular_tableau().solution())
     _raises_singular_basis(lambda: _singular_tableau().optimise(np.ones(2)))
 
 
@@ -198,19 +198,16 @@ def test_a_basis_turning_singular_inside_minimize_raises_lp_error(monkeypatch):
 
 @pytest.mark.parametrize("caller", [{}, {"all": "raise"}, {"all": "ignore"}, {"invalid": "ignore", "over": "raise"}])
 def test_the_kernel_policy_leaves_the_callers_errstate_as_it_was(caller):
-    # The policy is set for each `optimise` and `solution` call and undone
-    # after it, on return and on LpError alike.
+    # The policy is set for each `optimise` call and undone after it, on
+    # return and on LpError alike.
     with np.errstate(**caller):
         before = np.geterr()
         tab = lp._degree_start(7, lp.BLAND_AFTER, lp.PIVOT_CAP).fork()
-        assert tab.optimise(edge_costs(_random(7, 1.0, 4))) == "optimal"
+        assert tab.optimise(edge_costs(_random(7, 1.0, 4)))[0] == "optimal"
         assert np.geterr() == before
-        tab.solution()
+        with pytest.raises(LpError, match="singular basis"):
+            _singular_tableau().optimise(np.ones(2))
         assert np.geterr() == before
-        for call in (lambda: _singular_tableau().solution(), lambda: _singular_tableau().optimise(np.ones(2))):
-            with pytest.raises(LpError, match="singular basis"):
-                call()
-            assert np.geterr() == before
 
 
 def _simplex_like(rng, m):
@@ -267,7 +264,7 @@ def test_rows_added_to_a_solved_tableau_match_highs(seed):
     c = rng.integers(-5, 6, size=n).astype(float)
     rows, rels, rhs = [rng.integers(-3, 4, size=n).astype(float)], ["="], [float(rng.integers(-3, 4))]
     tab = lp._Tableau(np.array(rows), np.array(rhs), lo, hi, rels)
-    outcome = tab.optimise(c)
+    outcome, x = tab.optimise(c)
     for k in range(4):
         a_ub = [(r if rel == "<=" else -r) for r, rel in zip(rows, rels) if rel != "="]
         b_ub = [(b if rel == "<=" else -b) for b, rel in zip(rhs, rels) if rel != "="]
@@ -286,15 +283,14 @@ def test_rows_added_to_a_solved_tableau_match_highs(seed):
             assert outcome == "infeasible"
             return
         assert outcome == "optimal"
-        x = tab.solution()[:n]
-        assert float(c @ x) == pytest.approx(ref.fun, abs=1e-7)
+        assert float(c @ x[:n]) == pytest.approx(ref.fun, abs=1e-7)
         if k == 3:
             return
         rows.append(rng.integers(-3, 4, size=n).astype(float))
         rels.append(("<=", "=", ">=")[int(rng.integers(0, 3))])
         rhs.append(float(rng.integers(-4, 5)))
-        tab.add_row(rows[-1], rels[-1], rhs[-1], tab.solution())
-        outcome = tab.optimise(c)
+        tab.add_row(rows[-1], rels[-1], rhs[-1], x)
+        outcome, x = tab.optimise(c)
 
 
 def _degree_rows(n):
@@ -328,7 +324,7 @@ def _outcome(inst):
 @pytest.mark.parametrize("n", range(3, 17))
 def test_cached_degree_start_matches_a_fresh_feasibility_step(n):
     fresh = _fresh_degree_start(n, lp.BLAND_AFTER, lp.PIVOT_CAP)
-    assert fresh.optimise(np.zeros(n * (n - 1) // 2)) == "optimal"
+    assert fresh.optimise(np.zeros(n * (n - 1) // 2))[0] == "optimal"
     cached = lp._degree_start(n, lp.BLAND_AFTER, lp.PIVOT_CAP)
     for name in ("A", "b", "art", "basis", "status", "lo", "hi"):
         assert np.array_equal(getattr(cached, name), getattr(fresh, name)), name
@@ -413,24 +409,26 @@ def test_bland_count_restarts_at_add_row_and_forks_keep_the_start(monkeypatch):
 
     def solve(tab, origin):
         seen.clear()
-        assert tab.optimise(cost) == "optimal"
+        outcome, x = tab.optimise(cost)
+        assert outcome == "optimal"
         assert [bland for _, bland in seen] == [p - origin >= 1 for p, _ in seen]
-        return seen[0]
+        return seen[0], x
 
     parent = lp._Tableau(*_degree_rows(inst.n))
-    assert solve(parent, 0) == (0, False)
+    first, x = solve(parent, 0)
+    assert first == (0, False)
     # The cached degree start has pivoted from 0, so its fork, a first cut
     # round, prices by Bland from its first call.
     start = lp._degree_start(inst.n, lp.BLAND_AFTER, lp.PIVOT_CAP)
-    assert solve(start.fork(), 0) == (start.pivots, True)
-    x = EdgeWeightVector(inst.n, np.maximum(parent.solution()[: cost.size], 0.0))
-    parent.add_row(lp._crossing(inst.n, separate_subtour(x).vertices).astype(float), ">=", 2.0, parent.solution())
+    assert solve(start.fork(), 0)[0] == (start.pivots, True)
+    cut = separate_subtour(EdgeWeightVector(inst.n, np.maximum(x[: cost.size], 0.0)))
+    parent.add_row(lp._crossing(inst.n, cut.vertices).astype(float), ">=", 2.0, x)
     origin = parent.pivots
     child = parent.fork()
-    assert solve(child, origin) == (origin, False)
+    assert solve(child, origin)[0] == (origin, False)
     assert child.pivots > origin + 1
     # A fork made after pivots still counts from its parent's start.
-    assert solve(child.fork(), origin) == (child.pivots, True)
+    assert solve(child.fork(), origin)[0] == (child.pivots, True)
 
 
 _OPTIMIZED_SCRIPT = """
@@ -474,11 +472,13 @@ class _ReferenceTableau(lp._Tableau):
     """The simplex loop as it was before its per-call masks: `nonbasic_values`
     and the pricing masks rebuilt from `status` every iteration, and the
     ratio test on filtered arrays.  Copied verbatim, with the `lp` module's
-    names qualified; kept as the oracle the loop must match pivot for pivot."""
+    names qualified, except that each exit returns its basis's point solved
+    anew; kept as the oracle the loop must match pivot for pivot."""
 
-    def _minimize(self, c: np.ndarray, limit: int) -> str:
+    def _minimize(self, c: np.ndarray, limit: int) -> tuple[str, np.ndarray]:
         """Primal simplex on objective c until optimal, unbounded, or the
-        pivot count reaches limit.  Returns "optimal" or "unbounded"."""
+        pivot count reaches limit.  Returns "optimal" or "unbounded" with
+        the basic solution of the basis it stopped on."""
         start = self.start
         movable = self.lo != self.hi
         while True:
@@ -490,7 +490,7 @@ class _ReferenceTableau(lp._Tableau):
             y = lp._solve(Bmat.T, c[basis])
             enter, direction = self._price(c - y @ self.A, bland, movable)
             if enter is None:
-                return "optimal"
+                return "optimal", _basic_point(self)
             xb = lp._solve(Bmat, self.b - self.A @ self.nonbasic_values())
             w = lp._solve(Bmat, self.A[:, enter])
             delta = -direction * w
@@ -524,7 +524,7 @@ class _ReferenceTableau(lp._Tableau):
                     leave = i
 
             if t_best == math.inf:
-                return "unbounded"
+                return "unbounded", _basic_point(self)
 
             self.pivots += 1
             if leave == -1:
@@ -553,29 +553,39 @@ class _ReferenceTableau(lp._Tableau):
 
 
 
+def _basic_point(tab):
+    # The basic solution of `tab`'s basis, solved anew.
+    x = tab.nonbasic_values()
+    x[tab.basis] = lp._kernel_policy(lp._solve)(tab.A[:, tab.basis], tab.b - tab.A @ x)
+    return x
+
+
 def _pair(*args):
     return lp._Tableau(*args), _ReferenceTableau(*args)
 
 
 def _optimise(tab, c):
+    # (outcome, point); after an LpError, its message and the point solved
+    # anew on the basis it left (or that solve's message).
     try:
         return tab.optimise(c)
     except LpError as exc:
-        return str(exc)
+        try:
+            return str(exc), _basic_point(tab)
+        except LpError as again:
+            return str(exc), str(again)
 
 
-def _state(tab, outcome):
-    try:
-        x = tab.solution().tobytes()
-    except LpError as exc:
-        x = str(exc)
-    return outcome, tab.basis.tolist(), tab.status.tobytes(), tab.pivots, x
+def _state(tab, outcome, x):
+    return outcome, tab.basis.tolist(), tab.status.tobytes(), tab.pivots, x if isinstance(x, str) else x.tobytes()
 
 
 def _optimise_both(tabs, c):
-    new, ref = (_state(tab, _optimise(tab, c)) for tab in tabs)
+    # The same state on both tableaux, the point included; returns the first's (outcome, point).
+    results = [_optimise(tab, c) for tab in tabs]
+    new, ref = (_state(tab, *result) for tab, result in zip(tabs, results))
     assert new == ref
-    return new[0]
+    return results[0]
 
 
 def _random_program(rng):
@@ -607,62 +617,60 @@ def test_simplex_matches_the_reference_loop_on_random_programs(seed, bland_after
         mp.setattr(lp, "BLAND_AFTER", bland_after)
         tabs = _pair(A, b, lo, hi, rels)
         for k in range(4):
-            outcome = _optimise_both(tabs, c)
+            outcome, x = _optimise_both(tabs, c)
             if k == 3 or outcome not in ("optimal", "infeasible", "unbounded"):
                 return
             row = rng.integers(-3, 4, size=n).astype(float)
             rel, rhs = ("<=", "=", ">=")[int(rng.integers(0, 3))], float(rng.integers(-4, 5))
             for tab in tabs:
-                tab.add_row(row, rel, rhs, tab.solution())
+                tab.add_row(row, rel, rhs, x)
 
 
 def _check_hand_offs(mp):
-    # Every `solution()` call is checked against the point solved anew on
-    # a fork (which holds none); the list says which calls were handed one.
-    solution, held = lp._Tableau.solution, []
+    # The point of every `_minimize` exit, phase 1's included, is checked
+    # against the point solved anew on a fork of the basis it stopped on;
+    # the list holds the outcomes.
+    minimize, outcomes = lp._Tableau._minimize, []
 
-    def checked(self):
-        held.append(self.point is not None)
-        want = solution(self.fork())
-        got = solution(self)
-        assert got.tobytes() == want.tobytes()
-        return got
+    def checked(self, c, limit):
+        outcome, x = minimize(self, c, limit)
+        assert x.tobytes() == _basic_point(self.fork()).tobytes()
+        outcomes.append(outcome)
+        return outcome, x
 
-    mp.setattr(lp._Tableau, "solution", checked)
-    return held
+    mp.setattr(lp._Tableau, "_minimize", checked)
+    return outcomes
 
 
 def test_subtour_rounds_use_the_optimum_handed_back():
     # The draws of the seed-19 search: every round of `_reoptimise` and,
-    # after each cut, phase 1's check take the point the simplex ended on,
-    # never a new solve.
+    # after each cut, phase 1's check take the point the simplex ended on.
     rng = np.random.default_rng(19)
     lp._degree_start(6, lp.BLAND_AFTER, lp.PIVOT_CAP)
     with pytest.MonkeyPatch.context() as mp:
-        held = _check_hand_offs(mp)
+        outcomes = _check_hand_offs(mp)
         rounds = sum(solve_subtour_lp(Instance(rng.random((6, 2)))).rounds for _ in range(259))
-    assert rounds > 0 and len(held) == 259 + 2 * rounds and all(held)
+    assert rounds > 0 and outcomes == ["optimal"] * (259 + 2 * rounds)
 
 
-def test_a_held_point_does_not_outlive_the_state_it_was_solved_for(monkeypatch):
-    # min x0 + x1, x0 + x1 = 1, 0 <= x <= 1: each optimise ends holding its
-    # point; an added row, a fork or an optimise that raises drops it.
-    def optimised():
-        tab = lp._Tableau(np.array([[1.0, 1.0]]), np.array([1.0]), np.zeros(2), np.ones(2), ["="])
-        assert tab.optimise(np.ones(2)) == "optimal" and tab.point is not None
-        return tab
-
-    tab = optimised()
-    assert tab.fork().point is None
-    tab.add_row(np.array([1.0, 0.0]), ">=", 0.75, tab.fork().solution())
-    assert tab.point is None
-    tab = optimised()
-    monkeypatch.setattr(lp, "PIVOT_CAP", 0)
-    with pytest.raises(LpError, match="exceeded"):
-        tab.optimise(-np.ones(2))
-    assert tab.point is None
-    x = tab.solution()
-    assert tab.solution() is not x and tab.solution().tobytes() == x.tobytes()
+def test_optimise_returns_the_basic_point_at_every_outcome():
+    # On random programs, each re-optimised after one added row: the point
+    # `optimise` returns is, byte for byte, the basic solution of the basis
+    # it stopped on, whatever the outcome.
+    seen = set()
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        c, A, b, lo, hi, rels = _random_program(rng)
+        tab = lp._Tableau(A, b, lo, hi, rels)
+        for _ in range(2):
+            try:
+                outcome, x = tab.optimise(c)
+            except LpError:
+                break
+            assert x.tobytes() == _basic_point(tab).tobytes()
+            seen.add(outcome)
+            tab.add_row(rng.integers(-3, 4, size=len(c)).astype(float), "<=", float(rng.integers(-4, 5)), x)
+    assert seen == {"optimal", "unbounded", "infeasible"}
 
 
 @settings(max_examples=100, deadline=None)
@@ -677,13 +685,12 @@ def test_random_programs_use_the_optimum_handed_back(seed):
         for _ in range(3)
     ]
     with pytest.MonkeyPatch.context() as mp:
-        held = _check_hand_offs(mp)
+        outcomes = _check_hand_offs(mp)
         try:
             outcome, _ = lp._reoptimise(lp._Tableau(A, b, lo, hi, rels), c, lambda x: rows.pop() if rows else None)
         except LpError:
             return
-    assert all(held)
-    assert outcome != "optimal" or held
+    assert outcomes and set(outcomes) <= {"optimal", "unbounded"}
 
 
 def test_subtour_lp_solve_count_is_pinned(monkeypatch):
@@ -716,14 +723,15 @@ def test_cut_loop_matches_the_reference_loop(monkeypatch, make, bland_after):
     cost = edge_costs(inst)
     rounds = 0
     while True:
-        assert _optimise_both(tabs, cost) == "optimal"
-        values = tabs[0].solution()[: cost.size]
+        outcome, x = _optimise_both(tabs, cost)
+        assert outcome == "optimal"
+        values = x[: cost.size]
         cut = separate_subtour(EdgeWeightVector(n, np.maximum(values, 0.0)))
         if cut is None:
             break
         rounds += 1
         for tab in tabs:
-            tab.add_row(lp._crossing(n, cut.vertices).astype(float), ">=", 2.0, tab.solution())
+            tab.add_row(lp._crossing(n, cut.vertices).astype(float), ">=", 2.0, x)
     want = solve_subtour_lp(inst)
     assert (float(np.dot(cost, values)).hex(), rounds, tabs[0].pivots) == (want.cost.hex(), want.rounds, want.pivots)
 
