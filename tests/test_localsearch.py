@@ -142,6 +142,25 @@ def test_tour_gradient_zeros_match_the_per_edge_loop():
         assert got.tobytes() == _loop_edge_gradient(inst, _tour_pairs(t)).tobytes()
 
 
+def test_fractional_gradient_zeros_match_the_per_edge_loop():
+    # The same underflow on a fractional x: every x term is a signed zero,
+    # a vertex whose terms are all -0.0 sums to 0.0 as in the loop, which
+    # starts from 0.0, and vertex 4, touched by no support edge, stays 0.0.
+    inst = Instance([(2e-200, 0.0), (1e-200, 1.0), (2e-200, 2.0), (4e-200, 3.0), (0.0, 5.0)], NormSpec(3.0))
+    supports = (
+        {(0, 1): 0.5, (0, 2): 0.5, (1, 2): 1.0, (1, 3): 0.5, (2, 3): 0.5},
+        {(0, 3): 1.0, (1, 2): 0.25, (1, 3): 0.75, (0, 1): 0.5},
+        {(2, 3): 1.0, (0, 2): 0.5},
+    )
+    for weights in supports:
+        x = EdgeWeightVector.from_pairs(5, weights)
+        iu, iv = edge_index(5)
+        pairs = [(iu[k], iv[k], x.values[k]) for k in np.flatnonzero(x.values)]
+        got = grad_fractional(inst, x)
+        assert got.tobytes() == _loop_edge_gradient(inst, pairs).tobytes()
+        assert got.reshape(5, 2)[4].tobytes() == np.zeros(2).tobytes()
+
+
 def test_gradient_rejects_p_one():
     inst = Instance([(0, 0), (1, 0), (0, 1)], NormSpec(1.0))
     with pytest.raises(ValueError):

@@ -605,6 +605,56 @@ def _random_program(rng):
     return c, A, b, lo, hi, rels
 
 
+def _constructed(A, b, lo, hi, rels):
+    # The tableau's arrays as its constructor first built them: [A | I],
+    # the slack bounds after the structural ones, statuses from the bounds,
+    # the residual of that nonbasic point, then one signed artificial
+    # column per row appended and made basic.
+    m, n = A.shape
+    slack_lo, slack_hi = np.array([lp._SLACK_BOUNDS[rel] for rel in rels]).reshape(m, 2).T
+    A = np.hstack([A, np.eye(m)])
+    lo, hi = np.concatenate([lo, slack_lo]), np.concatenate([hi, slack_hi])
+    status = np.where(lo == -math.inf, np.where(hi == math.inf, lp._FREE, lp._AT_UPPER), lp._AT_LOWER).astype(np.int8)
+    xn = np.where(status == lp._AT_LOWER, lo, np.where(status == lp._AT_UPPER, hi, 0.0))
+    resid = b - A @ xn
+    return {
+        "A": np.hstack([A, np.diag(np.where(resid >= 0, 1.0, -1.0))]),
+        "b": b,
+        "lo": np.concatenate([lo, np.full(m, 0.0)]),
+        "hi": np.concatenate([hi, np.full(m, math.inf)]),
+        "status": np.concatenate([status, np.full(m, lp._BASIC, dtype=np.int8)]),
+        "art": np.concatenate([np.zeros(n + m, dtype=bool), np.full(m, True)]),
+        "basis": np.arange(n + m, n + 2 * m),
+    }
+
+
+def _arrays(tab):
+    return {name: getattr(tab, name) for name in ("A", "b", "lo", "hi", "status", "art", "basis")}
+
+
+def test_the_tableau_constructor_is_pinned():
+    # Every array `_Tableau.__init__` builds, by dtype, shape and bytes, on
+    # random programs with every relation and bound kind, and on the
+    # degree rows the subtour LP starts from.
+    programs = [_random_program(np.random.default_rng(seed))[1:] for seed in range(300)]
+    programs += [_degree_rows(n) for n in (3, 6, 10)]
+    seen_rels, seen_bounds = set(), set()
+    for A, b, lo, hi, rels in programs:
+        tab = lp._Tableau(A, b, lo, hi, rels)
+        want = _constructed(A, b, lo, hi, rels)
+        got = _arrays(tab)
+        for name in want:
+            assert (got[name].dtype, got[name].shape) == (want[name].dtype, want[name].shape), name
+            assert got[name].tobytes() == want[name].tobytes(), name
+        assert (tab.num_struct, tab.pivots, tab.start) == (A.shape[1], 0, 0)
+        seen_rels.update(rels)
+        seen_bounds.update(zip(np.isfinite(lo).tolist(), np.isfinite(hi).tolist(), (lo == hi).tolist()))
+    assert seen_rels == {"<=", "=", ">="}
+    # Free, upper only, lower only, boxed and fixed.
+    assert seen_bounds == {(False, False, False), (False, True, False), (True, False, False),
+                           (True, True, False), (True, True, True)}
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.sampled_from([0, lp.BLAND_AFTER]))
 def test_simplex_matches_the_reference_loop_on_random_programs(seed, bland_after):
