@@ -32,19 +32,24 @@ class FormatError(ValueError):
     """Raised for unreadable or invalid instance/tour/TSPLIB text."""
 
 
-def atomic_write_texts(texts: Sequence[tuple[str, str]]) -> None:
-    """Write each (path, text) via a temp file in the path's directory,
-    all temp files before the first rename, so a failed write changes no
-    path.  Two paths that name one file (by `os.path.realpath`) are a
-    FormatError before any write.  An OSError, after the temp files left
-    are removed, becomes a FormatError.  A rename that fails does not undo
-    earlier renames."""
+def check_distinct_paths(paths: Sequence[str]) -> None:
+    """FormatError if two of the output paths name one file (by `os.path.realpath`)."""
     named: dict[str, str] = {}
-    for path, _ in texts:
+    for path in paths:
         real = os.path.realpath(path)
         if real in named:
             raise FormatError(f"outputs {named[real]!r} and {path!r} name one file")
         named[real] = path
+
+
+def atomic_write_texts(texts: Sequence[tuple[str, str]]) -> None:
+    """Write each (path, text) via a temp file in the path's directory,
+    all temp files before the first rename, so a failed write changes no
+    path.  Two paths that name one file are a FormatError before any write
+    (`check_distinct_paths`).  An OSError, after the temp files left are
+    removed, becomes a FormatError.  A rename that fails does not undo
+    earlier renames."""
+    check_distinct_paths([path for path, _ in texts])
     tmps: dict[str, str] = {}
     try:
         for path, text in texts:

@@ -347,6 +347,7 @@ def cmd_localsearch(args: argparse.Namespace) -> dict:
     t0 = time.perf_counter()
     if args.n > HELD_KARP_MAX:
         raise SizeCapError(f"local search needs exact baselines; n <= {HELD_KARP_MAX}")
+    formats.check_distinct_paths([path for path in (args.output, args.trace) if path is not None])  # so a clash costs no search
     params_kwargs = {name: getattr(args, name) for name in _SEARCH_DEFAULTS}
     runs = []
     for r in range(args.restarts):

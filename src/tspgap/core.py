@@ -86,7 +86,7 @@ class Instance:
             raise ValueError(f"instance needs at least 3 points, got {n}")
         if d < 1:
             raise ValueError("points need at least one coordinate")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise ValueError("non-finite coordinate in instance")
         # Max-abs gap of every pair in edge order: O(n^2) time and memory,
         # fine at the solvable sizes (n <= a few hundred).  The pair named is
@@ -146,7 +146,7 @@ class Tour:
     __slots__ = ("order",)
 
     def __init__(self, order: Sequence[int]):
-        seq = tuple(int(i) for i in order)
+        seq = tuple(map(int, order))
         n = len(seq)
         if n < 3:
             raise ValueError(f"tour needs at least 3 vertices, got {n}")

@@ -74,10 +74,10 @@ def held_karp(inst: Instance) -> ExactResult:
     # dp[v, S]: shortest path from 0 through the vertices of S, ending at v.
     # Entries with v outside S stay inf, so they never win a min.
     dp = np.full((r, full + 1), np.inf)
-    dp[np.arange(r), 1 << np.arange(r)] = d0  # singletons are the DP base
     flat = dp.reshape(-1)
     vs = np.arange(r, dtype=np.int32)
     tag = (1 << vs) + (vs << r)  # T | tag[v] is the flat index of dp[v, T | 1 << v]
+    flat[tag] = d0  # singletons, dp[v, 1 << v], are the DP base
     for T in _layers(r):
         cols = min(T.shape[1], _BLOCK_COLUMNS)
         rows = _BLOCK_COLUMNS // cols
@@ -149,6 +149,15 @@ def enumerate_tours(n: int) -> np.ndarray:
     orders = np.column_stack([np.zeros(len(perms), dtype=np.int16), perms])
     orders.setflags(write=False)
     return orders
+
+
+@functools.lru_cache(maxsize=None)
+def tour_successors(n: int) -> np.ndarray:
+    """`enumerate_tours(n)` rotated one place left: entry (k, i) is the vertex
+    after entry (k, i) of the tours.  Cached and read-only."""
+    nxt = np.roll(enumerate_tours(n), -1, axis=1)
+    nxt.setflags(write=False)
+    return nxt
 
 
 def checked_ratio(length: float, lp_cost: float) -> float:

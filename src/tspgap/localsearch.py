@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EdgeWeightVector, Instance, NormSpec, Tour, edge_costs, edge_index, fractional_cost, tour_length
-from .exact import ENUM_MAX, HELD_KARP_MAX, checked_ratio, enumerate_tours, held_karp
+from .exact import ENUM_MAX, HELD_KARP_MAX, checked_ratio, enumerate_tours, held_karp, tour_successors
 from .lp import LinearProgram, solve_lp, solve_subtour_lp
 
 # An LP optimum with every value this close to 1 is integral.
@@ -85,12 +85,9 @@ def build_tour_pool(inst: Instance, window: float) -> TourPool:
     if n > ENUM_MAX:
         raise ValueError(f"n = {n} exceeds enumeration cap {ENUM_MAX}")
     P = enumerate_tours(n)
-    D = inst.distance_matrix()
-    lengths = D[P, np.roll(P, -1, axis=1)].sum(axis=1)
+    lengths = inst.distance_matrix()[P, tour_successors(n)].sum(axis=1)
     opt = float(lengths.min())
-    mask = lengths <= opt + window
-    tours = tuple(Tour(tuple(int(v) for v in row)) for row in P[mask])
-    return TourPool(tours, opt)
+    return TourPool(tuple(Tour(row) for row in P[lengths <= opt + window].tolist()), opt)
 
 
 # -- gradients -------------------------------------------------------------
@@ -113,11 +110,12 @@ def _edge_terms(inst: Instance, u: np.ndarray, v: np.ndarray, weight: np.ndarray
 def _tour_gradients(inst: Instance, orders: np.ndarray) -> np.ndarray:
     """grad_tour_length of each row of `orders` (tours, n).  A vertex gets its
     outgoing edge's term minus its incoming one's, plus 0.0 (-0.0 to 0.0): for
-    finite terms, bit for bit the add.at sum 0 + term + term in tour order."""
+    finite terms, bit for bit the sum 0 + term + term in tour order.  Position
+    i's next and previous are the indices i + 1 - n and i - 1 (negative wraps)."""
     k, n = orders.shape
-    term = _edge_terms(inst, orders, np.roll(orders, -1, axis=1), np.ones((k, n)))
+    term = _edge_terms(inst, orders, orders[:, np.arange(1 - n, 1)], np.ones((k, n)))
     G = np.empty((k, n, inst.dim))
-    G[np.arange(k)[:, None], orders] = term - np.roll(term, 1, axis=1) + 0.0
+    G[np.arange(k)[:, None], orders] = term - term[:, np.arange(-1, n - 1)] + 0.0
     return G.reshape(k, -1)
 
 
@@ -139,10 +137,11 @@ def grad_fractional(inst: Instance, x: EdgeWeightVector) -> np.ndarray:
     support = np.flatnonzero(x.values)
     u, v = iu[support], iv[support]
     term = _edge_terms(inst, u, v, x.values[support])
-    # add.at applies the rows in order: edge by edge, +term at u, -term at v.
-    G = np.zeros_like(inst.points)
-    np.add.at(G, np.column_stack([u, v]).ravel(), np.stack([term, -term], axis=1).reshape(-1, inst.dim))
-    return G.ravel()
+    # bincount adds from 0.0 in input order: edge by edge, +term at u, -term
+    # at v, into the bin of each (vertex, axis) in vertex-major order.
+    d = inst.dim
+    bins = np.column_stack([u, v]).reshape(-1, 1) * d + np.arange(d)
+    return np.bincount(bins.ravel(), np.concatenate([term, -term], axis=1).ravel(), minlength=inst.n * d)
 
 
 def grad_g(inst: Instance, t: Tour, x: EdgeWeightVector, r: float) -> np.ndarray:
@@ -232,11 +231,12 @@ class SearchTrace:
 
 _RESTART_CAP = 20000
 _MAX_HALVINGS = 60
+_norm_spec = functools.lru_cache(maxsize=8)(NormSpec)
 
 
 def random_instance(n: int, p: float, rng: np.random.Generator) -> Instance:
-    """Uniform points in the unit square under the p-norm."""
-    return Instance(rng.random((n, 2)), NormSpec(p))
+    """Uniform points in the unit square under the p-norm (one `NormSpec` per p)."""
+    return Instance(rng.random((n, 2)), _norm_spec(p))
 
 
 @functools.lru_cache(maxsize=None)
@@ -246,8 +246,8 @@ def _vertex_table() -> tuple[np.ndarray, int]:
     60 prism points, 1/2 on the edges of two disjoint triangles and 1 on a
     perfect matching between them (Boyd & Cunningham, Math. of OR 16(2),
     1991).  Below six points every vertex is a tour.  Cached; read-only."""
-    tours = enumerate_tours(6)
-    k, nxt = np.arange(len(tours))[:, None], np.roll(tours, -1, axis=1)
+    tours, nxt = enumerate_tours(6), tour_successors(6)
+    k = np.arange(len(tours))[:, None]
     adj = np.zeros((len(tours), 6, 6))
     adj[k, tours, nxt] = adj[k, nxt, tours] = 1.0
     prisms = []
@@ -276,7 +276,7 @@ def _ratio_state(inst: Instance, floor: float) -> tuple[float, float, EdgeWeight
             return None
     lp = solve_subtour_lp(inst)
     values = lp.x.values
-    if np.all(np.abs(values[values > 0] - 1.0) <= _INTEGRAL_TOL):
+    if (np.abs(values[values > 0] - 1.0) <= _INTEGRAL_TOL).all():
         # A 0/1 optimum that passed separation is a Hamiltonian cycle, so
         # OPT = LP: ratio 1, with no Held-Karp needed.
         return None

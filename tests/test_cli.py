@@ -271,6 +271,17 @@ def test_two_outputs_that_name_one_file_are_a_parse_error(tmp_path, capsys, monk
     assert list(tmp_path.iterdir()) == []
 
 
+def test_localsearch_rejects_two_outputs_naming_one_file_before_searching(tmp_path, capsys, monkeypatch):
+    def searched(*args):
+        raise AssertionError("the search ran before the output paths were checked")
+
+    monkeypatch.setattr(cli_main, "local_search", searched)
+    monkeypatch.chdir(tmp_path)
+    argv = ("localsearch", "--n", "6", "-o", "same.txt", "--trace", "./same.txt")
+    assert _parse_error(capsys, tmp_path, *argv) == "outputs 'same.txt' and './same.txt' name one file"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "header, message",
     [

@@ -180,3 +180,18 @@ def test_local_search_evaluates_states_only_through_ratio_state():
     assert names.count("_ratio_state") == 2
     banned = {"solve_subtour_lp", "held_karp", "_vertex_table", "checked_ratio"}
     assert [name for name in names if name in banned] == []
+
+
+def test_no_roll_or_add_at_in_the_local_search():
+    # The search's per-state path takes tour successors from the cached
+    # `exact.tour_successors` or from index arrays, and sums gradient terms
+    # with `np.bincount`: `np.roll` and `np.add.at` cost more than the
+    # arithmetic they wrap at these sizes.
+    tree = dict(_modules())["localsearch.py"]
+    found = [
+        f"localsearch.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and (node.attr == "roll" or (node.attr == "at" and getattr(node.value, "attr", None) == "add"))
+    ]
+    assert found == []
