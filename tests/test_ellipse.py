@@ -253,6 +253,23 @@ _GOLDEN_INNER_CHAINS = {
 }
 
 
+# Rows whose outer chain holds a tie, at the n of certify's set-up build
+# (3, 2) and with two outer ties (4, 4): _hexes, then the sha256 of the
+# point array's float64 bytes, frozen from the same construction as _GOLDEN.
+_GOLDEN_OUTER_CHAINS = {
+    (3, 2): (
+        ("0x1.1a0fe3a885235p+0", "0x1.5288888879c00p+1", "0x1.ca9c36d456a7cp-3",
+         "0x1.2d4418ca8a1dcp+0", "0x1.4000000000000p-50", "0x1.0000000000000p-52"),
+        "40352372d0ebaa49499016aeab86c65fb30f6776fef5790054af0f4efc180dd9",
+    ),
+    (4, 4): (
+        ("0x1.21c7319f7e500p+0", "0x1.a35b293b730a9p+1", "0x1.90b1191d7a33ep-1",
+         "0x1.d69b88509afacp+0", "0x1.8000000000000p-51", "0x1.1000000000000p-48"),
+        "5c586d17c770c9ba009c7f486d4b58e5030ead7203b037fe42f7f9763fdc9d2d",
+    ),
+}
+
+
 def _hexes(res):
     p = res.params
     return tuple(v.hex() for v in (res.ratio, p.b, p.e, p.f, res.inner_residual, res.outer_residual))
@@ -278,6 +295,74 @@ def test_long_inner_chains_are_bit_exact(ij):
     res = ellipse_construct(*ij)
     points = np.ascontiguousarray(res.instance.points, dtype="<f8").tobytes()
     assert (_hexes(res), hashlib.sha256(points).hexdigest()) == _GOLDEN_INNER_CHAINS[ij]
+
+
+@pytest.mark.parametrize("ij", sorted(_GOLDEN_OUTER_CHAINS))
+def test_outer_tie_chains_are_bit_exact(ij):
+    res = ellipse_construct(*ij)
+    points = np.ascontiguousarray(res.instance.points, dtype="<f8").tobytes()
+    assert (_hexes(res), hashlib.sha256(points).hexdigest()) == _GOLDEN_OUTER_CHAINS[ij]
+
+
+# Three infeasible coarse b of row (3, 2), by scan index: the outcomes of
+# the 72 scan samples over e (None for a raise, else whether the residual is
+# positive) and the exact message outer_vertices(3, b, f) raises.
+_INFEASIBLE_OUTER = [
+    (0, {None}, "residual does not change sign on [0.0, 4.420833333333333]"),  # b ~ 0.105
+    (12, {None, False}, "residual does not change sign on [0.0, 9.720833333333333]"),  # b ~ 1.43
+    (36, {True}, "residual does not change sign on [0.0, 20.320833333333333]"),  # b ~ 4.08
+]
+
+
+@pytest.mark.parametrize("s,kinds,message", _INFEASIBLE_OUTER, ids=["all-raise", "all-negative", "all-positive"])
+def test_infeasible_outer_scans_keep_their_messages(s, kinds, message):
+    lo, hi = ellipse._B_RANGE
+    b = lo + (hi - lo) * (s + 0.5) / ellipse._COARSE_SAMPLES
+    f = ellipse.inner_vertices(2, b)[-1]
+    seen = set()
+    for k in range(ellipse._COARSE_SAMPLES):
+        try:
+            seen.add(ellipse._outer_attempt(3, b, f, 4.0 * (b + 1.0) * (k + 0.5) / ellipse._COARSE_SAMPLES)[0] > 0)
+        except ellipse._BracketError:
+            seen.add(None)
+    assert seen == kinds
+    with pytest.raises(OuterPlacementError) as info:
+        ellipse.outer_vertices(3, b, f)
+    assert str(info.value) == message
+
+
+def _count_calls(monkeypatch, names, fn, *args):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(ellipse, name)
+
+        def spy(*a, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*a)
+
+        monkeypatch.setattr(ellipse, name, spy)
+    fn(*args)
+    return calls
+
+
+# _inner_attempt, _outer_attempt and _outer_tie calls per construction of
+# the curved rows (i <= 1, no outer tie), frozen from the scan-bracket-bisect
+# construction: work counts that do not move with machine load.
+_CURVED_WORK = {
+    (0, 0): (4697, 0, 0),
+    (0, 1): (4508, 0, 0),
+    (0, 2): (5236, 0, 0),
+    (1, 0): (7726, 7228, 0),
+    (0, 3): (5495, 0, 0),
+    (1, 1): (8650, 7596, 0),
+}
+
+
+@pytest.mark.parametrize("ij", sorted(_CURVED_WORK))
+def test_curved_rows_keep_their_work_counts(monkeypatch, ij):
+    names = ("_inner_attempt", "_outer_attempt", "_outer_tie")
+    calls = _count_calls(monkeypatch, names, ellipse_construct, *ij)
+    assert tuple(calls[name] for name in names) == _CURVED_WORK[ij]
 
 
 def test_fine_scan_retry_is_bit_exact():
