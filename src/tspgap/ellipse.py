@@ -103,6 +103,7 @@ def _find_root(
     samples: int,
     eps: float,
     error: type[EllipseConstructionError],
+    settle: Callable[[float], float | None] | None = None,
 ) -> float:
     """Root of fn on [lo, hi] whose residual is within eps, or raise error.
 
@@ -111,23 +112,38 @@ def _find_root(
     evaluated points whose residuals change sign (or whose left residual is
     zero).  An EllipseConstructionError raised by fn inside that bracket
     propagates with its own class.
+
+    settle, when given, is asked about each scan sample first: it returns
+    the proven sign (+-1.0) of fn's nonzero residual there, raises the
+    _BracketError that fn is proven to raise, or returns None when unsure.
+    fn is called only at unsure samples and, once, at each settled member
+    of the bracketing pair, so the bisection and the messages see the
+    residuals fn gives and fn sees each point at most once.
     """
-    prev: tuple[float, float] | None = None
+    prev: tuple[float, float, bool] | None = None
     for s in range(samples):
         x = lo + (hi - lo) * (s + 0.5) / samples
         try:
-            r = fn(x)
+            r = None if settle is None else settle(x)
+            settled = r is not None
+            if not settled:
+                r = fn(x)
         except (_BracketError, EllipseConstructionError):
             continue
         if prev is not None and (prev[1] == 0.0 or (prev[1] > 0) != (r > 0)):
             break
-        prev = (x, r)
+        prev = (x, r, settled)
     else:
         raise error(f"residual does not change sign on [{lo}, {hi}]")
+    x0, r0, settled0 = prev
+    if settled0:
+        r0 = fn(x0)
+    if settled:
+        r = fn(x)
     try:
-        root, resid = _bisect(fn, prev[0], x, prev[1], r)
+        root, resid = _bisect(fn, x0, x, r0, r)
     except _BracketError:
-        raise error(f"residual undefined inside the bracket [{prev[0]}, {x}]") from None
+        raise error(f"residual undefined inside the bracket [{x0}, {x}]") from None
     if abs(resid) > eps:
         raise error(f"residual {resid} above eps at {root}")
     return root
@@ -280,6 +296,40 @@ def diff_outer(h: int, zs: Sequence[tuple[float, float]], f: float, b: float) ->
     )
 
 
+def _outer_steps(
+    c: float, zx: float, zy: float, f: float, A: float, B: float, lo: float, hi: float, steps: int
+) -> tuple[float, float, bool]:
+    """The outer tie's residuals at both ends of [lo, hi] and its first
+    `steps` bisection steps (see _outer_tie): (lo, hi, whether the residual
+    at hi is positive) for the bracket they leave, with lo == hi at an end
+    or midpoint whose residual is zero.  Ends of one sign raise
+    _BracketError."""
+    hypot, cos, sin = math.hypot, math.cos, math.sin
+    px, py = A * cos(lo), B * sin(lo)
+    flo = c + hypot(px - zx, py - zy) - hypot(px - f, py)
+    px, py = A * cos(hi), B * sin(hi)
+    fhi = c + hypot(px - zx, py - zy) - hypot(px - f, py)
+    if flo == 0.0 or fhi == 0.0:
+        root = lo if flo == 0.0 else hi
+        return root, root, fhi > 0
+    pos = fhi > 0
+    if (flo > 0) == pos:
+        raise _BracketError
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        px, py = A * cos(mid), B * sin(mid)
+        fm = c + hypot(px - zx, py - zy) - hypot(px - f, py)
+        if fm == 0.0:
+            return mid, mid, pos
+        if (fm > 0) == pos:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi, pos
+
+
 def _outer_tie(c: float, zx: float, zy: float, f: float, A: float, B: float, lo: float, hi: float) -> float:
     """Root theta on [lo, hi] of the outer tie at (A cos theta, B sin theta),
     c + hypot(px - zx, py - zy) - hypot(px - f, py), bisected as in
@@ -334,6 +384,60 @@ def _outer_attempt(i: int, b: float, f: float, e: float) -> tuple[float, list[tu
     return diff_outer(half, full, f, b), full
 
 
+# Float error bound on the closure residual diff_outer of an outer chain, per
+# unit of 1 + b + f + A (see _outer_settle): 2^-46 = 128u against 78u.
+_CLOSURE_ERR = 2.0**-46
+
+# Plain bisection steps _outer_settle takes on the chain's last tie.
+_SETTLE_STEPS = 10
+
+
+def _outer_settle(i: int, b: float, f: float, e: float) -> float | None:
+    """The sign of _outer_attempt(i, b, f, e)'s closure residual, proven
+    without converging the chain's last tie, for i >= 2; raises the
+    _BracketError the attempt is proven to raise; None when unsure.
+
+    Every expression up to the last tie is the attempt's, earlier ties
+    included, so a tie without a sign change raises here as it does there.
+    The last tie takes only its first _SETTLE_STEPS bisection steps, on the
+    attempt's midpoints, so the attempt's angle theta lies in the bracket
+    [lo, hi] they leave.  Cosine falls on the arc (0, pi) and a computed
+    cosine keeps the sign of the exact one, which is never zero at a float,
+    so x = A cos(theta) of the last vertex is negative when it is at lo and
+    nonnegative (the attempt's raise) when it is at hi.
+
+    The closure residual R(theta) of diff_outer moves with the last vertex
+    (A cos theta, B sin theta) through hypot(x + f, y) and, for odd i,
+    hypot(x, B - y), or, for even i, hypot(x + f, y) again and 2|x|: each
+    term is at most A-Lipschitz per unit of the speed A, so R is at most
+    4A-Lipschitz (A >= B).  With u = 2^-53 and cos, sin and hypot within one
+    ulp, the computed R is within E = 78u (1 + b + f + A) of R at any float
+    theta: 3uA on each coordinate of the vertex, two roundings on each
+    hypot argument, one ulp on each of the six terms and five additions of
+    at most 6A + 2b + 4f + 4.  So when |R(lo)| computed exceeds
+    4A (hi - lo) + 2E, the attempt's computed R is nonzero and of its sign.
+    """
+    hypot = math.hypot
+    A, B = _ellipse_axes(b, e)
+    theta_corner = math.atan2(1.0 / B, b / A)
+    c_left = hypot(b - f, 1.0) + hypot(b + f, 1.0) - 2.0
+    theta_h = math.pi - theta_corner
+    zx, zy = -b, 1.0
+    for _ in range(i // 2 - 1):
+        theta_h = _outer_tie(c_left - hypot(zx + f, zy), zx, zy, f, A, B, theta_corner, theta_h)
+        zx, zy = A * math.cos(theta_h), B * math.sin(theta_h)
+    lo, hi, _ = _outer_steps(c_left - hypot(zx + f, zy), zx, zy, f, A, B, theta_corner, theta_h, _SETTLE_STEPS)
+    if A * math.cos(hi) >= 0:
+        raise _BracketError
+    x, y = A * math.cos(lo), B * math.sin(lo)
+    if x >= 0:
+        return None
+    r = diff_outer(0, [(x, y), (0.0, B) if i % 2 else (-x, y)], f, b)
+    if abs(r) > 4.0 * A * (hi - lo) + 2.0 * _CLOSURE_ERR * (1.0 + b + f + A):
+        return 1.0 if r > 0 else -1.0
+    return None
+
+
 def outer_vertices(
     i: int, b: float, f: float, eps: float = DEFAULT_EPS
 ) -> tuple[float, list[tuple[float, float]]]:
@@ -355,6 +459,7 @@ def outer_vertices(
     e_star = _find_root(
         lambda e: tried.setdefault(e, _outer_attempt(i, b, f, e))[0],
         0.0, 4.0 * (b + 1.0), _COARSE_SAMPLES, eps, OuterPlacementError,
+        (lambda e: _outer_settle(i, b, f, e)) if i >= 2 else None,
     )
     return float(e_star), tried[e_star][1]
 

@@ -365,6 +365,13 @@ def test_curved_rows_keep_their_work_counts(monkeypatch, ij):
     assert tuple(calls[name] for name in names) == _CURVED_WORK[ij]
 
 
+def test_settled_scan_samples_cut_the_full_outer_ties(monkeypatch):
+    # Row (3, 2) made 7,419 full _outer_tie calls when every scan sample
+    # converged its tie; a settled sample makes none.
+    calls = _count_calls(monkeypatch, ("_outer_tie",), ellipse_construct, 3, 2)
+    assert calls["_outer_tie"] <= 3000
+
+
 def test_fine_scan_retry_is_bit_exact():
     # At eps = 1e-16 no b on the 72-sample grid is feasible for (1, 0); the
     # 16x finer grid finds one.
@@ -662,3 +669,125 @@ def test_outer_vertices_attempt_each_e_once(monkeypatch):
     assert len(calls) == len(set(calls)) and e in calls
     assert e.hex() == _GOLDEN[(2, 0)][2]
     assert zline == real(2, b, f, e)[1]
+
+
+# -- settled scan samples ----------------------------------------------------
+
+
+def _attempt_outcome(i, b, f, e):
+    """(raised, residual) of the exact outer attempt."""
+    try:
+        return False, ellipse._outer_attempt(i, b, f, e)[0]
+    except ellipse._BracketError:
+        return True, None
+
+
+def _settle_outcome(i, b, f, e):
+    try:
+        return False, ellipse._outer_settle(i, b, f, e)
+    except ellipse._BracketError:
+        return True, None
+
+
+def _check_settled(i, b, f, e, seen):
+    raised, sign = _settle_outcome(i, b, f, e)
+    if raised:
+        seen.add("raise")
+        assert _attempt_outcome(i, b, f, e) == (True, None), (i, b.hex(), f.hex(), e.hex())
+    elif sign is not None:
+        seen.add("sign")
+        assert sign in (1.0, -1.0)
+        exact_raised, resid = _attempt_outcome(i, b, f, e)
+        assert not exact_raised and resid != 0.0 and (resid > 0) == (sign > 0), (i, b.hex(), f.hex(), e.hex())
+    else:
+        seen.add("unsure")
+
+
+def test_settler_agrees_with_the_exact_attempt_on_random_chains():
+    rng = random.Random(28)
+    seen = set()
+    for _ in range(3000):
+        i = rng.randint(2, 9)
+        b = 10.0 ** rng.uniform(-1.3, 0.9)
+        f = rng.uniform(0.0, b)
+        e = rng.uniform(0.0, 4.0 * (b + 1.0))
+        _check_settled(i, b, f, e, seen)
+    assert seen == {"raise", "sign", "unsure"}
+
+
+@pytest.mark.parametrize("ij", [(2, 0), (3, 2), (4, 4), (5, 0)])
+def test_settler_agrees_with_the_exact_attempt_next_to_a_root(ij):
+    # Focal abscissas within ulps to two scan cells of the root, where the
+    # closure residual is smallest and a settled sign is hardest to prove.
+    res = ellipse_construct(*ij)
+    b, e_star, f = res.params.b, res.params.e, res.params.f
+    cell = 4.0 * (b + 1.0) / ellipse._COARSE_SAMPLES
+    rng = random.Random(ij[0] * 100 + ij[1])
+    seen = set()
+    for k in range(600):
+        if k % 3 == 0:
+            e = _ulps(e_star, rng.randint(-64, 64))
+        elif k % 3 == 1:
+            e = e_star + rng.choice((-1.0, 1.0)) * cell * 10.0 ** rng.uniform(-12.0, 0.0)
+        else:
+            e = e_star + rng.uniform(-2.0, 2.0) * cell
+        if e >= 0.0:
+            _check_settled(ij[0], b, f, e, seen)
+    assert {"sign", "unsure"} <= seen
+
+
+def _outer_find_root(i, b, f, settled):
+    """outer_vertices' root search, with or without its settler: the root's
+    hex, or the error's class and message."""
+    tried = {}
+    try:
+        return _find_root(
+            lambda e: tried.setdefault(e, ellipse._outer_attempt(i, b, f, e))[0],
+            0.0, 4.0 * (b + 1.0), ellipse._COARSE_SAMPLES, DEFAULT_EPS, OuterPlacementError,
+            (lambda e: ellipse._outer_settle(i, b, f, e)) if settled else None,
+        ).hex()
+    except EllipseConstructionError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_find_root_with_the_settler_keeps_roots_and_messages():
+    lo, hi = ellipse._B_RANGE
+    outcomes = set()
+    for i in (2, 3, 4, 5):
+        for s in range(0, ellipse._COARSE_SAMPLES, 3):
+            b = lo + (hi - lo) * (s + 0.5) / ellipse._COARSE_SAMPLES
+            f = ellipse.inner_vertices(2, b)[-1]
+            got = _outer_find_root(i, b, f, True)
+            assert got == _outer_find_root(i, b, f, False), (i, b.hex())
+            outcomes.add(isinstance(got, str))
+    assert outcomes == {False, True}
+
+
+def test_find_root_with_a_settler_evaluates_only_the_bracket_and_its_midpoints():
+    # A settler that knows every sign but the one near 0.3: fn sees the
+    # unsure sample, the settled bracketing pair and the bisection midpoints,
+    # each once, and the root and its residual are the ones without it.
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return x * x - 0.5
+
+    def settle(x):
+        if abs(x - 0.3) < 0.05:
+            return None
+        if x < 0.2:
+            raise ellipse._BracketError
+        return 1.0 if x * x > 0.5 else -1.0
+
+    root = _find_root(fn, 0.0, 1.0, 16, 1e-9, OuterPlacementError, settle)
+    assert len(calls) == len(set(calls)) and root in calls
+    scan = [x for x in calls if any(x == (s + 0.5) / 16 for s in range(16))]
+    assert scan == [0.28125, 0.34375, 0.65625, 0.71875]
+    calls.clear()
+    assert _find_root(fn, 0.0, 1.0, 16, 1e-9, OuterPlacementError) == root
+    # Without a sign change the message is the one without a settler.
+    calls.clear()
+    with pytest.raises(OuterPlacementError, match=r"^residual does not change sign on \[0.0, 1.0\]$"):
+        _find_root(lambda x: fn(x) - 1.0, 0.0, 1.0, 16, 1e-9, OuterPlacementError, lambda x: -1.0 if x < 0.9 else None)
+    assert calls == [0.90625, 0.96875]
