@@ -330,32 +330,107 @@ def _outer_steps(
     return lo, hi, pos
 
 
+# Float error bound on the outer tie's residual and on its slope (see
+# _outer_tie): 2^-47 = 64u against 30u and 29u.
+_TIE_ERR = 2.0**-47
+
+# Newton iterations _outer_tie allows for the centre of its window.
+_NEWTON_STEPS = 8
+
+
 def _outer_tie(c: float, zx: float, zy: float, f: float, A: float, B: float, lo: float, hi: float) -> float:
-    """Root theta on [lo, hi] of the outer tie at (A cos theta, B sin theta),
-    c + hypot(px - zx, py - zy) - hypot(px - f, py), bisected as in
-    _inner_tie."""
+    """Root theta on [lo, hi] of the outer tie at p = (A cos theta, B sin theta),
+    g(theta) = c + hypot(px - zx, py - zy) - hypot(px - f, py), bisected with
+    _bisect's rules and steps but without a call per step.
+
+    Every midpoint is the one a plain bisection takes.  After three plain
+    steps a safeguarded Newton iteration gives a centre t~, and g is
+    computed only inside a window t~ +- delta and beyond a radius rho;
+    between them the sign of the computed g is known.  With Z = (zx, zy),
+    F = (f, 0) and r_Q = |p - Q|, g = c + r_Z - r_F; |p'| <= A and
+    |p''| = |p| <= A (A >= B), so |r_Q''| <= A + A^2 / r_Q.  With u = 2^-53
+    and cos, sin and hypot within one ulp, the computed g is within
+    E = 30u (A + |zx| + |zy| + f + |c|) of g at any float theta (3uA on
+    each coordinate of p, two roundings on each hypot argument, one ulp on
+    each hypot and two additions), and the computed slope g' at t~ within
+    29u A (1 + A / r_Z + A / r_F) for r >= 2^-40 A.  Let s > 0 be |g'(t~)|
+    computed less that bound, and M = 2A + 2A^2 / r_Z + 2A^2 / r_F with each
+    r lowered by 64uA, a bound on |g''| wherever both distances are at least
+    half their value at t~, i.e. within r / (2A) of t~.  Within rho =
+    min(s / M, r_Z / 2A, r_F / 2A) of t~, Taylor's bound gives
+    |g(t) - g(t~) - g'(t~) d| <= M d^2 / 2 <= s |d| / 2 for d = t - t~, so g
+    has the sign of g'(t~) d wherever s |d| / 2 > |g(t~)| + E, and so does
+    the computed g when s |d| / 2 exceeds that plus E.  Since
+    |g(t~)| <= |computed g(t~)| + E, delta = 2 (|computed g(t~)| + 2E) / s
+    suffices; the error bounds are taken at 2^-47 = 64u, rho shrinks by
+    0.1% and both gain 2^-51 for the roundings of t~ -+ rho and t~ -+ delta
+    (t < 4).  Where Newton ends next to Z or F (r < 2^-40 A) or the slope
+    is not proven nonzero, the window is the whole line and every midpoint
+    is computed, as are both ends and the three plain steps always.
+    """
     hypot, cos, sin = math.hypot, math.cos, math.sin
-    px, py = A * cos(lo), B * sin(lo)
-    flo = c + hypot(px - zx, py - zy) - hypot(px - f, py)
-    px, py = A * cos(hi), B * sin(hi)
-    fhi = c + hypot(px - zx, py - zy) - hypot(px - f, py)
-    if flo == 0.0 or fhi == 0.0:
-        return lo if flo == 0.0 else hi
-    pos = fhi > 0
-    if (flo > 0) == pos:
-        raise _BracketError
-    for _ in range(100):
+    lo, hi, pos = _outer_steps(c, zx, zy, f, A, B, lo, hi, 3)
+    if lo == hi:
+        return lo
+    rlo, wlo, whi, rhi = math.inf, -math.inf, math.inf, -math.inf
+    near = 2.0**-40 * A
+    a, z = lo, hi  # Newton's own bracket, a safeguard only
+    t = 0.5 * (lo + hi)
+    for k in range(_NEWTON_STEPS):
+        cs, sn = cos(t), sin(t)
+        px, py = A * cs, B * sn
+        dzx, dzy, dfx = px - zx, py - zy, px - f
+        rz, rf = hypot(dzx, dzy), hypot(dfx, py)
+        if rz < near or rf < near:
+            break
+        g = c + rz - rf
+        dg = (B * cs * dzy - A * sn * dzx) / rz - (B * cs * py - A * sn * dfx) / rf
+        if dg == 0.0:
+            break
+        step = g / dg
+        if -2.0**-42 < step < 2.0**-42 or k == _NEWTON_STEPS - 1:
+            err = _TIE_ERR * A
+            s = abs(dg) - err * (1.0 + A / rz + A / rf)
+            if s > 0.0:
+                rzl, rfl = rz - err, rf - err
+                E = _TIE_ERR * (A + abs(zx) + abs(zy) + f + abs(c))
+                delta = 2.0 * (abs(g) + 2.0 * E) / s + 2.0**-51
+                M = 2.0 * A + 2.0 * A * A / rzl + 2.0 * A * A / rfl
+                rho = 0.999 * min(s / M, 0.5 * min(rzl, rfl) / A) - 2.0**-51
+                if rho > delta:
+                    rlo, wlo, whi, rhi = t - rho, t - delta, t + delta, t + rho
+                    left_hi, right_hi = (dg < 0) == pos, (dg > 0) == pos
+            break
+        if (g > 0) == pos:
+            z = t
+        else:
+            a = t
+        t -= step
+        if not a < t < z:
+            t = 0.5 * (a + z)
+    for _ in range(97):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        px, py = A * cos(mid), B * sin(mid)
-        fm = c + hypot(px - zx, py - zy) - hypot(px - f, py)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == pos:
-            hi = mid
+        if rlo <= mid < wlo:
+            if left_hi:
+                hi = mid
+            else:
+                lo = mid
+        elif whi < mid <= rhi:
+            if right_hi:
+                hi = mid
+            else:
+                lo = mid
         else:
-            lo = mid
+            px, py = A * cos(mid), B * sin(mid)
+            fm = c + hypot(px - zx, py - zy) - hypot(px - f, py)
+            if fm == 0.0:
+                return mid
+            if (fm > 0) == pos:
+                hi = mid
+            else:
+                lo = mid
     return 0.5 * (lo + hi)
 
 
@@ -389,7 +464,7 @@ def _outer_attempt(i: int, b: float, f: float, e: float) -> tuple[float, list[tu
 _CLOSURE_ERR = 2.0**-46
 
 # Plain bisection steps _outer_settle takes on the chain's last tie.
-_SETTLE_STEPS = 10
+_SETTLE_STEPS = 8
 
 
 def _outer_settle(i: int, b: float, f: float, e: float) -> float | None:

@@ -601,6 +601,76 @@ def test_inner_tie_evaluates_only_inside_its_window(monkeypatch):
     assert _count_hypot(monkeypatch, ellipse._inner_tie, *args) == (want, plain)
 
 
+def _tie_slope(zx, zy, f, A, B, theta):
+    px, py = A * math.cos(theta), B * math.sin(theta)
+    tx, ty = -A * math.sin(theta), B * math.cos(theta)
+    return (tx * (px - zx) + ty * (py - zy)) / math.hypot(px - zx, py - zy) - (tx * (px - f) + ty * py) / math.hypot(
+        px - f, py
+    )
+
+
+def _flattest_point(zx, zy, f, A, B, lo, hi):
+    """The angle of least |slope| among 63 inside [lo, hi].  On the upper arc
+    the slope never vanishes (the chord from Z to p stays above F)."""
+    grid = [lo + (hi - lo) * k / 64 for k in range(1, 64)]
+    return min(grid, key=lambda t: abs(_tie_slope(zx, zy, f, A, B, t)))
+
+
+def _adversarial_outer_brackets(rng, count):
+    """Outer-tie brackets where the windowed signs are hardest to call, in
+    equal shares, with b from 1e-3 to 1e3: a root at a random angle, a root
+    within a few ulps of either end, a root next to the previous vertex
+    (small r_Z), and a near-tangent slope (the root where the slope is
+    least); c is then moved by 0 to 8 ulps."""
+    for n in range(count):
+        kind = n % 5
+        b = 10.0 ** rng.uniform(-3.0, 3.0)
+        A, B = ellipse._ellipse_axes(b, rng.uniform(0.0, 4.0 * (b + 1.0)))
+        lo = math.atan2(1.0 / B, b / A)
+        hi = rng.uniform(lo, math.pi - lo)
+        zx, zy = A * math.cos(hi), B * math.sin(hi)
+        f = rng.uniform(0.0, b)
+        if kind == 0:
+            t = rng.uniform(lo, hi)
+        elif kind == 1:
+            t = _ulps(lo, rng.randint(0, 6))
+        elif kind == 2:
+            t = _ulps(hi, -rng.randint(0, 6))
+        elif kind == 3:
+            t = hi - (hi - lo) * 10.0 ** rng.uniform(-15.0, -2.0)
+        else:
+            t = _flattest_point(zx, zy, f, A, B, lo, hi)
+        px, py = A * math.cos(t), B * math.sin(t)
+        c = math.hypot(px - f, py) - math.hypot(px - zx, py - zy)
+        yield _ulps(c, rng.randint(-8, 8)), zx, zy, f, A, B, lo, hi
+
+
+def test_outer_tie_window_matches_the_closure_bisection_on_adversarial_brackets():
+    outcomes = set()
+    for args in _adversarial_outer_brackets(random.Random(28), 25000):
+        got = _outcome(ellipse._outer_tie, *args)
+        assert got == _outcome(_closure_outer_tie, *args), [x.hex() for x in args]
+        outcomes.add(got == "bracket")
+    assert outcomes == {False, True}
+
+
+def test_outer_tie_evaluates_few_residuals(monkeypatch):
+    # The one outer tie of row (3, 2) at its golden b, e and f: two hypot
+    # calls per residual, where a plain bisection computes 53 residuals.
+    b, e, f = (float.fromhex(x) for x in _GOLDEN_OUTER_CHAINS[(3, 2)][0][1:4])
+    A, B = ellipse._ellipse_axes(b, e)
+    lo = math.atan2(1.0 / B, b / A)
+    c = math.hypot(b - f, 1.0) + math.hypot(b + f, 1.0) - 2.0 - math.hypot(f - b, 1.0)
+    args = (c, -b, 1.0, f, A, B, lo, math.pi - lo)
+    root, evals = _count_hypot(monkeypatch, ellipse._outer_tie, *args)
+    want, plain = _count_hypot(monkeypatch, _closure_outer_tie, *args)
+    assert (evals, plain) == (36, 106) and root == want
+    # Unbounded error bounds leave no window: every midpoint is computed,
+    # after the four Newton evaluations that found no proven slope.
+    monkeypatch.setattr(ellipse, "_TIE_ERR", math.inf)
+    assert _count_hypot(monkeypatch, ellipse._outer_tie, *args) == (want, plain + 8)
+
+
 # -- each point evaluated once ----------------------------------------------
 
 
@@ -717,7 +787,7 @@ def test_settler_agrees_with_the_exact_attempt_on_random_chains():
 
 @pytest.mark.parametrize("ij", [(2, 0), (3, 2), (4, 4), (5, 0)])
 def test_settler_agrees_with_the_exact_attempt_next_to_a_root(ij):
-    # Focal abscissas within ulps to two scan cells of the root, where the
+    # Focal abscissas within ulps to six scan cells of the root, where the
     # closure residual is smallest and a settled sign is hardest to prove.
     res = ellipse_construct(*ij)
     b, e_star, f = res.params.b, res.params.e, res.params.f
@@ -730,7 +800,7 @@ def test_settler_agrees_with_the_exact_attempt_next_to_a_root(ij):
         elif k % 3 == 1:
             e = e_star + rng.choice((-1.0, 1.0)) * cell * 10.0 ** rng.uniform(-12.0, 0.0)
         else:
-            e = e_star + rng.uniform(-2.0, 2.0) * cell
+            e = e_star + rng.uniform(-6.0, 6.0) * cell
         if e >= 0.0:
             _check_settled(ij[0], b, f, e, seen)
     assert {"sign", "unsure"} <= seen
