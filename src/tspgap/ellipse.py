@@ -41,6 +41,23 @@ class _BracketError(Exception):
     pass
 
 
+def _check_eps(eps: float) -> None:
+    """The CLI's rule for eps: finite and > 0 (at NaN or inf no residual is
+    above eps)."""
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
+
+
+def _check_chain(count: int, b: float, eps: float) -> None:
+    """Reject what a chain and its proofs do not cover: a negative vertex
+    count, or a corner half-width b or an eps that is not finite and > 0."""
+    if count < 0:
+        raise ValueError(f"vertex count must be >= 0, got {count}")
+    if not (math.isfinite(b) and b > 0):
+        raise ValueError(f"b must be finite and > 0, got {b}")
+    _check_eps(eps)
+
+
 @dataclass(frozen=True)
 class EllipseParams:
     """Corner half-width b (corners at (±b, ±1)), focal abscissa e
@@ -256,10 +273,10 @@ def inner_vertices(j: int, b: float, eps: float = DEFAULT_EPS) -> list[float]:
 
     The outermost abscissa f is bracketed by a coarse scan of the closure
     residual over (0, b) and bisected; a residual without a sign change, or
-    a bisected root above eps, raises InnerPlacementError.
+    a bisected root above eps, raises InnerPlacementError.  j < 0, or b or
+    eps not finite and > 0, raises ValueError.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_chain(j, b, eps)
     tried: dict[float, tuple[float, list[float]]] = {}  # each point's attempt, so the root's is not rebuilt
     f = _find_root(
         lambda f: tried.setdefault(f, _inner_attempt(j, b, f))[0],
@@ -362,9 +379,9 @@ def _outer_tie(c: float, zx: float, zy: float, f: float, A: float, B: float, lo:
     has the sign of g'(t~) d wherever s |d| / 2 > |g(t~)| + E, and so does
     the computed g when s |d| / 2 exceeds that plus E.  Since
     |g(t~)| <= |computed g(t~)| + E, delta = 2 (|computed g(t~)| + 2E) / s
-    suffices; the error bounds are taken at 2^-47 = 64u, rho shrinks by
-    0.1% and both gain 2^-51 for the roundings of t~ -+ rho and t~ -+ delta
-    (t < 4).  Where Newton ends next to Z or F (r < 2^-40 A) or the slope
+    suffices.  The error bounds are taken at 2^-47 = 64u; delta grows and
+    rho shrinks by 2^-51, over the rounding of t~ -+ delta and t~ -+ rho
+    (t < 4), and rho by 0.1% more, over the roundings of s / M.  Where Newton ends next to Z or F (r < 2^-40 A) or the slope
     is not proven nonzero, the window is the whole line and every midpoint
     is computed, as are both ends and the three plain steps always.
     """
@@ -460,7 +477,7 @@ def _outer_attempt(i: int, b: float, f: float, e: float) -> tuple[float, list[tu
 
 
 # Float error bound on the closure residual diff_outer of an outer chain, per
-# unit of 1 + b + f + A (see _outer_settle): 2^-46 = 128u against 78u.
+# unit of 1 + b + f + A (see _outer_settle): 2^-46 = 128u against 64u.
 _CLOSURE_ERR = 2.0**-46
 
 # Plain bisection steps _outer_settle takes on the chain's last tie.
@@ -486,7 +503,7 @@ def _outer_settle(i: int, b: float, f: float, e: float) -> float | None:
     hypot(x, B - y), or, for even i, hypot(x + f, y) again and 2|x|: each
     term is at most A-Lipschitz per unit of the speed A, so R is at most
     4A-Lipschitz (A >= B).  With u = 2^-53 and cos, sin and hypot within one
-    ulp, the computed R is within E = 78u (1 + b + f + A) of R at any float
+    ulp, the computed R is within E = 64u (1 + b + f + A) of R at any float
     theta: 3uA on each coordinate of the vertex, two roundings on each
     hypot argument, one ulp on each of the six terms and five additions of
     at most 6A + 2b + 4f + 4.  So when |R(lo)| computed exceeds
@@ -524,10 +541,13 @@ def outer_vertices(
     The focal abscissa e is bracketed by a coarse scan over configurations
     whose last chained vertex stays left of the y-axis, then bisected; a
     residual without a sign change, or a bisected root above eps, reports
-    the half-width b as outside the constructible window.
+    the half-width b as outside the constructible window.  i < 0, b or eps
+    not finite and > 0, or f outside (0, b) raises ValueError.  For i >= 2
+    the scan asks _outer_settle about each sample before attempting it.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_chain(i, b, eps)
+    if not 0 < f < b:
+        raise ValueError(f"f must lie strictly between 0 and b, got f = {f}, b = {b}")
     if i == 0:
         return 0.0, [(-b, 1.0), (b, 1.0)]
     tried: dict[float, tuple[float, list[tuple[float, float]]]] = {}  # each point's attempt, as in inner_vertices
@@ -596,8 +616,7 @@ def ellipse_construct(i: int, j: int, eps: float = DEFAULT_EPS) -> ConstructionR
     """
     if i < 0 or j < 0:
         raise ValueError("need i, j >= 0")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     if i == 0:
         return _construct_flat(j, eps)
 

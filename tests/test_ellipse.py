@@ -861,3 +861,48 @@ def test_find_root_with_a_settler_evaluates_only_the_bracket_and_its_midpoints()
     with pytest.raises(OuterPlacementError, match=r"^residual does not change sign on \[0.0, 1.0\]$"):
         _find_root(lambda x: fn(x) - 1.0, 0.0, 1.0, 16, 1e-9, OuterPlacementError, lambda x: -1.0 if x < 0.9 else None)
     assert calls == [0.90625, 0.96875]
+
+
+# -- input checks ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
+@pytest.mark.parametrize("ij", [(0, 0), (1, 1)])
+def test_construct_rejects_an_eps_the_cli_rejects(ij, eps):
+    with pytest.raises(ValueError, match="eps must be finite and > 0"):
+        ellipse_construct(*ij, eps)
+
+
+@pytest.mark.parametrize(
+    "args,match",
+    [
+        ((-1, 1.0), "vertex count"),
+        ((2, 0.0), "b must be"),
+        ((2, -1.0), "b must be"),
+        ((2, math.nan), "b must be"),
+        ((2, math.inf), "b must be"),
+        ((2, 1.0, math.nan), "eps must be"),
+    ],
+)
+def test_inner_vertices_rejects_inputs_outside_its_proofs(args, match):
+    with pytest.raises(ValueError, match=match):
+        ellipse.inner_vertices(*args)
+
+
+@pytest.mark.parametrize(
+    "args,match",
+    [
+        ((-1, 1.0, 0.5), "vertex count"),
+        ((3, 0.0, 0.5), "b must be"),
+        ((3, math.nan, 0.5), "b must be"),
+        ((3, 1.0, 0.0), "f must lie"),
+        ((3, 1.0, 1.0), "f must lie"),
+        ((3, 1.0, -0.5), "f must lie"),
+        ((3, 1.0, math.nan), "f must lie"),
+        ((0, 1.0, 2.0), "f must lie"),
+        ((3, 1.0, 0.5, math.inf), "eps must be"),
+    ],
+)
+def test_outer_vertices_rejects_inputs_outside_its_proofs(args, match):
+    with pytest.raises(ValueError, match=match):
+        ellipse.outer_vertices(*args)
