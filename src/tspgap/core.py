@@ -70,7 +70,7 @@ class Instance:
     labels.  The coordinate array is frozen after construction.
     """
 
-    __slots__ = ("points", "norm", "labels")
+    __slots__ = ("points", "norm", "labels", "_costs")
 
     def __init__(
         self,
@@ -109,6 +109,7 @@ class Instance:
         self.points = pts
         self.norm = norm
         self.labels = labels
+        self._costs: np.ndarray | None = None  # edge_costs(self), once asked for
 
     @property
     def n(self) -> int:
@@ -199,11 +200,17 @@ def edge_position(n: int, u, v):
 
 def edge_costs(inst: Instance, edges: np.ndarray | None = None) -> np.ndarray:
     """inst.dist(u, v) for the edges at the given positions (all edges by
-    default), in the order given."""
+    default), in the order given.  The all-edges vector is computed once per
+    instance and kept on it, read-only, so a search state's vertex-table
+    screen and its subtour LP share it."""
     iu, iv = edge_index(inst.n)
     if edges is not None:
-        iu, iv = iu[edges], iv[edges]
-    return _row_norms(inst.points[iu] - inst.points[iv], inst.norm.p)
+        return _row_norms(inst.points[iu[edges]] - inst.points[iv[edges]], inst.norm.p)
+    if inst._costs is None:
+        costs = _row_norms(inst.points[iu] - inst.points[iv], inst.norm.p)
+        costs.setflags(write=False)
+        inst._costs = costs
+    return inst._costs
 
 
 class EdgeWeightVector:

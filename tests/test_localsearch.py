@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
-from tspgap import localsearch, lp
+from tspgap import core, localsearch, lp
 from tspgap.core import (
     EdgeWeightVector,
     Instance,
@@ -611,6 +611,18 @@ def test_the_six_point_table_is_pinned(monkeypatch):
     (table, k), = read
     assert (table.shape, k) == ((120, 15), 60)
     assert hashlib.sha256(table.tobytes()).hexdigest() == "bb3fd2d076151dcfa16dbaa269970ad25b3fd66248b9c17c49d3807f4f9f7188"
+
+
+def test_a_six_point_state_computes_its_edge_costs_once(monkeypatch):
+    # The vertex-table screen and the subtour LP of one state share the
+    # instance's read-only cost vector.
+    shapes, real = [], core._row_norms
+    monkeypatch.setattr(core, "_row_norms", lambda diff, p: shapes.append(diff.shape) or real(diff, p))
+    inst = gen_I2(IJK(0, 0, 0))
+    assert localsearch._ratio_state(inst, 1.0) is not None
+    assert shapes.count((15, 2)) == 1
+    costs = edge_costs(inst)
+    assert costs is edge_costs(inst) and not costs.flags.writeable
 
 
 def test_ratio_state_reads_the_table_only_up_to_six_points(monkeypatch):
