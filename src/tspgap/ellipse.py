@@ -481,7 +481,7 @@ def _outer_attempt(i: int, b: float, f: float, e: float) -> tuple[float, list[tu
 _CLOSURE_ERR = 2.0**-46
 
 # Plain bisection steps _outer_settle takes on the chain's last tie.
-_SETTLE_STEPS = 8
+_SETTLE_STEPS = 10
 
 
 def _outer_settle(i: int, b: float, f: float, e: float) -> float | None:
