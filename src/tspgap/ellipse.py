@@ -137,25 +137,26 @@ def _find_root(
     of the bracketing pair, so the bisection and the messages see the
     residuals fn gives and fn sees each point at most once.
     """
-    prev: tuple[float, float, bool] | None = None
+    prev: tuple[float, float] | None = None
+    settled: set[float] = set()
     for s in range(samples):
         x = lo + (hi - lo) * (s + 0.5) / samples
         try:
-            r = None if settle is None else settle(x)
-            settled = r is not None
-            if not settled:
+            if settle is None or (r := settle(x)) is None:
                 r = fn(x)
+            else:
+                settled.add(x)
         except (_BracketError, EllipseConstructionError):
             continue
         if prev is not None and (prev[1] == 0.0 or (prev[1] > 0) != (r > 0)):
             break
-        prev = (x, r, settled)
+        prev = (x, r)
     else:
         raise error(f"residual does not change sign on [{lo}, {hi}]")
-    x0, r0, settled0 = prev
-    if settled0:
+    x0, r0 = prev
+    if x0 in settled:
         r0 = fn(x0)
-    if settled:
+    if x in settled:
         r = fn(x)
     try:
         root, resid = _bisect(fn, x0, x, r0, r)
@@ -326,10 +327,10 @@ def _outer_steps(
     flo = c + hypot(px - zx, py - zy) - hypot(px - f, py)
     px, py = A * cos(hi), B * sin(hi)
     fhi = c + hypot(px - zx, py - zy) - hypot(px - f, py)
+    pos = fhi > 0
     if flo == 0.0 or fhi == 0.0:
         root = lo if flo == 0.0 else hi
-        return root, root, fhi > 0
-    pos = fhi > 0
+        return root, root, pos
     if (flo > 0) == pos:
         raise _BracketError
     for _ in range(steps):
