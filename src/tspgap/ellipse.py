@@ -382,9 +382,10 @@ def _outer_tie(c: float, zx: float, zy: float, f: float, A: float, B: float, lo:
     |g(t~)| <= |computed g(t~)| + E, delta = 2 (|computed g(t~)| + 2E) / s
     suffices.  The error bounds are taken at 2^-47 = 64u; delta grows and
     rho shrinks by 2^-51, over the rounding of t~ -+ delta and t~ -+ rho
-    (t < 4), and rho by 0.1% more, over the roundings of s / M.  Where Newton ends next to Z or F (r < 2^-40 A) or the slope
-    is not proven nonzero, the window is the whole line and every midpoint
-    is computed, as are both ends and the three plain steps always.
+    (t < 4), and rho by 0.1% more, over the roundings of s / M.  Where a
+    Newton iterate comes within 2^-40 A of Z or F, or the slope is not
+    proven nonzero, the window is the whole line and every midpoint is
+    computed; both ends and the three plain steps always are.
     """
     hypot, cos, sin = math.hypot, math.cos, math.sin
     lo, hi, pos = _outer_steps(c, zx, zy, f, A, B, lo, hi, 3)
