@@ -44,7 +44,7 @@ class _BracketError(Exception):
 def _check_eps(eps: float) -> None:
     """The CLI's rule for eps: finite and > 0 (at NaN or inf no residual is
     above eps)."""
-    if not (math.isfinite(eps) and eps > 0):
+    if not 0 < eps < math.inf:
         raise ValueError(f"eps must be finite and > 0, got {eps}")
 
 
@@ -53,7 +53,7 @@ def _check_chain(count: int, b: float, eps: float) -> None:
     count, or a corner half-width b or an eps that is not finite and > 0."""
     if count < 0:
         raise ValueError(f"vertex count must be >= 0, got {count}")
-    if not (math.isfinite(b) and b > 0):
+    if not 0 < b < math.inf:
         raise ValueError(f"b must be finite and > 0, got {b}")
     _check_eps(eps)
 
@@ -137,15 +137,22 @@ def _find_root(
     of the bracketing pair, so the bisection and the messages see the
     residuals fn gives and fn sees each point at most once.
     """
-    prev: tuple[float, float] | None = None
     settled: set[float] = set()
+    probe = fn
+    if settle is not None:
+
+        def probe(x: float) -> float:
+            r = settle(x)
+            if r is None:
+                return fn(x)
+            settled.add(x)
+            return r
+
+    prev: tuple[float, float] | None = None
     for s in range(samples):
         x = lo + (hi - lo) * (s + 0.5) / samples
         try:
-            if settle is None or (r := settle(x)) is None:
-                r = fn(x)
-            else:
-                settled.add(x)
+            r = probe(x)
         except (_BracketError, EllipseConstructionError):
             continue
         if prev is not None and (prev[1] == 0.0 or (prev[1] > 0) != (r > 0)):
