@@ -508,10 +508,10 @@ def _outer_settle(i: int, b: float, f: float, e: float) -> float | None:
     nonnegative (the attempt's raise) when it is at hi.
 
     The closure residual R(theta) of diff_outer moves with the last vertex
-    (A cos theta, B sin theta) through hypot(x + f, y) and, for odd i,
-    hypot(x, B - y), or, for even i, hypot(x + f, y) again and 2|x|: each
-    term is at most A-Lipschitz per unit of the speed A, so R is at most
-    4A-Lipschitz (A >= B).  With u = 2^-53 and cos, sin and hypot within one
+    (A cos theta, B sin theta), whose speed is at most A (A >= B): through
+    hypot(x + f, y) and, for odd i, hypot(x, B - y), each at most
+    A-Lipschitz in theta, or, for even i, through hypot(x + f, y) twice and
+    2|x|, at most A, A and 2A-Lipschitz.  So R is at most 4A-Lipschitz.  With u = 2^-53 and cos, sin and hypot within one
     ulp, the computed R is within E = 64u (1 + b + f + A) of R at any float
     theta: 3uA on each coordinate of the vertex, two roundings on each
     hypot argument, one ulp on each of the six terms and five additions of
