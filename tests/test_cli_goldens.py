@@ -50,6 +50,7 @@ _COMMANDS = {
     "localsearch_n11": ("localsearch --n 11 --seed 0 --max-iters 4 " + " ".join(_LS) + " -o ls11.txt --trace ls11.trace", ["ls11.txt", "ls11.trace"]),
     "localsearch_size_cap": ("localsearch --n 21 -o ls21.txt", []),
     "ellipse": ("ellipse --i 0 --j 1 -o e01.txt", ["e01.txt"]),
+    "ellipse_outer_chain": ("ellipse --i 2 --j 0 -o e20.txt", ["e20.txt"]),
     "ellipse_no_file": ("ellipse --i 1 --j 1", []),
     "certify_121": ("certify --i 1 --j 2 --k 1", []),
     "certify_403": ("certify --i 4 --j 0 --k 3", []),
@@ -78,6 +79,7 @@ _GOLDEN = {
     'certify_121': (0, '3c1ed102fd40348337a9391bb00416a165407756eb9d1a9ee473b4bea067a6b1', {}),
     'certify_403': (0, '98332531c838093b00fddad7b26387257e956fecf99ef786c8b65114d35b4680', {}),
     'ellipse': (0, '33aac8e62432fe4d8c1dfacf8af86b3ceb7b04d271f614e689a4ab4a225ab874', {'e01.txt': 'e4dd5ed68a89c21e78f9c232d968558c53b63d95ecdcbd2a0c5f6f3cfa237ca2'}),
+    'ellipse_outer_chain': (0, '06e4520057a3b9a2ccd6ca887a298a18cfe0e627190e66b9721d5f535eec5175', {'e20.txt': '9463915aff90e63337e79d44e27f892757246b6ad83f3f8cdc19f01411352996'}),
     'ellipse_no_file': (0, 'e1344acd26be499bc2c05008ea340ec99bca5f4152773001bdd8b9dda78c9b63', {}),
     'export_default_name': (0, '81ef4917788b2b02ff421302b6f8a4c2c0a4b9fe822eae441b455a98f9d22ce1', {'rand.tsp': 'c891814534929b89216d694831ee508e5b6312f78ef22a49bd3756c8742da318'}),
     'export_named': (0, '0e754dd157bf58900e35406036e12014d74c98b6cb9a784f8ce8ed93928e766f', {'i3.tsp': '25e415c038a981d51bd37e10384a4636634f9f16d0f0f12c0df5519ad13cfc89'}),

@@ -680,3 +680,55 @@ def test_line_search_lets_an_evaluation_fault_escape(monkeypatch):
     with pytest.raises(ValueError, match="evaluation fault"):
         local_search(6, LocalSearchParams(rng_seed=19, **_SCREEN_PARAMS))
     assert len(started) == 1
+
+
+def _rejecting_search(monkeypatch, direction, **params):
+    """Run local_search(6) at seed 19 with improvement_lp returning
+    direction(start points) at delta 1 and every step rejected.  Returns
+    the start, the direction and the trace, and the candidates tried."""
+    real = localsearch._ratio_state
+    start, tried = [], []
+
+    def reject_steps(inst, floor):
+        if start:
+            tried.append(inst)
+            return None
+        state = real(inst, floor)
+        if state is not None:
+            start.append(inst)
+        return state
+
+    monkeypatch.setattr(localsearch, "_ratio_state", reject_steps)
+    monkeypatch.setattr(localsearch, "improvement_lp", lambda inst, pool, x, r: (direction(inst.points), 1.0))
+    _, trace = local_search(6, LocalSearchParams(rng_seed=19, **{**_SCREEN_PARAMS, **params}))
+    step = direction(start[0].points).reshape(6, 2)
+    return start[0], step, trace, tried
+
+
+def _assert_tried(start, step, tried, etas):
+    assert [c.points.tobytes() for c in tried] == [(start.points + eta * step).tobytes() for eta in etas]
+
+
+def test_line_search_stops_below_the_step_floor(monkeypatch):
+    # Every step rejected: the ladder tries 1, 1/2, ..., down to the last
+    # eta >= epsilon2 (2**-23 >= 1e-7 > 2**-24), then the search stops at
+    # its start, flagged converged.
+    start, step, trace, tried = _rejecting_search(monkeypatch, lambda pts: np.full(pts.size, 0.25))
+    _assert_tried(start, step, tried, [0.5**k for k in range(24)])
+    assert trace.converged and len(trace.records) == 1
+    assert trace.records[0].iteration == 0 and trace.records[0].eta == 0.0
+
+
+def test_line_search_halves_a_step_that_collapses_two_points(monkeypatch):
+    # At eta = 1 the direction puts vertex 1 on vertex 0, so that step is
+    # never evaluated; the ladder goes on at 1/2 and stops below epsilon2.
+    def onto_vertex_0(pts):
+        w = np.zeros(pts.size)
+        w[2:4] = pts[0] - pts[1]
+        return w
+
+    start, step, trace, tried = _rejecting_search(monkeypatch, onto_vertex_0, epsilon2=0.2)
+    with pytest.raises(ValueError, match="coincident points 0 and 1"):
+        Instance(start.points + step, start.norm)
+    _assert_tried(start, step, tried, [0.5, 0.25])
+    assert trace.converged and len(trace.records) == 1
