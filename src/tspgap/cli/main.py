@@ -32,6 +32,7 @@ from ..families import (
     METRIC,
     RECTILINEAR,
     CertificateError,
+    MatchingCapError,
     SubdividedGraphSpec,
     best_partition,
     closed_form_lp_I2,
@@ -199,7 +200,12 @@ def _load_subdivided_spec(path: str) -> SubdividedGraphSpec:
 
 
 def _subdivided(spec: SubdividedGraphSpec, source: str) -> tuple[Instance, str, dict]:
-    return gen_subdivided(spec), source, {"tjoin_ratio_bound": tjoin_ratio_bound(spec)}
+    inst = gen_subdivided(spec)
+    try:
+        bound = tjoin_ratio_bound(spec)
+    except MatchingCapError as exc:
+        raise SizeCapError(str(exc)) from None
+    return inst, source, {"tjoin_ratio_bound": bound}
 
 
 def _build_family(args: argparse.Namespace) -> tuple[Instance, str, dict]:

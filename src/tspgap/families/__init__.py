@@ -28,6 +28,7 @@ from .ijk import (
 )
 from .subdivision import (
     ODD_VERTEX_CAP,
+    MatchingCapError,
     SubdividedGraphSpec,
     gen_subdivided,
     hexagon_spec,

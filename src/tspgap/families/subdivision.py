@@ -20,6 +20,10 @@ from ..core import Instance, NormSpec, components
 # about 0.02 s), and 18 keeps the 3x3 and 2x5 hexagon fields in reach.
 ODD_VERTEX_CAP = 18
 
+
+class MatchingCapError(ValueError):
+    """A spec has more odd base vertices than ODD_VERTEX_CAP."""
+
 _GEOM_EPS = 1e-9
 
 
@@ -199,7 +203,7 @@ def tjoin_ratio_bound(spec: SubdividedGraphSpec) -> float:
     """
     odd = spec.odd_vertices()
     if len(odd) > ODD_VERTEX_CAP:
-        raise ValueError(f"{len(odd)} odd vertices exceeds matching cap {ODD_VERTEX_CAP}")
+        raise MatchingCapError(f"{len(odd)} odd vertices exceeds matching cap {ODD_VERTEX_CAP}")
     # cumsum adds in edge order, one term at a time, on every Python.
     total = float(np.cumsum(spec.edge_lengths())[-1])
     if not odd:

@@ -390,6 +390,16 @@ def test_size_cap_exit_code(tmp_path, capsys):
     assert rep["error"]["type"] == "size_cap"
 
 
+def test_matching_cap_exits_as_a_size_cap(tmp_path, capsys):
+    # The 3x4 hexagon sheet has 22 odd base vertices, past the T-join's
+    # matching cap of 18: a size cap, not an infeasible construction.
+    out = tmp_path / "x.txt"
+    code, rep = run_cli(capsys, "gen", "hexagon", "--rows", "3", "--cols", "4", "-o", str(out))
+    assert code == 4
+    assert rep["error"] == {"type": "size_cap", "message": "22 odd vertices exceeds matching cap 18"}
+    assert not out.exists()
+
+
 def test_gen_tetrahedron_reports_bound(tmp_path, capsys):
     code, rep = run_cli(
         capsys, "gen", "tetrahedron", "--a", "0", "--b", "0", "-o", str(tmp_path / "k4.txt")
