@@ -237,7 +237,6 @@ class _Tableau:
             if float(x[live].sum()) > FEAS_TOL:
                 return "infeasible", x
             self._drive_out_artificials()
-            self.lo[live] = 0.0
             self.hi[live] = 0.0
         c2 = np.zeros(self.ncols)
         c2[: self.num_struct] = c
@@ -291,12 +290,11 @@ class _Tableau:
                 return "optimal", xn
             w = _solve(Bmat, A[:, enter]).tolist()
 
-            # Ratio test: the entering variable's own range versus the rows
-            # whose basic variable moves toward a finite bound.
-            t_best = math.inf
+            # Ratio test: the entering variable's own range (a bound flip,
+            # inf unless both bounds are finite) versus the rows whose basic
+            # variable moves toward a finite bound.
+            t_best = hi[enter] - lo[enter]
             leave = -1  # -1 means bound flip
-            if lo[enter] != -math.inf and hi[enter] != math.inf:
-                t_best = hi[enter] - lo[enter]
             for i, (xi, wi) in enumerate(zip(xb.tolist(), w)):
                 mag = abs(wi)
                 if not mag > PIVOT_TOL:
@@ -305,22 +303,16 @@ class _Tableau:
                 room = xi - lo[j] if -direction * wi < 0.0 else hi[j] - xi
                 if not room < math.inf:
                     continue
-                tt = room / mag
-                if tt <= 0.0:
-                    tt = 0.0
-                if tt < t_best - 1e-12:
-                    better = True
-                elif tt <= t_best + 1e-12 and leave >= 0:
-                    # Tie between basic rows: Bland wants the smallest leaving
-                    # index, Dantzig the fattest pivot element.
-                    if bland:
-                        better = j < rows[leave]
-                    else:
-                        better = mag > abs(w[leave])
-                elif tt <= t_best + 1e-12 and leave == -1 and tt < t_best:
-                    better = True
+                tt = max(room / mag, 0.0)
+                if leave == -1:
+                    better = tt < t_best
                 else:
-                    better = False
+                    # 1e-12 below the leading row, or within 1e-12 of it and
+                    # winning the tie: Bland wants the smallest leaving
+                    # index, Dantzig the fattest pivot element.
+                    better = tt < t_best - 1e-12 or tt <= t_best + 1e-12 and (
+                        j < rows[leave] if bland else mag > abs(w[leave])
+                    )
                 if better:
                     t_best = min(t_best, tt)
                     leave = i
