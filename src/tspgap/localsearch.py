@@ -333,23 +333,21 @@ def local_search(n: int, params: LocalSearchParams) -> tuple[Instance, SearchTra
         # Walk the dyadic step ladder; keep the best strict ratio improvement
         # and stop once gains start shrinking (first-improvement acceptance
         # creeps near an optimum).
-        eta = 1.0
         best = None
-        for _ in range(_MAX_HALVINGS):
+        for k in range(_MAX_HALVINGS):
+            eta = 0.5**k
             if eta < params.epsilon2:
                 break
             try:
                 cand = Instance(inst.points + eta * step, inst.norm)
             except ValueError:
-                eta *= 0.5  # step collapsed two points; shrink
-                continue
+                continue  # step collapsed two points; shrink
             # A step must beat the best ratio so far, which beats `ratio`.
             state = _ratio_state(cand, ratio if best is None else best[0][0])
             if state is not None:
                 best = (state, cand, eta)
             elif best is not None:
                 break
-            eta *= 0.5
         if best is None:
             converged = True  # step floor reached with no exact improvement
             break
