@@ -279,24 +279,27 @@ class EdgeWeightVector:
         return f"EdgeWeightVector(n={self.n}, {np.count_nonzero(self.values)} edges)"
 
 
+def ordered_sum(values: Sequence[float] | np.ndarray) -> float:
+    """The float sum of values added one at a time in the order given, 0.0
+    for none.  np.sum would reassociate, and Python >= 3.12's builtin sum
+    compensates, so every order-sensitive sum in the package comes here."""
+    totals = np.cumsum(values)
+    return float(totals[-1]) if totals.size else 0.0
+
+
 def tour_length(inst: Instance, tour: Tour) -> float:
     if tour.n != inst.n:
         raise ValueError(f"tour on {tour.n} vertices, instance has {inst.n}")
     order = np.array(tour.order)
-    lengths = _row_norms(inst.points[order] - inst.points[np.roll(order, -1)], inst.norm.p)
-    # cumsum adds edge by edge along the tour; np.sum would reassociate.
-    return float(np.cumsum(lengths)[-1])
+    return ordered_sum(_row_norms(inst.points[order] - inst.points[np.roll(order, -1)], inst.norm.p))
 
 
 def fractional_cost(inst: Instance, x: EdgeWeightVector) -> float:
-    """Weighted edge cost sum(x_e * c_e) of a fractional tour vector."""
+    """Weighted edge cost sum(x_e * c_e) of a fractional tour vector, in edge order."""
     if x.n != inst.n:
         raise ValueError(f"vector on {x.n} vertices, instance has {inst.n}")
     support = np.flatnonzero(x.values)
-    if not support.size:
-        return 0.0
-    # cumsum adds in edge order, one term at a time; np.sum would reassociate.
-    return float(np.cumsum(x.values[support] * edge_costs(inst, support))[-1])
+    return ordered_sum(x.values[support] * edge_costs(inst, support))
 
 
 def components(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:

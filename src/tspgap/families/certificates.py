@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core import ordered_sum
 from .ijk import IJK, fractional_xijk, pseudo_tours
 
 IDENTITY_TOL = 1e-12
@@ -44,8 +45,7 @@ def lambda_certificate(p: IJK) -> CertificateReport:
     # Gap members split their line's 1/denom budget; each anchor tour
     # carries its line's full 1/count share, count = the line's edge count.
     lam = [1.0 / ((len(lines[pt.line]) - 1) * denom) for pt in tours]
-    # cumsum adds in tour order, one term at a time, on every Python.
-    sum_error = abs(float(np.cumsum(lam)[-1]) - 1.0)
+    sum_error = abs(ordered_sum(lam) - 1.0)
 
     combo = np.zeros(p.n * (p.n - 1) // 2)
     for pt, coeff in zip(tours, lam):

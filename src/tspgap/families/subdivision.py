@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core import Instance, NormSpec, components
+from ..core import Instance, NormSpec, components, ordered_sum
 
 # Cap on the odd base vertices that the exact matching takes.  Its memoised
 # recursion visits F(m + 1) of the 2^m subsets (Fibonacci: 4,181 at m = 18,
@@ -204,8 +204,7 @@ def tjoin_ratio_bound(spec: SubdividedGraphSpec) -> float:
     odd = spec.odd_vertices()
     if len(odd) > ODD_VERTEX_CAP:
         raise MatchingCapError(f"{len(odd)} odd vertices exceeds matching cap {ODD_VERTEX_CAP}")
-    # cumsum adds in edge order, one term at a time, on every Python.
-    total = float(np.cumsum(spec.edge_lengths())[-1])
+    total = ordered_sum(spec.edge_lengths())
     if not odd:
         return 1.0
     D = _shortest_paths(spec)

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import EdgeWeightVector, Instance, components, degree_vector, edge_costs, edge_index
+from .core import EdgeWeightVector, Instance, components, degree_vector, edge_costs, edge_index, ordered_sum
 
 # Feasibility / cut-violation tolerance.
 FEAS_TOL = 1e-7
@@ -423,8 +423,7 @@ def _crossing(n: int, S: Iterable[int]) -> np.ndarray:
 
 def _cut_below(x: EdgeWeightVector, S: frozenset[int], tol: float) -> Cut | None:
     """Cut(S, x(delta(S))) if that value is below 2 - tol, else None."""
-    # cumsum adds in edge order, one term at a time; np.sum would reassociate.
-    value = float(np.cumsum(x.values[_crossing(x.n, S)])[-1])
+    value = ordered_sum(x.values[_crossing(x.n, S)])
     return Cut(S, value) if value < 2.0 - tol else None
 
 

@@ -35,9 +35,9 @@ def _linalg_uses(tree):
                 yield node
 
 
-def _inside_lp_functions(name, tree, *functions):
-    # The ids of every node within the named module-level functions of lp.py.
-    if name != "lp.py":
+def _inside_functions(name, tree, module, *functions):
+    # The ids of every node within the named module-level functions of module.
+    if name != module:
         return set()
     return {
         id(sub)
@@ -52,7 +52,7 @@ def test_lapack_is_called_only_inside_lp_solve():
     # basis into LpError instead of numpy's LinAlgError.
     allowed, found = 0, []
     for name, tree in _modules():
-        inside = _inside_lp_functions(name, tree, "_solve")
+        inside = _inside_functions(name, tree, "lp.py", "_solve")
         for node in _linalg_uses(tree):
             if id(node) in inside:
                 allowed += 1
@@ -67,7 +67,7 @@ def test_the_simplex_is_optimised_only_inside_the_lazy_row_loop():
     # -> add_row loop, the cached degree start's phase 1 included.
     allowed, found = 0, []
     for name, tree in _modules():
-        inside = _inside_lp_functions(name, tree, "_reoptimise")
+        inside = _inside_functions(name, tree, "lp.py", "_reoptimise")
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "optimise":
                 if id(node) in inside:
@@ -111,7 +111,7 @@ def test_every_benchmark_hook_names_a_live_function():
 def test_no_builtin_sum_in_the_package():
     # Python >= 3.12's builtin sum() of floats uses compensated summation,
     # so its last bits depend on the interpreter; float sums in src/ add in
-    # a fixed order with np.cumsum instead.
+    # a fixed order through core.ordered_sum instead.
     found = [
         f"{name}:{node.lineno}"
         for name, tree in _modules()
@@ -119,6 +119,23 @@ def test_no_builtin_sum_in_the_package():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
     ]
     assert found == []
+
+
+def test_cumsum_appears_only_in_ordered_sum():
+    # core.ordered_sum is the one place that states the in-order rule; every
+    # other order-sensitive sum calls it rather than np.cumsum.
+    allowed, found = 0, []
+    for name, tree in _modules():
+        inside = _inside_functions(name, tree, "core.py", "ordered_sum")
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Attribute, ast.Name, ast.alias)) and "cumsum" in (
+                getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "name", None)
+            ):
+                if id(node) in inside:
+                    allowed += 1
+                else:
+                    found.append(f"{name}:{node.lineno}")
+    assert allowed == 1 and found == []
 
 
 def test_no_timing_figures_in_the_package():
