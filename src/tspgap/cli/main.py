@@ -202,10 +202,9 @@ def _load_subdivided_spec(path: str) -> SubdividedGraphSpec:
 def _subdivided(spec: SubdividedGraphSpec, source: str) -> tuple[Instance, str, dict]:
     inst = gen_subdivided(spec)
     try:
-        bound = tjoin_ratio_bound(spec)
+        return inst, source, {"tjoin_ratio_bound": tjoin_ratio_bound(spec)}
     except MatchingCapError as exc:
         raise SizeCapError(str(exc)) from None
-    return inst, source, {"tjoin_ratio_bound": bound}
 
 
 def _build_family(args: argparse.Namespace) -> tuple[Instance, str, dict]:
@@ -265,7 +264,7 @@ def cmd_ratio(args: argparse.Namespace) -> dict:
     else:
         tour, opt_length = heuristic_tour(inst)
         method = "nearest_neighbor_2opt"
-    report = {
+    return {
         "command": "ratio",
         "instance": _instance_summary(inst, args.instance),
         "lp": {"cost": lp.cost, "cut_rounds": lp.rounds, "cuts": len(lp.cuts)},
@@ -279,7 +278,6 @@ def cmd_ratio(args: argparse.Namespace) -> dict:
         "closed_form": _generated_closed_forms(inst),
         "wall_time_s": time.perf_counter() - t0,
     }
-    return report
 
 
 def _sweep_closed(fam: _Family, n: int) -> dict:
@@ -373,7 +371,7 @@ def cmd_localsearch(args: argparse.Namespace) -> dict:
         texts.append((args.trace, formats.format_trace(trace.records)))
         outputs["trace"] = args.trace
     formats.atomic_write_texts(texts)
-    report = {
+    return {
         "command": "localsearch",
         "n": args.n,
         "params": {**params_kwargs, "rng_seed": args.seed, "restarts": args.restarts},
@@ -393,7 +391,6 @@ def cmd_localsearch(args: argparse.Namespace) -> dict:
         "outputs": outputs,
         "wall_time_s": time.perf_counter() - t0,
     }
-    return report
 
 
 def cmd_ellipse(args: argparse.Namespace) -> dict:
@@ -403,7 +400,7 @@ def cmd_ellipse(args: argparse.Namespace) -> dict:
     if args.output is not None:
         formats.write_instance(args.output, result.instance, comment=f"tspgap ellipse i={args.i} j={args.j}")
         outputs["instance"] = args.output
-    report = {
+    return {
         "command": "ellipse",
         "ijk": {"i": args.i, "j": args.j, "k": args.i},
         "instance": _instance_summary(result.instance, f"ellipse_{args.i}_{args.j}"),
@@ -413,7 +410,6 @@ def cmd_ellipse(args: argparse.Namespace) -> dict:
         "outputs": outputs,
         "wall_time_s": time.perf_counter() - t0,
     }
-    return report
 
 
 def cmd_certify(args: argparse.Namespace) -> dict:
