@@ -20,11 +20,11 @@ from ..core import Instance, NormSpec, components, ordered_sum
 # about 0.02 s), and 18 keeps the 3x3 and 2x5 hexagon fields in reach.
 ODD_VERTEX_CAP = 18
 
+_GEOM_EPS = 1e-9
+
 
 class MatchingCapError(ValueError):
     """A spec has more odd base vertices than ODD_VERTEX_CAP."""
-
-_GEOM_EPS = 1e-9
 
 
 @dataclass(frozen=True)
