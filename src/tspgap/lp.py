@@ -303,7 +303,7 @@ class _Tableau:
                 room = xi - lo[j] if -direction * wi < 0.0 else hi[j] - xi
                 if not room < math.inf:
                     continue
-                tt = max(room / mag, 0.0)
+                tt = room / mag if room > 0.0 else 0.0
                 if leave == -1:
                     better = tt < t_best
                 else:
