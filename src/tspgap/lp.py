@@ -305,7 +305,7 @@ class _Tableau:
                     continue
                 tt = room / mag if room > 0.0 else 0.0
                 if leave == -1:
-                    better = tt < t_best
+                    better = tt < t_best  # strictly below the bound flip's step
                 else:
                     # 1e-12 below the leading row, or within 1e-12 of it and
                     # winning the tie: Bland wants the smallest leaving
