@@ -94,9 +94,13 @@ def format_instance(inst: Instance, comment: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _content_rows(text: str) -> list[str]:
+    """The stripped lines of text that are neither blank nor a # comment."""
+    return [row for row in (ln.strip() for ln in text.splitlines()) if row and not row.startswith("#")]
+
+
 def parse_instance(text: str) -> Instance:
-    rows = [ln.strip() for ln in text.splitlines()]
-    rows = [ln for ln in rows if ln and not ln.startswith("#")]
+    rows = _content_rows(text)
     if not rows:
         raise FormatError("empty instance file")
     head = rows[0].split()
@@ -149,8 +153,7 @@ def write_instance(path: str | os.PathLike, inst: Instance, comment: str | None 
 
 
 def parse_tour(text: str) -> Tour:
-    rows = [ln.strip() for ln in text.splitlines()]
-    rows = [ln for ln in rows if ln and not ln.startswith("#")]
+    rows = _content_rows(text)
     if len(rows) != 1:
         raise FormatError(f"tour file must hold exactly one index line, got {len(rows)}")
     try:

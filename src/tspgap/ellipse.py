@@ -86,31 +86,103 @@ class ConstructionResult:
     outer_residual: float
 
 
-def _bisect(fn: Callable[[float], float], lo: float, hi: float, flo: float, fhi: float) -> tuple[float, float]:
+# Regula-falsi steps _window takes towards the root.
+_ILLINOIS_STEPS = 6
+
+
+def _window(
+    fn: Callable[[float], float], lo: float, hi: float, flo: float, fhi: float, err: float
+) -> tuple[float, float]:
+    """(a, z) with lo <= a < z <= hi such that fn is negative at every float
+    in [lo, a] and positive at every float in [z, hi], given that fn is
+    within err of a strictly increasing function F and flo < 0 < fhi.
+
+    A computed residual below -2 err puts F below -err there, hence at
+    every point to the left, where fn is then negative; one above +2 err
+    settles every point to the right as positive.  Illinois steps (regula
+    falsi that halves the residual of an end kept twice) approach the root
+    until a residual is within 2 err, and two probes at that centre
+    +- delta settle most of what is left, with delta the distance over
+    which the secant slope of (a, z) clears the centre's residual and 5 err.
+    A probe whose residual is within 2 err settles nothing; fn is called at
+    each point once.
+    """
+    a, fa, z, fz = lo, flo, hi, fhi
+    p, fp, q, fq = lo, flo, hi, fhi
+    side, x, fx = 0, lo, flo
+    for _ in range(_ILLINOIS_STEPS):
+        t = p - fp * (q - p) / (fq - fp)
+        if not p < t < q:
+            break
+        x, fx = t, fn(t)
+        if -2.0 * err <= fx <= 2.0 * err:
+            break
+        if fx < 0:
+            a, fa, p, fp = x, fx, x, fx
+            if side < 0:
+                fq *= 0.5
+            side = -1
+        else:
+            z, fz, q, fq = x, fx, x, fx
+            if side > 0:
+                fp *= 0.5
+            side = 1
+    delta = (abs(fx) + 5.0 * err) * (z - a) / (fz - fa)
+    for t in (x - delta, x + delta):
+        if a < t < z and t != x:
+            ft = fn(t)
+            if ft < -2.0 * err:
+                a = t
+            elif ft > 2.0 * err:
+                z = t
+    return a, z
+
+
+def _bisect(
+    fn: Callable[[float], float], lo: float, hi: float, flo: float, fhi: float, err: float | None = None
+) -> tuple[float, float]:
     """(root, residual) of fn on [lo, hi], given the residuals flo, fhi at
     the ends.  An end with residual zero is the root; ends of one sign raise
     _BracketError.  Halving stops at adjacent floats, where the root is the
     end the midpoint rounds to, or after 100 steps; fn is called only at
-    midpoints strictly inside, each once."""
+    midpoints strictly inside, each once.
+
+    err, when given, promises that fn is within err of a strictly
+    increasing function and does not raise on [lo, hi].  With flo < 0 < fhi
+    the midpoints outside _window's (a, z) then take their proven side
+    without a call, and the end the root rounds to is called if it was not.
+    The midpoints, the root and its residual are the plain loop's.  A
+    midpoint can repeat a point of _window's, so fn should cache.
+    """
     if flo == 0.0:
         return lo, flo
     if fhi == 0.0:
         return hi, fhi
-    if (flo > 0) == (fhi > 0):
+    pos = fhi > 0
+    if (flo > 0) == pos:
         raise _BracketError
+    a, z = _window(fn, lo, hi, flo, fhi, err) if err is not None and pos else (lo, hi)
+    rlo: float | None = flo
+    rhi: float | None = fhi
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid, fm
-        if (fm > 0) == (fhi > 0):
-            hi, fhi = mid, fm
+        if mid <= a:
+            lo, rlo = mid, None
+        elif mid >= z:
+            hi, rhi = mid, None
         else:
-            lo, flo = mid, fm
+            fm = fn(mid)
+            if fm == 0.0:
+                return mid, fm
+            if (fm > 0) == pos:
+                hi, rhi = mid, fm
+            else:
+                lo, rlo = mid, fm
     mid = 0.5 * (lo + hi)
-    return mid, (flo if mid == lo else fhi if mid == hi else fn(mid))
+    r = rlo if mid == lo else rhi if mid == hi else None
+    return mid, fn(mid) if r is None else r
 
 
 def _find_root(
@@ -121,6 +193,7 @@ def _find_root(
     eps: float,
     error: type[EllipseConstructionError],
     settle: Callable[[float], float | None] | None = None,
+    err: float | None = None,
 ) -> float:
     """Root of fn on [lo, hi] whose residual is within eps, or raise error.
 
@@ -136,6 +209,18 @@ def _find_root(
     fn is called only at unsure samples and, once, at each settled member
     of the bracketing pair, so the bisection and the messages see the
     residuals fn gives and fn sees each point at most once.
+
+    err, given instead of settle, promises that fn is within err of a
+    strictly increasing function and does not raise on [lo, hi].  The walk
+    then starts with a binary search over the sample indices: a sample
+    whose residual is below -2 err settles every sample to its left as
+    negative, one above +2 err every sample to its right as positive (see
+    _window), so no pair of them changes sign.  The search stops at a
+    residual within 2 err, and the walk covers the samples from the last
+    settled negative one to the first settled positive one.  _bisect
+    settles its midpoints the same way.  The bracket, the root, its
+    residual and every message are the plain walk's.  The walk repeats the
+    search's last two samples, so fn should cache.
     """
     settled: set[float] = set()
     probe = fn
@@ -148,12 +233,27 @@ def _find_root(
             settled.add(x)
             return r
 
-    prev: tuple[float, float] | None = None
-    for s in range(samples):
+    def sample(s: int) -> tuple[float, float | None]:
         x = lo + (hi - lo) * (s + 0.5) / samples
         try:
-            r = probe(x)
+            return x, probe(x)
         except (_BracketError, EllipseConstructionError):
+            return x, None
+
+    first, last = -1, samples  # samples up to first settled negative, from last on positive
+    while err is not None and last - first > 1:
+        m = (first + last) // 2
+        r = sample(m)[1]
+        if r is None or -2.0 * err <= r <= 2.0 * err:
+            break
+        if r < 0:
+            first = m
+        else:
+            last = m
+    prev: tuple[float, float] | None = None
+    for s in range(max(first, 0), min(last + 1, samples)):
+        x, r = sample(s)
+        if r is None:
             continue
         if prev is not None and (prev[1] == 0.0 or (prev[1] > 0) != (r > 0)):
             break
@@ -166,7 +266,7 @@ def _find_root(
     if x in settled:
         r = fn(x)
     try:
-        root, resid = _bisect(fn, x0, x, r0, r)
+        root, resid = _bisect(fn, x0, x, r0, r, err)
     except _BracketError:
         raise error(f"residual undefined inside the bracket [{x0}, {x}]") from None
     if abs(resid) > eps:
@@ -273,6 +373,31 @@ def _inner_attempt(j: int, b: float, f: float) -> tuple[float, list[float]]:
     return diff_inner(half, full, b), full
 
 
+def _memo(tried: dict, attempt: Callable[[float], tuple]) -> Callable[[float], float]:
+    """The closure residual of attempt(x), built once per point into tried."""
+
+    def fn(x: float) -> float:
+        if x not in tried:
+            tried[x] = attempt(x)
+        return tried[x][0]
+
+    return fn
+
+
+# Float error bound on the inner closure, per unit of (1 + b) 4^(j // 2) (see
+# inner_vertices): 2^-46 = 128u against 46u without a tie and 258u / 4 with one.
+_INNER_CLOSURE_ERR = 2.0**-46
+
+# Least b for which inner_vertices' single tie is proven not to raise.
+_WINDOW_MIN_B = 2.0**-10
+
+
+def _inner_err(j: int, b: float) -> float | None:
+    """inner_vertices' err for _find_root, or None where it is not proven."""
+    half = j // 2
+    return _INNER_CLOSURE_ERR * (1.0 + b) * 4**half if half <= 1 and b >= _WINDOW_MIN_B else None
+
+
 def inner_vertices(j: int, b: float, eps: float = DEFAULT_EPS) -> list[float]:
     """Abscissas of the inner vertices on the x-axis, left to right and
     symmetric about 0, placed so every middle-gap tie equation closes
@@ -283,12 +408,49 @@ def inner_vertices(j: int, b: float, eps: float = DEFAULT_EPS) -> list[float]:
     residual over (0, b) and bisected; a residual without a sign change, or
     a bisected root above eps, raises InnerPlacementError.  j < 0, or b or
     eps not finite and > 0, raises ValueError.
+
+    For j // 2 <= 1 and b >= 2^-10 the scan and the bisection settle points
+    by their proven side (err in _find_root), with err = 2^-46 (1 + b)
+    4^(j // 2), because the computed closure meets _find_root's promise.
+    Let H(x) = hypot(x, 1), phi(t) = t - H(b - t), psi(y) = y + H(b + y)
+    and c_right(f) = H(b + f) + 2 - H(b - f): all rise strictly, c_right on
+    (0, b).
+
+    Monotone.  Each tie is phi(y_{k+1}) = psi(y_k) - c_right(f).  From
+    y_0 = -f every exact y_k falls as f rises, by induction, so the exact
+    closure R*(f) = c_right(f) - psi(y_half) + phi(0 for odd j, -y_half for
+    even j) rises strictly.
+
+    No raise.  Without a tie nothing raises.  The single tie has
+    c = c_right(f) - H(b - f), and its exact residuals at its ends y_0 = -f
+    and b are 2 - 2 H(b - f) < 0 and H(b + f) + 1 + b + f - 2 H(b - f)
+    >= 2f > 0.  Every point _find_root evaluates lies between its lo and
+    its last sample, where f >= 10^-9 b and b - f > b / 145, so for
+    b >= 2^-10 both exceed 10^-12 (1 + b) in size.  Their computed values
+    are within 30u (1 + b) of them (u = 2^-53, hypot within one ulp), so
+    they have opposite signs and the tie does not raise.
+
+    Error bound.  At given abscissas the computed diff_inner is within
+    46u (1 + b) of its exact value: u (8 + 23b) from its six terms and
+    u (18 + 23b) from its five additions, whose partial sums stay below
+    5 + 7b.  With a tie the computed c is within 19u (1 + b) of the exact
+    one and the computed tie within 8u S <= 32u (1 + b) of the tie at that
+    c (see _inner_tie), whose slope is at least 1; the root is an end of
+    adjacent floats whose computed residuals straddle 0, so y_1 is within
+    53u (1 + b) of the exact root, and the closure moves by at most 4 per
+    unit of y_1.  So the computed closure is within 46u (1 + b) of R*(f)
+    without a tie and 258u (1 + b) with one, under err's 128u and 512u.
+
+    With two ties or more the second can lack a root (attempts raise at
+    many scan samples), so the exact closure is not defined on the whole
+    range and every point is computed.
     """
     _check_chain(j, b, eps)
     tried: dict[float, tuple[float, list[float]]] = {}  # each point's attempt, so the root's is not rebuilt
     f = _find_root(
-        lambda f: tried.setdefault(f, _inner_attempt(j, b, f))[0],
+        _memo(tried, lambda f: _inner_attempt(j, b, f)),
         b * 1e-9, b * (1 - 1e-9), _COARSE_SAMPLES, eps, InnerPlacementError,
+        err=_inner_err(j, b),
     )
     return tried[f][1]
 
@@ -561,7 +723,7 @@ def outer_vertices(
         return 0.0, [(-b, 1.0), (b, 1.0)]
     tried: dict[float, tuple[float, list[tuple[float, float]]]] = {}  # each point's attempt, as in inner_vertices
     e_star = _find_root(
-        lambda e: tried.setdefault(e, _outer_attempt(i, b, f, e))[0],
+        _memo(tried, lambda e: _outer_attempt(i, b, f, e)),
         0.0, 4.0 * (b + 1.0), _COARSE_SAMPLES, eps, OuterPlacementError,
         (lambda e: _outer_settle(i, b, f, e)) if i >= 2 else None,
     )
@@ -587,9 +749,10 @@ def _shortcut_parts(i: int, j: int) -> tuple[EdgeWeightVector, PseudoTour]:
 
 
 def _evaluate(
-    i: int, j: int, b: float, eps: float, parts: tuple[EdgeWeightVector, PseudoTour]
+    i: int, j: int, b: float, eps: float, parts: tuple[EdgeWeightVector, PseudoTour], ys: list[float] | None = None
 ) -> ConstructionResult:
-    ys = inner_vertices(j, b, eps)
+    if ys is None:
+        ys = inner_vertices(j, b, eps)
     e, zline = outer_vertices(i, b, ys[-1], eps)
     inst = _assemble(i, j, ys, zline)
     x, anchor = parts
@@ -604,12 +767,14 @@ def _construct_flat(j: int, eps: float) -> ConstructionResult:
     """No free outer vertices: the corner half-width itself is pinned by
     the single outer tie equation, so root-find it instead of optimizing."""
 
+    inner: dict[float, list[float]] = {}  # each b's inner line, so the root's is not rebuilt
+
     def resid(b: float) -> float:
-        ys = inner_vertices(j, b, eps)
-        return diff_outer(0, [(-b, 1.0), (b, 1.0)], ys[-1], b)
+        inner[b] = inner_vertices(j, b, eps)
+        return diff_outer(0, [(-b, 1.0), (b, 1.0)], inner[b][-1], b)
 
     b_star = _find_root(resid, *_B_RANGE, _COARSE_SAMPLES * 4, eps, EllipseConstructionError)
-    return _evaluate(0, j, b_star, eps, _shortcut_parts(0, j))
+    return _evaluate(0, j, b_star, eps, _shortcut_parts(0, j), inner[b_star])
 
 
 def ellipse_construct(i: int, j: int, eps: float = DEFAULT_EPS) -> ConstructionResult:

@@ -86,6 +86,32 @@ def test_tour_parsing():
         parse_tour("0 1 1 2\n")
 
 
+# Lines both parsers skip: blank, whitespace-only, # and indented # comments.
+_SKIPPED_LINES = "\n" + "   \n" + "\t\n" + "#\n" + "# comment\n" + "   # indented\n" + "\t#tab 1 2\n"
+
+
+def test_parsers_skip_the_same_blank_and_comment_lines():
+    noise = _SKIPPED_LINES
+    text = "3 2 1.0\n0 0 a\n1 0 b\n0 1 c\n"
+    back = parse_instance(noise + "".join(line + "\n" + noise for line in text.splitlines()))
+    want = parse_instance(text)
+    assert np.array_equal(back.points, want.points) and back.labels == want.labels == ("a", "b", "c")
+    assert parse_tour(noise + "  0 2 1 3  \n" + noise) == Tour([0, 2, 1, 3])
+    # The messages count and quote only the lines that are kept.
+    cases = [
+        (parse_instance, noise, "empty instance file"),
+        (parse_tour, noise, "tour file must hold exactly one index line, got 0"),
+        (parse_tour, "0 1\n" + noise + "2 3\n", "tour file must hold exactly one index line, got 2"),
+        (parse_instance, noise + "3 2 1.0\n0 0\n" + noise + "1 0\n", "header says 3 points, file has 2"),
+        (parse_instance, noise + "  3 2  \n0 0\n", "header must be 'n d p', got '3 2'"),
+        (parse_instance, "3 2 1.0\n0 0\n" + noise + "1\n0 1\n", "point line 1 has 1 fields, need 2"),
+    ]
+    for parse, bad, message in cases:
+        with pytest.raises(FormatError) as info:
+            parse(bad)
+        assert str(info.value) == message
+
+
 # --- TSPLIB ------------------------------------------------------------------
 
 

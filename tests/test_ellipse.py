@@ -1,5 +1,6 @@
 """Curved-geometry constructions: closure residuals, symmetry, reference ratios."""
 
+import decimal
 import hashlib
 import math
 import random
@@ -346,15 +347,19 @@ def _count_calls(monkeypatch, names, fn, *args):
 
 
 # _inner_attempt, _outer_attempt and _outer_tie calls per construction of
-# the curved rows (i <= 1, no outer tie), frozen from the scan-bracket-bisect
-# construction: work counts that do not move with machine load.
+# the curved rows (i <= 1, no outer tie) and of certify's row (3, 2), frozen
+# from the construction whose inner scan and bisection settle points by the
+# closure's monotonicity: work counts that do not move with machine load.
+# Computing every inner point, the six curved rows made 36,312 inner
+# attempts, and row (3, 2) 9,498.
 _CURVED_WORK = {
-    (0, 0): (4697, 0, 0),
-    (0, 1): (4508, 0, 0),
-    (0, 2): (5236, 0, 0),
-    (1, 0): (7726, 7228, 0),
-    (0, 3): (5495, 0, 0),
-    (1, 1): (8650, 7596, 0),
+    (0, 0): (1790, 0, 0),
+    (0, 1): (1611, 0, 0),
+    (0, 2): (1832, 0, 0),
+    (1, 0): (2596, 7228, 0),
+    (0, 3): (1935, 0, 0),
+    (1, 1): (2613, 7596, 0),
+    (3, 2): (2650, 2856, 2856),
 }
 
 
@@ -723,11 +728,17 @@ def test_bisect_returns_the_residual_it_holds():
 def test_inner_vertices_attempt_each_f_once(monkeypatch):
     calls = []
     real = ellipse._inner_attempt
-    monkeypatch.setattr(ellipse, "_inner_attempt", lambda j, b, f: calls.append(f) or real(j, b, f))
+    monkeypatch.setattr(ellipse, "_inner_attempt", lambda j, b, f: calls.append((j, b, f)) or real(j, b, f))
     b = float.fromhex("0x1.51ddddddc04cdp+0")  # row (1, 4) of _GOLDEN
     ys = ellipse.inner_vertices(4, b)
-    assert len(calls) == len(set(calls)) and ys[-1] in calls
+    assert len(calls) == len(set(calls)) and (4, b, ys[-1]) in calls
     assert ys == real(4, b, ys[-1])[1]
+    # Whole builds, whose settled scans and bisections probe points that
+    # later midpoints can repeat: each (b, f) is still attempted once.
+    for ij in [(0, 2), (1, 1), (3, 2)]:
+        calls.clear()
+        ellipse_construct(*ij)
+        assert len(calls) == len(set(calls)) > 0
 
 
 def test_outer_vertices_attempt_each_e_once(monkeypatch):
@@ -812,7 +823,7 @@ def _outer_find_root(i, b, f, settled):
     tried = {}
     try:
         return _find_root(
-            lambda e: tried.setdefault(e, ellipse._outer_attempt(i, b, f, e))[0],
+            ellipse._memo(tried, lambda e: ellipse._outer_attempt(i, b, f, e)),
             0.0, 4.0 * (b + 1.0), ellipse._COARSE_SAMPLES, DEFAULT_EPS, OuterPlacementError,
             (lambda e: ellipse._outer_settle(i, b, f, e)) if settled else None,
         ).hex()
@@ -861,6 +872,144 @@ def test_find_root_with_a_settler_evaluates_only_the_bracket_and_its_midpoints()
     with pytest.raises(OuterPlacementError, match=r"^residual does not change sign on \[0.0, 1.0\]$"):
         _find_root(lambda x: fn(x) - 1.0, 0.0, 1.0, 16, 1e-9, OuterPlacementError, lambda x: -1.0 if x < 0.9 else None)
     assert calls == [0.90625, 0.96875]
+
+
+# -- the settled inner closure ---------------------------------------------
+
+
+def _root_outcome(fn, lo, hi, samples, eps, err):
+    """_find_root's root as hex, or its error's class and message (which
+    carry the bracket, or the root and its residual)."""
+    try:
+        return _find_root(fn, lo, hi, samples, eps, InnerPlacementError, err=err).hex()
+    except EllipseConstructionError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _inner_closure(j, b):
+    """inner_vertices' residual of f, each point's attempt built once."""
+    return ellipse._memo({}, lambda f: ellipse._inner_attempt(j, b, f))
+
+
+def _inner_range(b):
+    """inner_vertices' scan range and its last sample, the right end of
+    every point its scan and bisection evaluate."""
+    lo, hi = b * 1e-9, b * (1 - 1e-9)
+    n = ellipse._COARSE_SAMPLES
+    return lo, hi, lo + (hi - lo) * (n - 0.5) / n
+
+
+def _inner_root_cases(rng, count):
+    """(j, b, lo, hi, samples, eps) for the inner root search in four equal
+    shares: inner_vertices' own range, a random bracket around the root, a
+    bracket within a few ulps of the root, and one just right of it.  b is
+    log-uniform on [2^-10, 2^10] or uniform on the b-search range; eps is
+    the default or the least float, so that most messages carry the root
+    and its residual."""
+    for n in range(count):
+        j = rng.randrange(4)
+        b = 2.0 ** rng.uniform(-10.0, 10.0) if n % 2 else rng.uniform(*ellipse._B_RANGE)
+        lo, hi, last = _inner_range(b)
+        eps = rng.choice((DEFAULT_EPS, 5e-324))
+        kind = n // 2 % 4
+        root = None
+        if kind:
+            try:
+                root = _find_root(_inner_closure(j, b), lo, hi, 72, 1.0, InnerPlacementError, err=ellipse._inner_err(j, b))
+            except InnerPlacementError:
+                kind = 0
+        if kind == 0:
+            yield j, b, lo, hi, ellipse._COARSE_SAMPLES, eps
+        elif kind == 1:
+            yield j, b, rng.uniform(lo, root), rng.uniform(root, last), rng.randint(1, 12), eps
+        elif kind == 2:
+            yield j, b, _ulps(root, -rng.randint(0, 6)), min(_ulps(root, rng.randint(1, 6)), last), rng.randint(1, 4), eps
+        else:
+            yield j, b, _ulps(root, rng.randint(1, 4)), min(_ulps(root, rng.randint(5, 40)), last), rng.randint(1, 4), eps
+
+
+def test_find_root_with_err_matches_the_plain_path_on_inner_closures():
+    outcomes = set()
+    for j, b, lo, hi, samples, eps in _inner_root_cases(random.Random(30), 3000):
+        err = ellipse._inner_err(j, b)
+        got = _root_outcome(_inner_closure(j, b), lo, hi, samples, eps, err)
+        assert got == _root_outcome(_inner_closure(j, b), lo, hi, samples, eps, None), (j, b.hex(), lo.hex(), hi.hex())
+        outcomes.add("root" if isinstance(got, str) else "above eps" if "above eps" in got[1] else got[1][:29])
+    assert outcomes == {"root", "above eps", "residual does not change sign"}
+
+
+def _noisy_increasing(rng):
+    """(fn, err): fn is a strictly increasing F(x) = s (x - r) + k (x - r)^3
+    plus up to 0.9 err of noise that changes with every float x, so that fn
+    keeps _find_root's promise while its sign near r is a coin toss and the
+    secant slope can misjudge the slope near r."""
+    r, phase = rng.uniform(0.0, 1.0), rng.uniform(0.0, 6.0)
+    s = 10.0 ** rng.uniform(-6.0, 1.0)
+    k = rng.choice((0.0, 10.0 ** rng.uniform(-1.0, 2.0)))
+    err = 10.0 ** rng.uniform(-12.0, -5.0)
+
+    def fn(x):
+        d = x - r
+        return s * d + k * d * d * d + 0.9 * err * math.sin(x * 2.0**60 + phase)
+
+    return fn, err
+
+
+def test_find_root_with_err_matches_the_plain_path_on_noisy_functions():
+    rng = random.Random(31)
+    calls = [0, 0]
+    for _ in range(3000):
+        fn, err = _noisy_increasing(rng)
+        samples, eps = rng.randint(1, 72), rng.choice((1.0, 5e-324))
+
+        def counted(x, side):
+            calls[side] += 1
+            return fn(x)
+
+        got = _root_outcome(lambda x: counted(x, 0), 0.0, 1.0, samples, eps, err)
+        assert got == _root_outcome(lambda x: counted(x, 1), 0.0, 1.0, samples, eps, None)
+    assert calls[0] < calls[1]  # the settled path computes fewer points
+
+
+def _exact_closure(j, b, f):
+    """The closure of the exact inner chain at the floats b and f, to 50
+    digits, its tie solved through the closed form t* = b - (K - 1/K)/2
+    with K = c + b - y_0 (see _inner_tie)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        b, f = decimal.Decimal(b), decimal.Decimal(f)
+
+        def hyp(x):
+            return (x * x + 1).sqrt()
+
+        y_h = -f
+        if j // 2:
+            c = hyp(b + f) + 2 - hyp(b - f) - hyp(b - f)
+            K = c + b + f
+            y_h = b - (K - 1 / K) / 2
+        y_next = 0 if j % 2 else -y_h
+        return hyp(b + f) + 2 + (y_next - y_h) - hyp(b + y_h) - hyp(b - y_next) - hyp(b - f)
+
+
+def test_inner_closure_err_bounds_the_computed_closure():
+    # inner_vertices' three claims, checked where its window is on: the
+    # exact closure rises with f, the computed attempt does not raise up to
+    # the last scan sample, and it is within err of the exact closure.
+    rng = random.Random(32)
+    worst = 0.0
+    for n in range(2000):
+        j = n % 4
+        b = [2.0**-10, 2.0**10][n % 8 // 4] if n % 50 < 8 else 2.0 ** rng.uniform(-10.0, 10.0)
+        lo, _, last = _inner_range(b)
+        f1, f2 = sorted((lo if n % 7 == 0 else rng.uniform(lo, last), last if n % 5 == 0 else rng.uniform(lo, last)))
+        err = decimal.Decimal(ellipse._inner_err(j, b))
+        for f in (f1, f2):
+            gap = abs(decimal.Decimal(ellipse._inner_attempt(j, b, f)[0]) - _exact_closure(j, b, f))
+            assert gap <= err, (j, b.hex(), f.hex(), gap / err)
+            worst = max(worst, gap / err)
+        if f1 < f2:
+            assert _exact_closure(j, b, f1) < _exact_closure(j, b, f2)
+    assert worst > 1 / 64  # err is within a factor 64 of the float error seen
 
 
 # -- input checks ------------------------------------------------------------

@@ -212,3 +212,50 @@ def test_no_roll_or_add_at_in_the_local_search():
         and (node.attr == "roll" or (node.attr == "at" and getattr(node.value, "attr", None) == "add"))
     ]
     assert found == []
+
+
+def _functions_with_loops_holding(tree, match):
+    # Names of the module-level functions that hold a for or while loop
+    # containing a node for which match is true.
+    return {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            match(sub)
+            for loop in ast.walk(node)
+            if isinstance(loop, (ast.For, ast.While))
+            for sub in ast.walk(loop)
+        )
+    }
+
+
+def _is_halving(node):
+    # 0.5 * (x + y): a bisection's midpoint.
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Mult)
+        and isinstance(node.left, ast.Constant)
+        and node.left.value == 0.5
+        and isinstance(node.right, ast.BinOp)
+        and isinstance(node.right.op, ast.Add)
+    )
+
+
+def _is_sign_change(node):
+    # (x > 0) != (y > 0): two consecutive residuals of different sign.
+    return (
+        isinstance(node, ast.Compare)
+        and isinstance(node.ops[0], ast.NotEq)
+        and all(isinstance(side, ast.Compare) and isinstance(side.ops[0], ast.Gt) for side in [node.left, *node.comparators])
+    )
+
+
+def test_ellipse_halves_and_scans_only_inside_its_root_finders():
+    # The settled scan and window live in the one scan-and-bisect root
+    # finder: only the bisection and the inline tie loops halve a
+    # bracket, and only _find_root walks samples for a sign change
+    # (ellipse_construct's sample grid over b looks for feasible points).
+    tree = dict(_modules())["ellipse.py"]
+    assert _functions_with_loops_holding(tree, _is_halving) == {"_bisect", "_inner_tie", "_outer_steps", "_outer_tie"}
+    assert _functions_with_loops_holding(tree, _is_sign_change) == {"_find_root"}
