@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .core import EdgeWeightVector, Instance, NormSpec, fractional_cost, tour_length
-from .families.ijk import IJK, PseudoTour, fractional_xijk, labeled_vertices, pseudo_tour, shortcut_tour
+from .families.ijk import IJK, PseudoTour, fractional_xijk, labeled_vertices, nonnegative_int, pseudo_tour, shortcut_tour
 
 DEFAULT_EPS = 1e-9
 
@@ -48,14 +48,14 @@ def _check_eps(eps: float) -> None:
         raise ValueError(f"eps must be finite and > 0, got {eps}")
 
 
-def _check_chain(count: int, b: float, eps: float) -> None:
-    """Reject what a chain and its proofs do not cover: a negative vertex
-    count, or a corner half-width b or an eps that is not finite and > 0."""
-    if count < 0:
-        raise ValueError(f"vertex count must be >= 0, got {count}")
+def _check_chain(count: int, b: float, eps: float) -> int:
+    """The count as an int; ValueError for what a chain and its proofs do not
+    cover: a count not integral and >= 0, or a b or an eps not finite and > 0."""
+    count = nonnegative_int("vertex count", count)
     if not 0 < b < math.inf:
         raise ValueError(f"b must be finite and > 0, got {b}")
     _check_eps(eps)
+    return count
 
 
 @dataclass(frozen=True)
@@ -406,8 +406,8 @@ def inner_vertices(j: int, b: float, eps: float = DEFAULT_EPS) -> list[float]:
 
     The outermost abscissa f is bracketed by a coarse scan of the closure
     residual over (0, b) and bisected; a residual without a sign change, or
-    a bisected root above eps, raises InnerPlacementError.  j < 0, or b or
-    eps not finite and > 0, raises ValueError.
+    a bisected root above eps, raises InnerPlacementError.  j not integral
+    and >= 0, or b or eps not finite and > 0, raises ValueError.
 
     For j // 2 <= 1 and b >= 2^-10 the scan and the bisection settle points
     by their proven side (err in _find_root), with err = 2^-46 (1 + b)
@@ -445,7 +445,7 @@ def inner_vertices(j: int, b: float, eps: float = DEFAULT_EPS) -> list[float]:
     many scan samples), so the exact closure is not defined on the whole
     range and every point is computed.
     """
-    _check_chain(j, b, eps)
+    j = _check_chain(j, b, eps)
     tried: dict[float, tuple[float, list[float]]] = {}  # each point's attempt, so the root's is not rebuilt
     f = _find_root(
         _memo(tried, lambda f: _inner_attempt(j, b, f)),
@@ -701,6 +701,12 @@ def _outer_settle(i: int, b: float, f: float, e: float) -> float | None:
     return None
 
 
+def _outer_err(i: int, b: float) -> float | None:
+    """outer_vertices' err for _find_root, 64u A^2 at A's bound 4b + 5
+    against a proven 53u A^2, or None where it is not proven."""
+    return 2.0**-47 * (4.0 * b + 5.0) ** 2 if i == 1 and b <= 2.0**10 else None
+
+
 def outer_vertices(
     i: int, b: float, f: float, eps: float = DEFAULT_EPS
 ) -> tuple[float, list[tuple[float, float]]]:
@@ -712,11 +718,24 @@ def outer_vertices(
     The focal abscissa e is bracketed by a coarse scan over configurations
     whose last chained vertex stays left of the y-axis, then bisected; a
     residual without a sign change, or a bisected root above eps, reports
-    the half-width b as outside the constructible window.  i < 0, b or eps
-    not finite and > 0, or f outside (0, b) raises ValueError.  For i >= 2
-    the scan asks _outer_settle about each sample before attempting it.
+    the half-width b as outside the constructible window.  i not integral
+    and >= 0, b or eps not finite and > 0, or f outside (0, b) raises
+    ValueError.  For i >= 2 the scan asks _outer_settle about each sample.
+
+    For i = 1 and b <= 2^10 the scan and the bisection settle points by
+    their proven side (err from _outer_err).  The chain (-b, 1), (0, B),
+    (b, 1) never raises, and its two H(b - f) terms (H(x) = hypot(x, 1)) are
+    one float: R(e) = H(b + f) - 2 - hypot(f, B) + hypot(b, B - 1).
+    Monotone.  b^2 / (B^2 + e^2) + 1 / B^2 = 1 makes B fall strictly in e,
+    and dR/dB = (B - 1) / hypot(b, B - 1) - B / hypot(f, B) < 0 as f < b.
+    Error bound.  On [0, 4 (b + 1)], 1 < B <= A <= 4b + 5 and b < A.  With
+    u = 2^-53 and hypot within one ulp, the computed A is within 4.1uA and
+    A * A - e * e within 10.1uA^2 of B^2 >= 1, so the square root is defined
+    and B within 6.1uA^2, which moves R by at most twice that.  The other
+    terms and the five additions add u (8 + 24b + 8A) <= 40.5uA, so the
+    computed R is within 53uA^2 of R(e).
     """
-    _check_chain(i, b, eps)
+    i = _check_chain(i, b, eps)
     if not 0 < f < b:
         raise ValueError(f"f must lie strictly between 0 and b, got f = {f}, b = {b}")
     if i == 0:
@@ -726,6 +745,7 @@ def outer_vertices(
         _memo(tried, lambda e: _outer_attempt(i, b, f, e)),
         0.0, 4.0 * (b + 1.0), _COARSE_SAMPLES, eps, OuterPlacementError,
         (lambda e: _outer_settle(i, b, f, e)) if i >= 2 else None,
+        err=_outer_err(i, b),
     )
     return float(e_star), tried[e_star][1]
 
@@ -763,18 +783,53 @@ def _evaluate(
     return ConstructionResult(inst, params, ratio, inner_res, outer_res)
 
 
+# Float error bound on the flat residual over _B_RANGE by j: 1024u, 2048u,
+# 8192u, 16384u against _construct_flat's bound at b = 8, 682u, 1096u, 4912u,
+# 9556u; and the least eps above which the inner roots are proven in eps.
+_FLAT_ERR = (2.0**-43, 2.0**-42, 2.0**-40, 2.0**-39)
+_FLAT_MIN_EPS = 2.0**-40
+
+
+def _flat_err(j: int, eps: float) -> float | None:
+    """_construct_flat's err for _find_root, or None where it is not proven."""
+    return _FLAT_ERR[j] if j <= 3 and eps > _FLAT_MIN_EPS else None
+
+
 def _construct_flat(j: int, eps: float) -> ConstructionResult:
     """No free outer vertices: the corner half-width itself is pinned by
-    the single outer tie equation, so root-find it instead of optimizing."""
+    the single outer tie equation, so root-find it instead of optimizing.
 
-    inner: dict[float, list[float]] = {}  # each b's inner line, so the root's is not rebuilt
+    For j <= 3 and eps > 2^-40 the scan and the bisection over b settle
+    points by their proven side (err from _flat_err).  Let R(b, f) be
+    inner_vertices' exact closure, f*(b) its root, p = H'(b + f),
+    q = H'(b - f), s = H'(b + y_1), w = H'(b - y_1), D = d/df - d/db.  Its
+    three H(b - f) are one float: F(b) = H(b + f*) - H(b - f*) - 2 + 2b.
+    Monotone.  R's slope in f is at least m = 2, 1, 1, 1/2 for j = 0..3
+    (with a tie, -y_1' >= 1/2), and DR > 0: it is 2 + 6q, 1 + 4q + H'(b),
+    and, through D y_1 = -(1 + 4q + w) / (1 + w) < 0, 2q + 2s - 2 (1 + s) D y_1
+    for j = 2 and 2q + s + H'(b) - (1 + s) D y_1 for j = 3.  So f*' > -1, and
+    F' = 2 + p - q + (p + q) f*' > 2 - 2q > 0.
+    No raise.  On _B_RANGE the inner tie does not raise (b >= 2^-10);
+    R(b, 0) <= 2 - 2H(b) (with a tie, y_1 > 0 at f = 0), R(b, b) >= b, and
+    R's slope in f is at most 18, and 4 while b + f <= 0.14, so the first
+    inner scan sample (f < b / 143) is negative and the last positive, far
+    beyond the 258u (1 + b) float error; the root, an end of adjacent floats
+    whose residuals straddle 0, has residual < 516u (1 + b) + 18 ulp(f) < eps.
+    Error bound.  The inner root is within E / m + ulp(f) of f*, with
+    E = 46u (1 + b) for j <= 1 and 258u (1 + b) with a tie (see
+    inner_vertices); F moves by at most 2 per unit of f, and the computed F
+    at the computed f is within 28u (1 + b).
+    """
+    tried: dict[float, tuple[float, list[float]]] = {}  # each b's residual and inner line, so the root's is not rebuilt
 
-    def resid(b: float) -> float:
-        inner[b] = inner_vertices(j, b, eps)
-        return diff_outer(0, [(-b, 1.0), (b, 1.0)], inner[b][-1], b)
+    def attempt(b: float) -> tuple[float, list[float]]:
+        ys = inner_vertices(j, b, eps)
+        return diff_outer(0, [(-b, 1.0), (b, 1.0)], ys[-1], b), ys
 
-    b_star = _find_root(resid, *_B_RANGE, _COARSE_SAMPLES * 4, eps, EllipseConstructionError)
-    return _evaluate(0, j, b_star, eps, _shortcut_parts(0, j), inner[b_star])
+    b_star = _find_root(
+        _memo(tried, attempt), *_B_RANGE, _COARSE_SAMPLES * 4, eps, EllipseConstructionError, err=_flat_err(j, eps)
+    )
+    return _evaluate(0, j, b_star, eps, _shortcut_parts(0, j), tried[b_star][1])
 
 
 def ellipse_construct(i: int, j: int, eps: float = DEFAULT_EPS) -> ConstructionResult:
@@ -788,8 +843,7 @@ def ellipse_construct(i: int, j: int, eps: float = DEFAULT_EPS) -> ConstructionR
     and feasible b are scattered among infeasible ones; when golden section
     meets an infeasible b the result is the best coarse sample.
     """
-    if i < 0 or j < 0:
-        raise ValueError("need i, j >= 0")
+    i, j = nonnegative_int("i", i), nonnegative_int("j", j)
     _check_eps(eps)
     if i == 0:
         return _construct_flat(j, eps)

@@ -20,6 +20,13 @@ RECTILINEAR = "rectilinear"
 METRIC = "metric"
 
 
+def nonnegative_int(name: str, v: int) -> int:
+    """v as an int when it is integral and >= 0 (2.0 gives 2), else ValueError."""
+    if int(v) != v or v < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
+    return int(v)
+
+
 @dataclass(frozen=True)
 class IJK:
     """Middle-vertex counts of the bottom, middle, and top paths."""
@@ -30,10 +37,7 @@ class IJK:
 
     def __post_init__(self) -> None:
         for name in ("i", "j", "k"):
-            v = getattr(self, name)
-            if int(v) != v or v < 0:
-                raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
-            object.__setattr__(self, name, int(v))
+            object.__setattr__(self, name, nonnegative_int(name, getattr(self, name)))
 
     @property
     def n(self) -> int:

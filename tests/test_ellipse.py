@@ -348,17 +348,18 @@ def _count_calls(monkeypatch, names, fn, *args):
 
 # _inner_attempt, _outer_attempt and _outer_tie calls per construction of
 # the curved rows (i <= 1, no outer tie) and of certify's row (3, 2), frozen
-# from the construction whose inner scan and bisection settle points by the
-# closure's monotonicity: work counts that do not move with machine load.
-# Computing every inner point, the six curved rows made 36,312 inner
-# attempts, and row (3, 2) 9,498.
+# from the construction whose inner scans, i = 1 outer scans and flat scans
+# over b settle points by their closures' monotonicity: work counts that do
+# not move with machine load.  Computing every inner point, the six curved
+# rows made 36,312 inner attempts, and row (3, 2) 9,498; computing every
+# outer and flat point, they made 12,377 inner and 14,824 outer attempts.
 _CURVED_WORK = {
-    (0, 0): (1790, 0, 0),
-    (0, 1): (1611, 0, 0),
-    (0, 2): (1832, 0, 0),
-    (1, 0): (2596, 7228, 0),
-    (0, 3): (1935, 0, 0),
-    (1, 1): (2613, 7596, 0),
+    (0, 0): (580, 0, 0),
+    (0, 1): (460, 0, 0),
+    (0, 2): (665, 0, 0),
+    (1, 0): (2596, 2011, 0),
+    (0, 3): (726, 0, 0),
+    (1, 1): (2613, 1793, 0),
     (3, 2): (2650, 2856, 2856),
 }
 
@@ -1012,6 +1013,154 @@ def test_inner_closure_err_bounds_the_computed_closure():
     assert worst > 1 / 64  # err is within a factor 64 of the float error seen
 
 
+# -- the settled i = 1 outer closure and flat residual -----------------------
+
+
+def _memo_outcome(attempt, lo, hi, samples, eps, error, err):
+    """_find_root's root and its residual as hex, or its error's class and
+    message, each point's attempt built once."""
+    tried = {}
+    try:
+        root = _find_root(ellipse._memo(tried, attempt), lo, hi, samples, eps, error, err=err)
+    except EllipseConstructionError as exc:
+        return type(exc).__name__, str(exc)
+    return root.hex(), tried[root][0].hex()
+
+
+def _outer_root_cases(rng, count):
+    """(b, f, lo, hi, samples, eps) for the i = 1 outer root search in four
+    equal shares, as _inner_root_cases: outer_vertices' own range, a random
+    bracket around the root, a bracket within a few ulps of the root, and
+    one just right of it.  b is 2^-10, 2^10, log-uniform between them or
+    uniform on the b-search range; f is uniform on (0, b) or within a
+    factor 10^-12..10^-1 of 0 or of b."""
+    for n in range(count):
+        b = (2.0**-10, 2.0**10, 2.0 ** rng.uniform(-10.0, 10.0), rng.uniform(*ellipse._B_RANGE))[n % 4]
+        f = (rng.uniform(0.0, b), b * 10.0 ** rng.uniform(-12.0, -1.0), b * (1.0 - 10.0 ** rng.uniform(-12.0, -1.0)))[n % 3]
+        lo, hi = 0.0, 4.0 * (b + 1.0)
+        eps = rng.choice((DEFAULT_EPS, 5e-324))
+        kind = n // 4 % 4
+        root = None
+        if kind:
+            try:
+                root = _find_root(_outer_closure(b, f), lo, hi, 72, 1.0, OuterPlacementError, err=ellipse._outer_err(1, b))
+            except OuterPlacementError:
+                kind = 0
+        if kind == 0:
+            yield b, f, lo, hi, ellipse._COARSE_SAMPLES, eps
+        elif kind == 1:
+            yield b, f, rng.uniform(lo, root), rng.uniform(root, hi), rng.randint(1, 12), eps
+        elif kind == 2:
+            yield b, f, max(_ulps(root, -rng.randint(0, 6)), 0.0), _ulps(root, rng.randint(1, 6)), rng.randint(1, 4), eps
+        else:
+            yield b, f, _ulps(root, rng.randint(1, 4)), _ulps(root, rng.randint(5, 40)), rng.randint(1, 4), eps
+
+
+def _outer_closure(b, f):
+    """outer_vertices' residual of e for i = 1, each point's attempt built once."""
+    return ellipse._memo({}, lambda e: ellipse._outer_attempt(1, b, f, e))
+
+
+def test_find_root_with_err_matches_the_plain_path_on_outer_closures():
+    outcomes = set()
+    for b, f, lo, hi, samples, eps in _outer_root_cases(random.Random(33), 3200):
+        def attempt(e):
+            return ellipse._outer_attempt(1, b, f, e)
+
+        got = _memo_outcome(attempt, lo, hi, samples, eps, OuterPlacementError, ellipse._outer_err(1, b))
+        assert got == _memo_outcome(attempt, lo, hi, samples, eps, OuterPlacementError, None), (b.hex(), f.hex(), lo.hex(), hi.hex())
+        outcomes.add("root" if got[0] != "OuterPlacementError" else "above eps" if "above eps" in got[1] else got[1][:29])
+    assert outcomes == {"root", "above eps", "residual does not change sign"}
+
+
+@pytest.mark.parametrize("eps", [1e-16, 1e-15, 1e-14, 1e-12, 1e-9, 1.0, 10.0])
+def test_find_root_with_err_matches_the_plain_path_on_flat_residuals(eps):
+    # _construct_flat's search over b, with its err and without: below
+    # _FLAT_MIN_EPS inner_vertices can raise, so no err is passed there.
+    for j in range(4):
+        def attempt(b):
+            ys = ellipse.inner_vertices(j, b, eps)
+            return diff_outer(0, [(-b, 1.0), (b, 1.0)], ys[-1], b), ys
+
+        args = (attempt, *ellipse._B_RANGE, 4 * ellipse._COARSE_SAMPLES, eps, EllipseConstructionError)
+        assert _memo_outcome(*args, ellipse._flat_err(j, eps)) == _memo_outcome(*args, None), j
+
+
+def _exact_outer_closure(b, f, e):
+    """The i = 1 outer closure at the floats b, f and e, to 50 digits, with
+    B taken from e exactly: B^2 is the positive root X of
+    X^2 + (e^2 - b^2 - 1) X - e^2 = 0, i.e. of b^2 / (X + e^2) + 1 / X = 1."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        b, f, e = decimal.Decimal(b), decimal.Decimal(f), decimal.Decimal(e)
+        c = e * e - b * b - 1
+        big_b = ((-c + (c * c + 4 * e * e).sqrt()) / 2).sqrt()
+        return ((b + f) ** 2 + 1).sqrt() - 2 - (f * f + big_b * big_b).sqrt() + (b * b + (big_b - 1) ** 2).sqrt()
+
+
+def test_outer_closure_err_bounds_the_computed_closure():
+    # outer_vertices' claims for i = 1: the exact closure rises with e and
+    # the computed attempt is within err of it, on the whole scan range,
+    # the top of it (where A, and so the cancellation in B, is largest)
+    # included.
+    rng = random.Random(34)
+    worst = 0.0
+    for n in range(2000):
+        b = (2.0**-10, 2.0**10)[n % 2] if n % 50 < 8 else 2.0 ** rng.uniform(-10.0, 10.0)
+        f = rng.uniform(0.0, b) if n % 3 else b * 10.0 ** rng.uniform(-12.0, 0.0)
+        hi = 4.0 * (b + 1.0)
+        e1, e2 = sorted((rng.uniform(0.0, hi), hi * (1.0 - rng.uniform(0.0, 1e-2)) if n % 4 == 0 else rng.uniform(0.0, hi)))
+        if not 0.0 < f < b:
+            continue
+        err = decimal.Decimal(ellipse._outer_err(1, b))
+        for e in (e1, e2):
+            gap = abs(decimal.Decimal(ellipse._outer_attempt(1, b, f, e)[0]) - _exact_outer_closure(b, f, e))
+            assert gap <= err, (b.hex(), f.hex(), e.hex(), gap / err)
+            worst = max(worst, gap / err)
+        if e1 < e2:
+            assert _exact_outer_closure(b, f, e1) < _exact_outer_closure(b, f, e2)
+    assert worst > 1 / 64
+
+
+def _exact_flat_residual(j, b):
+    """The flat residual H(b + f*) - H(b - f*) - 2 + 2b at the float b, to
+    50 digits, with f* bisected on the exact inner closure (_exact_closure)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        lo, hi = decimal.Decimal(0), decimal.Decimal(b)
+        for _ in range(120):
+            mid = (lo + hi) / 2
+            if _exact_closure(j, b, mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        b, f = decimal.Decimal(b), (lo + hi) / 2
+        return ((b + f) ** 2 + 1).sqrt() - ((b - f) ** 2 + 1).sqrt() - 2 + 2 * b
+
+
+def test_flat_err_bounds_the_computed_residual():
+    # _construct_flat's claims for j <= 3: over the b-search range,
+    # inner_vertices returns a root whose residual is below _FLAT_MIN_EPS,
+    # the exact residual rises with b, and the computed one is within err.
+    rng = random.Random(35)
+    lo, hi = ellipse._B_RANGE
+    worst = 0.0
+    for j in range(4):
+        err = decimal.Decimal(ellipse._flat_err(j, DEFAULT_EPS))
+        prev = None
+        for b in sorted([lo, hi, *(rng.uniform(lo, hi) for _ in range(100)), *(lo * 10.0 ** rng.uniform(0.0, 1.0) for _ in range(10))]):
+            f = ellipse.inner_vertices(j, b)[-1]
+            assert abs(ellipse._inner_attempt(j, b, f)[0]) < ellipse._FLAT_MIN_EPS
+            exact = _exact_flat_residual(j, b)
+            gap = abs(decimal.Decimal(diff_outer(0, [(-b, 1.0), (b, 1.0)], f, b)) - exact)
+            assert gap <= err, (j, b.hex(), gap / err)
+            worst = max(worst, gap / err)
+            if prev is not None:
+                assert prev < exact
+            prev = exact
+    assert worst > 1 / 64
+
+
 # -- input checks ------------------------------------------------------------
 
 
@@ -1031,6 +1180,7 @@ def test_construct_rejects_an_eps_the_cli_rejects(ij, eps):
         ((2, math.nan), "b must be"),
         ((2, math.inf), "b must be"),
         ((2, 1.0, math.nan), "eps must be"),
+        ((1.5, 1.0), "vertex count"),
     ],
 )
 def test_inner_vertices_rejects_inputs_outside_its_proofs(args, match):
@@ -1050,8 +1200,25 @@ def test_inner_vertices_rejects_inputs_outside_its_proofs(args, match):
         ((3, 1.0, math.nan), "f must lie"),
         ((0, 1.0, 2.0), "f must lie"),
         ((3, 1.0, 0.5, math.inf), "eps must be"),
+        ((1.5, 1.0, 0.5), "vertex count"),
     ],
 )
 def test_outer_vertices_rejects_inputs_outside_its_proofs(args, match):
     with pytest.raises(ValueError, match=match):
         ellipse.outer_vertices(*args)
+
+
+@pytest.mark.parametrize("ij", [(1.5, 0), (0, 1.5), (1, -1)])
+def test_construct_rejects_counts_before_any_attempt(monkeypatch, ij):
+    monkeypatch.setattr(ellipse, "_inner_attempt", None)
+    with pytest.raises(ValueError, match="must be a nonnegative integer"):
+        ellipse_construct(*ij)
+
+
+def test_integral_float_counts_build_the_int_bits():
+    # IJK's rule: an integral count of any type is that int.
+    assert ellipse.inner_vertices(2.0, 1.0) == ellipse.inner_vertices(2, 1.0)
+    b, f = (float.fromhex(x) for x in (_GOLDEN[(1, 0)][1], _GOLDEN[(1, 0)][3]))
+    assert ellipse.outer_vertices(1.0, b, f) == ellipse.outer_vertices(1, b, f)
+    for i, j in [(0, 2), (1, 2)]:
+        assert _hexes(ellipse_construct(float(i), float(j))) == _hexes(ellipse_construct(i, j))

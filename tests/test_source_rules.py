@@ -259,3 +259,14 @@ def test_ellipse_halves_and_scans_only_inside_its_root_finders():
     tree = dict(_modules())["ellipse.py"]
     assert _functions_with_loops_holding(tree, _is_halving) == {"_bisect", "_inner_tie", "_outer_steps", "_outer_tie"}
     assert _functions_with_loops_holding(tree, _is_sign_change) == {"_find_root"}
+
+
+def test_ellipse_passes_err_only_from_its_err_helpers():
+    # An err promises a proven float error bound, so each one a root finder
+    # is given comes from a `_*_err` helper beside its proof, never from a
+    # literal or an expression at the call.
+    tree = dict(_modules())["ellipse.py"]
+    passed = [kw.value for node in ast.walk(tree) if isinstance(node, ast.Call) for kw in node.keywords if kw.arg == "err"]
+    names = [v.func.id if isinstance(v, ast.Call) and isinstance(v.func, ast.Name) else ast.dump(v) for v in passed]
+    assert all(re.fullmatch(r"_\w+_err", name) for name in names), names
+    assert sorted(names) == ["_flat_err", "_inner_err", "_outer_err"]
