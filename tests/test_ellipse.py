@@ -1027,6 +1027,11 @@ def _memo_outcome(attempt, lo, hi, samples, eps, error, err):
     return root.hex(), tried[root][0].hex()
 
 
+def _outer_closure(b, f):
+    """outer_vertices' residual of e for i = 1, each point's attempt built once."""
+    return ellipse._memo({}, lambda e: ellipse._outer_attempt(1, b, f, e))
+
+
 def _outer_root_cases(rng, count):
     """(b, f, lo, hi, samples, eps) for the i = 1 outer root search in four
     equal shares, as _inner_root_cases: outer_vertices' own range, a random
@@ -1054,11 +1059,6 @@ def _outer_root_cases(rng, count):
             yield b, f, max(_ulps(root, -rng.randint(0, 6)), 0.0), _ulps(root, rng.randint(1, 6)), rng.randint(1, 4), eps
         else:
             yield b, f, _ulps(root, rng.randint(1, 4)), _ulps(root, rng.randint(5, 40)), rng.randint(1, 4), eps
-
-
-def _outer_closure(b, f):
-    """outer_vertices' residual of e for i = 1, each point's attempt built once."""
-    return ellipse._memo({}, lambda e: ellipse._outer_attempt(1, b, f, e))
 
 
 def test_find_root_with_err_matches_the_plain_path_on_outer_closures():
