@@ -707,6 +707,30 @@ def _outer_err(i: int, b: float) -> float | None:
     return 2.0**-47 * (4.0 * b + 5.0) ** 2 if i == 1 and b <= 2.0**10 else None
 
 
+def _outer_excluded(i: int, b: float) -> bool:
+    """Whether outer_vertices(i, b, f) is proven to raise at every f in
+    (0, b), by two attempts; False without one where _outer_err is None.
+
+    At i = 1 (see outer_vertices) R(e, f) = H(b + f) - 2 - hypot(f, B) +
+    hypot(b, B - 1), with B > 1 independent of f, rises strictly in e and,
+    on [0, b], in f: H'(x) = x / H(x) rises, so dR/df = H'(b + f) -
+    f / hypot(f, B) > H'(b + f) - H'(f) > 0.  So at any f in (0, b) each
+    scan residual R(e_k, f) lies between R(e_first, 0) and R(e_last, b), at
+    the scan's first and last samples.  outer_vertices' error bound uses
+    only 0 <= f <= b, so it holds at both ends: a computed R(e_first, 0) above
+    2 err makes every computed scan residual positive, and R(e_last, b)
+    below -2 err makes them all negative.  No sign changes, so
+    outer_vertices raises OuterPlacementError.
+    """
+    err = _outer_err(i, b)
+    if err is None:
+        return False
+    lo, hi = 0.0, 4.0 * (b + 1.0)  # outer_vertices' scan, sampled as in _find_root
+    if _outer_attempt(1, b, 0.0, lo + (hi - lo) * 0.5 / _COARSE_SAMPLES)[0] > 2.0 * err:
+        return True
+    return _outer_attempt(1, b, b, lo + (hi - lo) * (_COARSE_SAMPLES - 0.5) / _COARSE_SAMPLES)[0] < -2.0 * err
+
+
 def outer_vertices(
     i: int, b: float, f: float, eps: float = DEFAULT_EPS
 ) -> tuple[float, list[tuple[float, float]]]:
@@ -839,9 +863,11 @@ def ellipse_construct(i: int, j: int, eps: float = DEFAULT_EPS) -> ConstructionR
     The ratio is concave in b over the constructible window, so a coarse
     feasibility scan brackets the maximum and golden-section search closes
     in.  The scan retries on a 16x finer grid when the coarse one holds no
-    feasible b.  Below about eps = 1e-15 the tie residuals are at roundoff
-    and feasible b are scattered among infeasible ones; when golden section
-    meets an infeasible b the result is the best coarse sample.
+    feasible b, and skips each b that _outer_excluded proves infeasible
+    before inner_vertices.  Below about eps = 1e-15 the tie residuals are
+    at roundoff and feasible b are scattered among infeasible ones; when
+    golden section meets an infeasible b the result is the best coarse
+    sample.
     """
     i, j = nonnegative_int("i", i), nonnegative_int("j", j)
     _check_eps(eps)
@@ -861,6 +887,8 @@ def ellipse_construct(i: int, j: int, eps: float = DEFAULT_EPS) -> ConstructionR
     for samples in (_COARSE_SAMPLES, 16 * _COARSE_SAMPLES):
         for s in range(samples):
             b = lo + (hi - lo) * (s + 0.5) / samples
+            if _outer_excluded(i, b):
+                continue
             try:
                 feasible.append((b, ratio_at(b)))
             except EllipseConstructionError:

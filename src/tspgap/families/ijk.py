@@ -9,6 +9,7 @@ at the left and right path ends.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,7 +23,7 @@ METRIC = "metric"
 
 def nonnegative_int(name: str, v: int) -> int:
     """v as an int when it is integral and >= 0 (2.0 gives 2), else ValueError."""
-    if int(v) != v or v < 0:
+    if not 0 <= v < math.inf or int(v) != v:
         raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
     return int(v)
 

@@ -346,27 +346,32 @@ def _count_calls(monkeypatch, names, fn, *args):
     return calls
 
 
-# _inner_attempt, _outer_attempt and _outer_tie calls per construction of
-# the curved rows (i <= 1, no outer tie) and of certify's row (3, 2), frozen
-# from the construction whose inner scans, i = 1 outer scans and flat scans
-# over b settle points by their closures' monotonicity: work counts that do
-# not move with machine load.  Computing every inner point, the six curved
-# rows made 36,312 inner attempts, and row (3, 2) 9,498; computing every
-# outer and flat point, they made 12,377 inner and 14,824 outer attempts.
+# _inner_attempt, _outer_attempt, _outer_tie and inner_vertices calls per
+# construction of the curved rows (i <= 1, no outer tie) and of certify's
+# row (3, 2), frozen from the construction whose inner scans, i = 1 outer
+# scans and flat scans over b settle points by their closures'
+# monotonicity, and whose i = 1 scan over b skips the b that
+# _outer_excluded rules out (its two probes are among the outer attempts):
+# work counts that do not move with machine load.  Computing every inner
+# point, the six curved rows made 36,312 inner attempts, and row (3, 2)
+# 9,498; computing every outer and flat point, they made 12,377 inner and
+# 14,824 outer attempts; without the exclusion rows (1, 0) and (1, 1) made
+# 2,596 and 2,613 inner and 2,011 and 1,793 outer attempts, in 118
+# inner_vertices calls each.
 _CURVED_WORK = {
-    (0, 0): (580, 0, 0),
-    (0, 1): (460, 0, 0),
-    (0, 2): (665, 0, 0),
-    (1, 0): (2596, 2011, 0),
-    (0, 3): (726, 0, 0),
-    (1, 1): (2613, 1793, 0),
-    (3, 2): (2650, 2856, 2856),
+    (0, 0): (580, 0, 0, 27),
+    (0, 1): (460, 0, 0, 20),
+    (0, 2): (665, 0, 0, 28),
+    (1, 0): (1165, 1693, 0, 52),
+    (0, 3): (726, 0, 0, 29),
+    (1, 1): (1168, 1475, 0, 52),
+    (3, 2): (2650, 2856, 2856, 118),
 }
 
 
 @pytest.mark.parametrize("ij", sorted(_CURVED_WORK))
 def test_curved_rows_keep_their_work_counts(monkeypatch, ij):
-    names = ("_inner_attempt", "_outer_attempt", "_outer_tie")
+    names = ("_inner_attempt", "_outer_attempt", "_outer_tie", "inner_vertices")
     calls = _count_calls(monkeypatch, names, ellipse_construct, *ij)
     assert tuple(calls[name] for name in names) == _CURVED_WORK[ij]
 
@@ -1122,6 +1127,120 @@ def test_outer_closure_err_bounds_the_computed_closure():
     assert worst > 1 / 64
 
 
+def _outer_scan_ends(b):
+    """The first and last e samples of outer_vertices' scan, as _find_root
+    computes them."""
+    lo, hi, n = 0.0, 4.0 * (b + 1.0), ellipse._COARSE_SAMPLES
+    return lo + (hi - lo) * (0 + 0.5) / n, lo + (hi - lo) * (n - 1 + 0.5) / n
+
+
+def test_outer_closure_rises_in_f_and_err_bounds_it_at_both_ends():
+    # _outer_excluded's claims for i = 1: the exact closure rises strictly
+    # in f on the closed [0, b], and err bounds the computed attempt at f = 0
+    # and f = b, where outer_vertices' own proof does not look.
+    rng = random.Random(36)
+    lo, hi = ellipse._B_RANGE
+    worst = 0.0
+    for n in range(400):
+        b = (2.0**-10, 2.0**10, lo, hi)[n % 4] if n < 16 else 2.0 ** rng.uniform(-10.0, 10.0) if n % 2 else rng.uniform(lo, hi)
+        top = 4.0 * (b + 1.0)
+        err = decimal.Decimal(ellipse._outer_err(1, b))
+        for e in (*_outer_scan_ends(b), rng.uniform(0.0, top), top * (1.0 - rng.uniform(0.0, 1e-2))):
+            fs = sorted({0.0, b, *(rng.uniform(0.0, b) for _ in range(3)), b * 10.0 ** rng.uniform(-12.0, 0.0), b * (1.0 - 10.0 ** rng.uniform(-12.0, 0.0))})
+            exact = [_exact_outer_closure(b, f, e) for f in fs]
+            assert all(x < y for x, y in zip(exact, exact[1:])), (b.hex(), e.hex())
+            for f, want in ((0.0, exact[0]), (b, exact[-1])):
+                gap = abs(decimal.Decimal(ellipse._outer_attempt(1, b, f, e)[0]) - want)
+                assert gap <= err, (b.hex(), f.hex(), e.hex(), gap / err)
+                worst = max(worst, gap / err)
+    assert worst > 1 / 64
+
+
+def test_outer_excluded_attempts_nothing_outside_i_one(monkeypatch):
+    # Only i = 1 has the proof; any other count returns False at once, as
+    # in certify's set-up build of row (3, 2).
+    monkeypatch.setattr(ellipse, "_outer_attempt", None)
+    for i in (0, 2, 3, 5):
+        assert ellipse._outer_excluded(i, 1.5) is False
+
+
+def _both_b_grids():
+    lo, hi = ellipse._B_RANGE
+    n = ellipse._COARSE_SAMPLES
+    return [lo + (hi - lo) * (s + 0.5) / m for m in (n, 16 * n) for s in range(m)]
+
+
+def test_outer_excluded_b_fail_the_full_path(monkeypatch):
+    # Oracle for the exclusion: every b it rules out fails _evaluate at
+    # every eps, with the exclusion itself switched off.  b on both of
+    # ellipse_construct's grids are tried at every inner chain j = 0-6, and
+    # 2,000 random b at one j each, in turn.  The inner attempts are pure,
+    # so the four eps of one (j, b) share them (a raise is kept as None).
+    rng = random.Random(37)
+    grid = _both_b_grids()
+    cases = [(j, b) for b in grid for j in range(7)] + [(n % 7, rng.uniform(*ellipse._B_RANGE)) for n in range(2000)]
+    excluded = [(j, b) for j, b in cases if ellipse._outer_excluded(1, b)]
+    monkeypatch.setattr(ellipse, "_outer_excluded", lambda i, b: False)
+    memo = {}
+    real = ellipse._inner_attempt
+
+    def attempt(*a):
+        if a not in memo:
+            try:
+                memo[a] = real(*a)
+            except ellipse._BracketError:
+                memo[a] = None
+        if memo[a] is None:
+            raise ellipse._BracketError
+        return memo[a]
+
+    monkeypatch.setattr(ellipse, "_inner_attempt", attempt)
+    parts = [ellipse._shortcut_parts(1, j) for j in range(7)]
+    for j, b in excluded:
+        memo.clear()
+        for eps in (1e-9, 1e-12, 1e-15, 1e-16):
+            with pytest.raises(EllipseConstructionError):
+                ellipse._evaluate(1, j, b, eps, parts[j])
+    assert len(excluded) > len(cases) * 3 // 4 and len(cases) - len(excluded) > 700
+
+
+def _probe_crossing(probe, lo, hi):
+    """One of the adjacent floats between lo and hi where probe's sign
+    changes, by halving."""
+    pos = probe(lo) > 0
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if (probe(mid) > 0) == pos:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def test_outer_excluded_keeps_its_margin_next_to_each_probe_crossing():
+    # Next to the b where a probe's residual crosses 0 the computed probe
+    # is within err of the exact one, so the exclusion needs its 2 err
+    # margin: at b swept across each crossing, every excluded b has an
+    # exact probe beyond err, as the proof uses.
+    grid = _both_b_grids()[: ellipse._COARSE_SAMPLES]
+    for k, f_of in ((0, lambda b: 0.0), (1, lambda b: b)):
+        def probe(b):
+            return ellipse._outer_attempt(1, b, f_of(b), _outer_scan_ends(b)[k])[0]
+
+        s = next(s for s in range(len(grid) - 1) if (probe(grid[s]) > 0) != (probe(grid[s + 1]) > 0))
+        b_star = _probe_crossing(probe, grid[s], grid[s + 1])
+        err = ellipse._outer_err(1, b_star)
+        near = 0
+        for n in range(-40, 41):
+            b = b_star + n * err / 8
+            near += -2.0 * err < probe(b) < 2.0 * err
+            if ellipse._outer_excluded(1, b):
+                e_first, e_last = _outer_scan_ends(b)
+                exact_first, exact_last = _exact_outer_closure(b, 0.0, e_first), _exact_outer_closure(b, b, e_last)
+                assert exact_first > decimal.Decimal(err) or exact_last < -decimal.Decimal(err), (k, b.hex())
+        assert near >= 8, k
+
+
 def _exact_flat_residual(j, b):
     """The flat residual H(b + f*) - H(b - f*) - 2 + 2b at the float b, to
     50 digits, with f* bisected on the exact inner closure (_exact_closure)."""
@@ -1181,6 +1300,8 @@ def test_construct_rejects_an_eps_the_cli_rejects(ij, eps):
         ((2, math.inf), "b must be"),
         ((2, 1.0, math.nan), "eps must be"),
         ((1.5, 1.0), "vertex count"),
+        ((math.inf, 1.0), "vertex count"),
+        ((math.nan, 1.0), "vertex count"),
     ],
 )
 def test_inner_vertices_rejects_inputs_outside_its_proofs(args, match):
@@ -1201,6 +1322,9 @@ def test_inner_vertices_rejects_inputs_outside_its_proofs(args, match):
         ((0, 1.0, 2.0), "f must lie"),
         ((3, 1.0, 0.5, math.inf), "eps must be"),
         ((1.5, 1.0, 0.5), "vertex count"),
+        ((math.inf, 1.0, 0.5), "vertex count"),
+        ((-math.inf, 1.0, 0.5), "vertex count"),
+        ((math.nan, 1.0, 0.5), "vertex count"),
     ],
 )
 def test_outer_vertices_rejects_inputs_outside_its_proofs(args, match):
@@ -1208,7 +1332,7 @@ def test_outer_vertices_rejects_inputs_outside_its_proofs(args, match):
         ellipse.outer_vertices(*args)
 
 
-@pytest.mark.parametrize("ij", [(1.5, 0), (0, 1.5), (1, -1)])
+@pytest.mark.parametrize("ij", [(1.5, 0), (0, 1.5), (1, -1), (math.inf, 0), (0, -math.inf), (math.nan, 0)])
 def test_construct_rejects_counts_before_any_attempt(monkeypatch, ij):
     monkeypatch.setattr(ellipse, "_inner_attempt", None)
     with pytest.raises(ValueError, match="must be a nonnegative integer"):

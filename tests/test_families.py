@@ -51,6 +51,15 @@ TRIPLES = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
 # --- labeled vertex sets and fractional vectors ------------------------------
 
 
+@pytest.mark.parametrize(
+    "counts,name",
+    [((-1, 0, 0), "i"), ((0, 1.5, 0), "j"), ((0, 0, math.inf), "k"), ((-math.inf, 0, 0), "i"), ((0, math.nan, 0), "j")],
+)
+def test_ijk_rejects_counts_that_are_not_nonnegative_integers(counts, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a nonnegative integer, got "):
+        IJK(*counts)
+
+
 def test_labeled_vertices_layout():
     p = IJK(1, 2, 1)
     lv = labeled_vertices(p)
